@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import gf2
 from .builder import EaqeccCode
 from .pauli import PauliString, iter_paulis_of_weight, symplectic_product
+from .symplectic import _swap_halves
 
 Syndrome = Tuple[int, ...]
 
@@ -70,11 +71,6 @@ def check_correctable_set(
             if gf2.reduce_vector(prod, reduced, pivots) != 0:
                 return CorrectabilityReport(False, (errors[i], errors[j]))
     return CorrectabilityReport(True)
-
-
-def _swap_halves(v: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (v >> n) | ((v & mask) << n)
 
 
 @dataclass(frozen=True)

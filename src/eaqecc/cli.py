@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import gf4
-from .builder import ClassicalCode, EaqeccCode, build_code, parameters
+from .builder import ClassicalCode, CodeParameters, build_code, parameters
 from .analysis import (
     hashing_rates,
     min_distance_bruteforce,
@@ -68,7 +68,7 @@ def parse_code_text(text: str) -> ClassicalCode:
                 n, k = int(tokens[0]), int(tokens[1])
             except ValueError:
                 raise CodeFileError(f"non-integer header {tokens!r}", lineno) from None
-            if not 0 <= k <= n:
+            if n < 1 or not 0 <= k <= n:
                 raise CodeFileError(f"invalid dimensions n={n}, k={k}", lineno)
             header = (n, k)
             continue
@@ -98,7 +98,13 @@ def parse_code_text(text: str) -> ClassicalCode:
 
 
 def load_code_file(path: str) -> CodeFile:
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise CodeFileError(f"non-ASCII byte 0x{data[exc.start]:02x}", line, column) from None
     return CodeFile(path, parse_code_text(text))
 
 
@@ -106,8 +112,7 @@ def _format_rate(rate: Fraction) -> str:
     return str(rate)
 
 
-def _param_lines(codeq: EaqeccCode, d: Optional[int] = None) -> List[str]:
-    report = parameters(codeq, d)
+def _param_lines(report: CodeParameters) -> List[str]:
     lines = [
         f"code={report.label}",
         f"n={report.n}",
@@ -123,7 +128,7 @@ def _param_lines(codeq: EaqeccCode, d: Optional[int] = None) -> List[str]:
 
 def cmd_build(args: argparse.Namespace) -> int:
     codeq = build_code(load_code_file(args.input).code)
-    lines = _param_lines(codeq)
+    lines = _param_lines(parameters(codeq))
     lines.append("alice_generators:")
     lines.extend(format_pauli(g) for g in codeq.generators)
     lines.append("extended_generators:")
@@ -140,7 +145,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     codeq = build_code(code)
     cap = args.weight_cap if args.weight_cap is not None else min(codeq.n, 6)
     dist = min_distance_bruteforce(codeq, cap)
-    lines = _param_lines(codeq, dist.distance)
+    report = parameters(codeq, dist.distance)
+    lines = _param_lines(report)
     if dist.exact:
         lines.append(f"d={dist.distance}")
     else:
@@ -154,7 +160,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"singleton_quantum_slack={bounds.singleton_quantum_slack}")
         saturated = bounds.classical_saturated and bounds.quantum_saturated
         lines.append(f"singleton_saturated={'yes' if saturated else 'no'}")
-        report = parameters(codeq, dist.distance)
         if report.degenerate is not None:
             lines.append(f"degenerate={'yes' if report.degenerate else 'no'}")
     print("\n".join(lines))

@@ -9,34 +9,19 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def rank(rows: List[int], width: int) -> int:
-    """Rank over GF(2) via Gaussian elimination."""
+def _eliminate(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
+    """Gauss-Jordan elimination pivoting on the lowest available column.
+
+    Only columns below width are pivoted on; higher bits ride along.
+    Returns (work, pivots): work[:len(pivots)] are the reduced pivot rows
+    and every later row is zero below width.
+    """
     work = [r for r in rows if r]
-    rk = 0
+    pivots: List[int] = []
     for col in range(width):
-        pivot = None
-        for i in range(rk, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(len(work)):
-            if i != rk and ((work[i] >> col) & 1):
-                work[i] ^= work[rk]
-        rk += 1
+        rk = len(pivots)
         if rk == len(work):
             break
-    return rk
-
-
-def row_reduce(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = list(rows)
-    pivots: List[int] = []
-    rk = 0
-    for col in range(width):
         pivot = None
         for i in range(rk, len(work)):
             if (work[i] >> col) & 1:
@@ -49,8 +34,18 @@ def row_reduce(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
             if i != rk and ((work[i] >> col) & 1):
                 work[i] ^= work[rk]
         pivots.append(col)
-        rk += 1
-    return work[:rk], pivots
+    return work, pivots
+
+
+def rank(rows: List[int], width: int) -> int:
+    """Rank over GF(2) via Gaussian elimination."""
+    return len(_eliminate(rows, width)[1])
+
+
+def row_reduce(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    work, pivots = _eliminate(rows, width)
+    return work[: len(pivots)], pivots
 
 
 def reduce_vector(vec: int, reduced_rows: List[int], pivots: List[int]) -> int:
@@ -70,35 +65,21 @@ def in_span(vec: int, rows: List[int], width: int) -> bool:
 def solve(constraint_rows: List[int], rhs_bits: List[int], width: int) -> Optional[int]:
     """One solution x of parity(constraint_rows[i] & x) = rhs_bits[i], or None.
 
-    Elimination pivots on the lowest available column; free variables are
-    set to zero, so the returned solution is deterministic.
+    Each right-hand side rides along as bit width of its row.  Elimination
+    pivots on the lowest available column; free variables are set to zero,
+    so the returned solution is deterministic.
     """
-    work = list(constraint_rows)
-    rhs = list(rhs_bits)
-    pivots: List[int] = []
-    rk = 0
-    for col in range(width):
-        pivot = None
-        for i in range(rk, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        rhs[rk], rhs[pivot] = rhs[pivot], rhs[rk]
-        for i in range(len(work)):
-            if i != rk and ((work[i] >> col) & 1):
-                work[i] ^= work[rk]
-                rhs[i] ^= rhs[rk]
-        pivots.append(col)
-        rk += 1
-    for i in range(rk, len(work)):
-        if rhs[i]:
-            return None
+    mask = (1 << width) - 1
+    augmented = [
+        (row & mask) | (bit << width)
+        for row, bit in zip(constraint_rows, rhs_bits, strict=True)
+    ]
+    work, pivots = _eliminate(augmented, width)
+    if any(work[len(pivots):]):
+        return None
     x = 0
-    for i, col in enumerate(pivots):
-        if rhs[i]:
+    for row, col in zip(work, pivots):
+        if (row >> width) & 1:
             x |= 1 << col
     return x
 

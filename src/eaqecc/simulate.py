@@ -9,6 +9,10 @@ unknown syndrome is always a failure).
 Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
 partitioning of trials across workers.
+
+Trials run in blocks: numpy samples a block of errors and one block decoder
+looks their packed syndromes up in the table, whatever the number of
+generators.  decode_error is the per-trial reference it must agree with.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from . import gf2
 from .builder import EaqeccCode
 from .pauli import PauliString, iter_paulis_of_weight
 from .analysis import Syndrome, syndrome_of, in_isotropic
+from .symplectic import _swap_halves
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -138,16 +143,22 @@ def _lex_key(p: PauliString) -> Tuple[int, ...]:
 
 
 def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
-    """Enumerate errors by increasing weight, keeping first-seen syndromes."""
+    """Enumerate errors by increasing weight, keeping first-seen syndromes.
+
+    Enumeration stops as soon as every syndrome has an entry.
+    """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     entries: Dict[Syndrome, PauliString] = {}
+    full = 1 << len(codeq.generators)
     for w in range(min(max_weight, codeq.n) + 1):
         candidates = sorted(iter_paulis_of_weight(codeq.n, w), key=_lex_key)
         for p in candidates:
             s = syndrome_of(codeq, p)
             if s not in entries:
                 entries[s] = p
+                if len(entries) == full:
+                    return SyndromeTable(entries, max_weight)
     return SyndromeTable(entries, max_weight)
 
 
@@ -194,40 +205,6 @@ class TrialResult:
         return self.logical_failures / self.trials if self.trials else 0.0
 
 
-def _code_arrays(codeq: EaqeccCode, table: SyndromeTable):
-    """Bit matrices and packed-key lookup arrays for the vectorized decoder."""
-    n = codeq.n
-    gens = list(codeq.generators)
-    m = len(gens)
-    gx = np.array(
-        [[(g.x >> j) & 1 for j in range(n)] for g in gens], dtype=np.int64
-    ).reshape(m, n)
-    gz = np.array(
-        [[(g.z >> j) & 1 for j in range(n)] for g in gens], dtype=np.int64
-    ).reshape(m, n)
-    keys = []
-    cx = []
-    cz = []
-    for syndrome, corr in table.entries.items():
-        key = 0
-        for i, bit in enumerate(syndrome):
-            key |= bit << i
-        keys.append(key)
-        cx.append([(corr.x >> j) & 1 for j in range(n)])
-        cz.append([(corr.z >> j) & 1 for j in range(n)])
-    order = np.argsort(np.array(keys, dtype=np.uint64), kind="stable")
-    keys_sorted = np.array(keys, dtype=np.uint64)[order]
-    cx_sorted = np.array(cx, dtype=np.uint8)[order] if keys else np.zeros((0, n), np.uint8)
-    cz_sorted = np.array(cz, dtype=np.uint8)[order] if keys else np.zeros((0, n), np.uint8)
-    iso_reduced, iso_pivots = gf2.row_reduce(
-        [g.row() for g in codeq.decomposition.isotropic], 2 * n
-    )
-    iso_rows = np.array(
-        [[(r >> j) & 1 for j in range(2 * n)] for r in iso_reduced], dtype=np.uint8
-    )
-    return gx, gz, m, keys_sorted, cx_sorted, cz_sorted, iso_rows, iso_pivots
-
-
 def _sample_block(p: float, n: int, seed: int, t_lo: int, t_hi: int):
     """Vectorized errors for trials [t_lo, t_hi); matches sample_error with
     CounterRng(seed, t) exactly."""
@@ -252,55 +229,82 @@ def _sample_block(p: float, n: int, seed: int, t_lo: int, t_hi: int):
     return ex, ez
 
 
-def _decode_block(ex, ez, arrays) -> Tuple[int, int, int]:
-    """(failures, degenerate successes, residual-syndrome violations)."""
-    gx, gz, m, keys_sorted, cx_sorted, cz_sorted, iso_rows, iso_pivots = arrays
-    b = ex.shape[0]
-    syndromes = (ex.astype(np.int64) @ gz.T + ez.astype(np.int64) @ gx.T) % 2
-    powers = (np.uint64(1) << np.arange(m, dtype=np.uint64)) if m else np.zeros(0, np.uint64)
-    keys = syndromes.astype(np.uint64) @ powers if m else np.zeros(b, dtype=np.uint64)
-    pos = np.searchsorted(keys_sorted, keys)
-    pos_clipped = np.minimum(pos, max(len(keys_sorted) - 1, 0))
-    known = (
-        (keys_sorted[pos_clipped] == keys) if len(keys_sorted) else np.zeros(b, dtype=bool)
-    )
-    rx = ex ^ cx_sorted[pos_clipped] if len(keys_sorted) else ex.copy()
-    rz = ez ^ cz_sorted[pos_clipped] if len(keys_sorted) else ez.copy()
-    res_syn = (rx.astype(np.int64) @ gz.T + rz.astype(np.int64) @ gx.T) % 2
-    violations = int(np.count_nonzero(res_syn.any(axis=1) & known))
-    residual = np.concatenate([rx, rz], axis=1)
-    reduced = residual.copy()
-    for row, pivot in zip(iso_rows, iso_pivots):
-        mask = reduced[:, pivot] == 1
-        reduced[mask] ^= row
-    member = ~reduced.any(axis=1)
-    success = known & member
-    failures = b - int(np.count_nonzero(success))
-    degenerate = int(np.count_nonzero(success & residual.any(axis=1)))
-    return failures, degenerate, violations
+def _bit_matrix(rows: List[int], width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..width-1 of rows[i]."""
+    size = (width + 7) // 8
+    data = b"".join(r.to_bytes(size, "little") for r in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), size)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
-def _decode_range_scalar(
-    codeq: EaqeccCode,
-    table: SyndromeTable,
-    p: float,
-    seed: int,
-    lo: int,
-    hi: int,
-) -> Tuple[int, int, int]:
-    """Per-trial decoding on Python ints; used when syndromes exceed 62 bits."""
-    failures = degenerate = violations = 0
-    zero = (0,) * len(codeq.generators)
-    for t in range(lo, hi):
-        e = sample_error(DepolarizingChannel(p), codeq.n, CounterRng(seed, t))
-        outcome = decode_error(codeq, table, e)
-        if outcome.residual is not None and syndrome_of(codeq, outcome.residual) != zero:
-            violations += 1
-        if not outcome.success:
-            failures += 1
-        elif not outcome.residual.is_identity():
-            degenerate += 1
-    return failures, degenerate, violations
+def _pack_keys(bits: np.ndarray) -> np.ndarray:
+    """One fixed-width np.void key per row of a 0/1 matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(f"V{packed.shape[1]}").ravel()
+
+
+@dataclass(frozen=True)
+class _BlockDecoder:
+    """A code and its syndrome table as bit arrays, for decoding blocks.
+
+    Errors are (b, 2n) (x|z) bit rows.  Syndromes are packed into byte
+    keys of fixed width, so one sorted-key lookup serves any number of
+    generators.  A code without generators gets one always-zero syndrome
+    bit, so that no key is empty.
+    """
+
+    checks: np.ndarray  # (2n, max(m, 1)) float32: column i is generator i, halves swapped
+    keys: np.ndarray  # sorted packed syndromes of the table entries
+    corrections: np.ndarray  # (len(keys), 2n) correction rows in key order
+    iso_rows: np.ndarray  # RREF rows of the isotropic span, (s, 2n)
+    iso_pivots: Tuple[int, ...]
+
+    @classmethod
+    def build(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
+        n = codeq.n
+        m = len(codeq.generators)
+        checks = np.zeros((2 * n, max(m, 1)), dtype=np.float32)
+        checks[:, :m] = _bit_matrix(
+            [_swap_halves(g.row(), n) for g in codeq.generators], 2 * n
+        ).T
+        syndromes = np.zeros((len(table), max(m, 1)), dtype=np.uint8)
+        syndromes[:, :m] = np.array(list(table.entries), dtype=np.uint8).reshape(len(table), m)
+        keys = _pack_keys(syndromes)
+        order = np.argsort(keys, kind="stable")
+        corrections = _bit_matrix([c.row() for c in table.entries.values()], 2 * n)
+        iso_reduced, iso_pivots = gf2.row_reduce(
+            [g.row() for g in codeq.decomposition.isotropic], 2 * n
+        )
+        return cls(
+            checks,
+            keys[order],
+            corrections[order],
+            _bit_matrix(iso_reduced, 2 * n),
+            tuple(iso_pivots),
+        )
+
+    def syndromes(self, errors: np.ndarray) -> np.ndarray:
+        # float32 products run in BLAS; sums of at most 2n ones are exact below 2**24
+        return (errors.astype(np.float32) @ self.checks).astype(np.int32) & 1
+
+    def decode(self, ex: np.ndarray, ez: np.ndarray) -> Tuple[int, int, int]:
+        """(failures, degenerate successes, residual-syndrome violations)."""
+        errors = np.concatenate([ex, ez], axis=1)
+        b = errors.shape[0]
+        if not len(self.keys):  # a hand-built empty table knows no syndrome
+            return b, 0, 0
+        keys = _pack_keys(self.syndromes(errors))
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        known = self.keys[pos] == keys
+        residual = errors ^ self.corrections[pos]
+        violations = int(np.count_nonzero(self.syndromes(residual).any(axis=1) & known))
+        reduced = residual.copy()
+        for row, pivot in zip(self.iso_rows, self.iso_pivots):
+            reduced[reduced[:, pivot] == 1] ^= row
+        success = known & ~reduced.any(axis=1)
+        failures = b - int(np.count_nonzero(success))
+        degenerate = int(np.count_nonzero(success & residual.any(axis=1)))
+        return failures, degenerate, violations
 
 
 def run_trials(
@@ -316,17 +320,13 @@ def run_trials(
         raise ValueError(f"trials must be >= 0, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    vectorized = len(codeq.generators) <= 62
-    arrays = _code_arrays(codeq, table) if vectorized else None
+    decoder = _BlockDecoder.build(codeq, table)
 
     def run_range(lo: int, hi: int) -> Tuple[int, int, int]:
-        if not vectorized:
-            return _decode_range_scalar(codeq, table, ch.p, seed, lo, hi)
         failures = degenerate = violations = 0
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            ex, ez = _sample_block(ch.p, codeq.n, seed, start, stop)
-            f, g, v = _decode_block(ex, ez, arrays)
+            f, g, v = decoder.decode(*_sample_block(ch.p, codeq.n, seed, start, stop))
             failures += f
             degenerate += g
             violations += v

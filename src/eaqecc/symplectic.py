@@ -164,7 +164,8 @@ def gram_schmidt_decompose(g: GeneratorSet) -> Decomposition:
         pairs.append((cur, partner))
     m = len(g.gens)
     ell = len(pairs) + len(isotropic)
-    assert m - m // 2 <= ell <= m, "pair/isotropic counts violate the size constraint"
+    if not m - m // 2 <= ell <= m:
+        raise ValueError("pair/isotropic counts violate the size constraint")
     return Decomposition(g.n, tuple(pairs), tuple(isotropic))
 
 
@@ -206,18 +207,19 @@ class SymplecticMatrix:
     def is_symplectic(self) -> bool:
         """Check M J M^T = J for the x/z block pairing form J."""
         n = self.n
+        swapped = [_swap_halves(r, n) for r in self.rows]
         for a in range(2 * n):
             for b in range(a, 2 * n):
                 want = 1 if abs(a - b) == n else 0
-                if _sp_rows(self.rows[a], self.rows[b], n) != want:
+                if gf2.parity(self.rows[a] & swapped[b]) != want:
                     return False
         return True
 
 
-def _sp_rows(u: int, v: int, n: int) -> int:
+def _swap_halves(v: int, n: int) -> int:
+    """Exchange the x and z halves of a 2n-bit (x|z) row vector."""
     mask = (1 << n) - 1
-    swapped = (v >> n) | ((v & mask) << n)
-    return (u & swapped).bit_count() & 1
+    return (v >> n) | ((v & mask) << n)
 
 
 def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
@@ -268,14 +270,11 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
         rows[q] = solve_for(q)
 
     m = SymplecticMatrix(n, tuple(rows))
-    assert m.is_symplectic(), "completed matrix fails the symplectic form check"
-    assert gf2.rank(list(m.rows), width) == width, "completed matrix is singular"
+    if not m.is_symplectic():
+        raise ValueError("completed matrix fails the symplectic form check")
+    if gf2.rank(list(m.rows), width) != width:
+        raise ValueError("completed matrix is singular")
     return m
-
-
-def _swap_halves(v: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (v >> n) | ((v & mask) << n)
 
 
 def canonical_generator_rows(d: Decomposition) -> List[Tuple[int, int]]:

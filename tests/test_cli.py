@@ -2,7 +2,7 @@
 
 import pytest
 
-from eaqecc import example_code_path
+from eaqecc import builder, example_code_path
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
 
 H4_PATH = example_code_path("h4.code")
@@ -47,6 +47,16 @@ class TestCodeFileParsing:
         with pytest.raises(CodeFileError, match="empty"):
             parse_code_text("")
 
+    def test_zero_length_code_rejected(self):
+        with pytest.raises(CodeFileError, match="line 2: invalid dimensions n=0"):
+            parse_code_text("# empty code\n0 0\n")
+
+    def test_non_ascii_byte_reports_line_and_column(self, tmp_path):
+        bad = tmp_path / "bad.code"
+        bad.write_bytes("2 1\n1 \u03c9\n".encode("utf-8"))
+        with pytest.raises(CodeFileError, match="line 2, column 3: non-ASCII byte 0xcf"):
+            load_code_file(str(bad))
+
     def test_dependent_rows_rejected(self):
         with pytest.raises(CodeFileError, match="dependent"):
             parse_code_text("3 1\n1 w 0\nw W 0\n")
@@ -82,6 +92,22 @@ class TestBuildCommand:
         assert code == 2
         assert "line 2, column 2" in err
 
+    def test_zero_length_code_is_clean_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.code"
+        empty.write_text("0 0\n")
+        code, out, err = run(capsys, "build", str(empty))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1: invalid dimensions n=0, k=0\n"
+
+    def test_non_ascii_file_is_clean_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.code"
+        bad.write_bytes(b"2 1 \xff\n1 w\n")
+        code, out, err = run(capsys, "build", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1, column 5: non-ASCII byte 0xff\n"
+
     def test_empty_stabilizer_label(self, capsys, tmp_path):
         trivial = tmp_path / "trivial.code"
         trivial.write_text("3 3\n")
@@ -114,6 +140,19 @@ class TestAnalyzeCommand:
             "degenerate=no",
         ]:
             assert expected in lines
+
+    def test_isotropic_scan_runs_once(self, capsys, monkeypatch):
+        calls = []
+        scan = builder.min_isotropic_weight
+
+        def counting(codeq):
+            calls.append(codeq.n)
+            return scan(codeq)
+
+        monkeypatch.setattr(builder, "min_isotropic_weight", counting)
+        code, out, _ = run(capsys, "analyze", H4_PATH)
+        assert code == 0 and "degenerate=no" in out.splitlines()
+        assert calls == [4]
 
     def test_weight_cap_lower_bound(self, capsys):
         code, out, _ = run(capsys, "analyze", H4_PATH, "--weight-cap", "1")

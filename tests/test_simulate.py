@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from eaqecc import gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
 from eaqecc.builder import ClassicalCode, build_code
 from eaqecc.pauli import (
@@ -20,6 +21,7 @@ from eaqecc.simulate import (
     CounterRng,
     DepolarizingChannel,
     InfeasibleError,
+    SyndromeTable,
     build_syndrome_table,
     catalytic_schedule,
     decode_error,
@@ -28,6 +30,15 @@ from eaqecc.simulate import (
     trial_report,
 )
 from eaqecc.simulate import _sample_block
+
+from helpers import random_classical_code
+
+
+def _lex_key(p):
+    """Tie-break order of the syndrome table: (x|z) bits, qubit 0 first."""
+    return tuple((p.x >> j) & 1 for j in range(p.n)) + tuple(
+        (p.z >> j) & 1 for j in range(p.n)
+    )
 
 
 class TestDepolarizingChannel:
@@ -121,23 +132,37 @@ class TestSyndromeTable:
 
     def test_lexicographic_tie_break(self, golden):
         table = build_syndrome_table(golden, 2)
-
-        def lex_key(p):
-            return tuple((p.x >> j) & 1 for j in range(4)) + tuple(
-                (p.z >> j) & 1 for j in range(4)
-            )
-
         for syndrome, correction in table.entries.items():
             ties = [
                 p
                 for p in iter_paulis_of_weight(4, correction.weight)
                 if syndrome_of(golden, p) == syndrome
             ]
-            assert min(ties, key=lex_key) == correction
+            assert min(ties, key=_lex_key) == correction
 
     def test_negative_weight_rejected(self, golden):
         with pytest.raises(ValueError, match="max_weight"):
             build_syndrome_table(golden, -1)
+
+    def test_full_table_stops_early_unchanged(self, golden, monkeypatch):
+        # every syndrome of the golden code appears by weight 2
+        reference = {}
+        for w in range(4):
+            for p in sorted(iter_paulis_of_weight(4, w), key=_lex_key):
+                reference.setdefault(syndrome_of(golden, p), p)
+        assert len(reference) == 2 ** len(golden.generators)
+        weights = []
+
+        def recording(n, w):
+            weights.append(w)
+            return iter_paulis_of_weight(n, w)
+
+        monkeypatch.setattr(simulate, "iter_paulis_of_weight", recording)
+        table = build_syndrome_table(golden, 3)
+        assert weights == [0, 1, 2]
+        assert table.entries == reference
+        assert list(table.entries) == list(reference)
+        assert table.max_weight_built == 3
 
 
 class TestDecodeError:
@@ -239,6 +264,10 @@ class TestRunTrials:
         )
         assert result.logical_failures == failures
 
+    def test_empty_table_fails_every_trial(self, golden):
+        result = run_trials(golden, DepolarizingChannel(0.0), SyndromeTable({}, 0), 100, seed=1)
+        assert (result.logical_failures, result.residual_in_isotropic) == (100, 0)
+
     def test_validation(self, golden):
         table = build_syndrome_table(golden, 1)
         with pytest.raises(ValueError, match="trials"):
@@ -246,27 +275,32 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="workers"):
             run_trials(golden, DepolarizingChannel(0.1), table, 10, seed=0, workers=0)
 
-    def test_wide_code_uses_scalar_path(self):
-        # 64 generators exceed the packed-key width, forcing per-trial decode
-        rng = random.Random(61)
-        n = 32
-        while True:
-            rows = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(n)]
-            try:
-                code = ClassicalCode.from_rows(n, 0, rows)
-                break
-            except ValueError:
-                continue
-        built = build_code(code)
-        assert len(built.generators) == 64
-        table = build_syndrome_table(built, 0)
+    @pytest.mark.parametrize("m", [62, 64, 66])
+    def test_wide_code_matches_scalar_decode(self, m):
+        # 64 generators fill an 8-byte syndrome key exactly; 66 need a ninth
+        # byte.  The last parity row acts alone on the last three qubits, so
+        # single-qubit errors there differ only in generators m/2 - 1 and
+        # m - 1: the top syndrome bit alone tells some table entries apart.
+        head = random_classical_code(random.Random(m), m // 2 + 1, 2)
+        rows = [head.h.row(i) + (0, 0, 0) for i in range(head.h.nrows)]
+        rows.append((0,) * head.n + (gf4.ONE, gf4.OMEGA, gf4.OMEGA_BAR))
+        n = head.n + 3
+        built = build_code(ClassicalCode.from_rows(n, n - m // 2, rows))
+        assert len(built.generators) == m
+        table = build_syndrome_table(built, 1)
         ch = DepolarizingChannel(0.02)
         result = run_trials(built, ch, table, 300, seed=6)
-        failures = sum(
-            0 if decode_error(built, table, sample_error(ch, n, CounterRng(6, t))).success else 1
-            for t in range(300)
-        )
+        failures = degenerate = 0
+        for t in range(300):
+            outcome = decode_error(built, table, sample_error(ch, n, CounterRng(6, t)))
+            if not outcome.success:
+                failures += 1
+            elif not outcome.residual.is_identity():
+                degenerate += 1
+        assert 0 < failures < 300
         assert result.logical_failures == failures
+        assert result.residual_in_isotropic == degenerate
+        assert result.residual_syndrome_nonzero == 0
         assert result == run_trials(built, ch, table, 300, seed=6, workers=3)
 
     def test_report_lines(self, golden):

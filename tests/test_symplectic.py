@@ -9,6 +9,7 @@ from eaqecc.pauli import parse_pauli, symplectic_product
 from eaqecc.symplectic import (
     Decomposition,
     GeneratorSet,
+    SymplecticMatrix,
     canonical_generator_rows,
     commutation_matrix,
     find_encoding_symplectic,
@@ -221,3 +222,9 @@ class TestFindEncodingSymplectic:
         d = Decomposition(2, (), (parse_pauli("ZZ"), parse_pauli("ZZ")))
         with pytest.raises(ValueError, match="dependent"):
             find_encoding_symplectic(d)
+
+    def test_form_check_survives_optimized_mode(self, monkeypatch):
+        # a real check, not an assert that python -O would strip
+        monkeypatch.setattr(SymplecticMatrix, "is_symplectic", lambda self: False)
+        with pytest.raises(ValueError, match="symplectic form check"):
+            find_encoding_symplectic(gram_schmidt_decompose(gens(EQ1)))
