@@ -36,6 +36,8 @@ class ClassicalCode:
     d_claimed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"code length must be >= 1, got n={self.n}")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"invalid dimensions [n={self.n}, k={self.k}]")
         if self.h.ncols != self.n:
@@ -133,8 +135,6 @@ class CodeParameters:
     d: Optional[int] = None
     correctable_weight: Optional[int] = None
     degenerate: Optional[bool] = None
-    # False when dependent parity-check rows made k_enc exceed 2k - n + c
-    formula_k_matches: Optional[bool] = None
 
     @property
     def label(self) -> str:
@@ -166,11 +166,7 @@ def parameters(codeq: EaqeccCode, d: Optional[int] = None) -> CodeParameters:
         min_iso = min_isotropic_weight(codeq)
         if min_iso is not None:
             degenerate = min_iso < dist
-    formula: Optional[bool] = None
-    if codeq.classical is not None:
-        expected = 2 * codeq.classical.k - codeq.n + codeq.c
-        formula = codeq.k_enc == expected
-    return replace(report, degenerate=degenerate, formula_k_matches=formula)
+    return replace(report, degenerate=degenerate)
 
 
 def min_isotropic_weight(codeq: EaqeccCode, limit: int = 20) -> Optional[int]:

@@ -113,7 +113,7 @@ def _format_rate(rate: Fraction) -> str:
 
 
 def _param_lines(report: CodeParameters) -> List[str]:
-    lines = [
+    return [
         f"code={report.label}",
         f"n={report.n}",
         f"k={report.k_enc}",
@@ -121,9 +121,6 @@ def _param_lines(report: CodeParameters) -> List[str]:
         f"s={report.s}",
         f"rate={_format_rate(report.rate)}",
     ]
-    if report.formula_k_matches is False:
-        lines.append("dependent_checks=yes")
-    return lines
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -143,18 +140,22 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     code = load_code_file(args.input).code
     codeq = build_code(code)
-    cap = args.weight_cap if args.weight_cap is not None else min(codeq.n, 6)
-    dist = min_distance_bruteforce(codeq, cap)
-    report = parameters(codeq, dist.distance)
+    dist = None
+    if codeq.k_enc > 0:  # without logical operators a code has no distance
+        cap = args.weight_cap if args.weight_cap is not None else min(codeq.n, 6)
+        dist = min_distance_bruteforce(codeq, cap)
+    report = parameters(codeq, None if dist is None else dist.distance)
     lines = _param_lines(report)
-    if dist.exact:
+    if dist is None:
+        lines.append("d=undefined")
+    elif dist.exact:
         lines.append(f"d={dist.distance}")
     else:
         lines.append(f"d_lower_bound={dist.lower_bound}")
     lines.append(f"t={args.t}")
     distinct = nondegenerate_distinct_syndromes(codeq, args.t)
     lines.append(f"distinct_syndromes={'yes' if distinct else 'no'}")
-    if dist.exact:
+    if dist is not None and dist.exact:
         bounds = singleton_report(code.n, code.k, dist.distance, codeq.c)
         lines.append(f"singleton_classical_slack={bounds.singleton_classical_slack}")
         lines.append(f"singleton_quantum_slack={bounds.singleton_quantum_slack}")

@@ -10,13 +10,18 @@ Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
 partitioning of trials across workers.
 
-Trials run in blocks: numpy samples a block of errors and one block decoder
-looks their packed syndromes up in the table, whatever the number of
-generators.  decode_error is the per-trial reference it must agree with.
+Trials run in blocks.  The sampler hashes one qubit column at a time and
+keeps only the trials in which some qubit erred (at p = 0.01 most trials
+draw the identity); one block decoder looks their packed syndromes up in
+the table, whatever the number of generators.  Every other trial drew the
+identity, whose outcome is decoded once per run and counted for each of
+them.  sample_error and decode_error are the per-trial references the
+block path must agree with.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -62,13 +67,18 @@ def _mix64(v: int) -> int:
     return v
 
 
-def _mix64_array(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64, copy=True)
-    v ^= v >> np.uint64(30)
-    v *= np.uint64(_MIX1)
-    v ^= v >> np.uint64(27)
-    v *= np.uint64(_MIX2)
-    v ^= v >> np.uint64(31)
+def _mix64_array(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """_mix64 of every word of the uint64 array v, computed in place.
+
+    scratch, when given, is a uint64 buffer of v's shape that is overwritten.
+    """
+    tmp = np.empty_like(v) if scratch is None else scratch
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(v, np.uint64(shift), out=tmp)
+        np.bitwise_xor(v, tmp, out=v)
+        np.multiply(v, np.uint64(mult), out=v)
+    np.right_shift(v, np.uint64(31), out=tmp)
+    np.bitwise_xor(v, tmp, out=v)
     return v
 
 
@@ -136,12 +146,6 @@ class SyndromeTable:
         return self.entries.get(syndrome)
 
 
-def _lex_key(p: PauliString) -> Tuple[int, ...]:
-    return tuple((p.x >> j) & 1 for j in range(p.n)) + tuple(
-        (p.z >> j) & 1 for j in range(p.n)
-    )
-
-
 def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     """Enumerate errors by increasing weight, keeping first-seen syndromes.
 
@@ -149,12 +153,18 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    n = codeq.n
+    # bit i of a syndrome is the parity of row & checks[i] (syndrome_of's order)
+    checks = [_swap_halves(g.row(), n) for g in codeq.generators]
+    # the (x|z) bits as a string, qubit 0's x bit first: the lexicographic tie-break
+    width = f"0{2 * n}b"
     entries: Dict[Syndrome, PauliString] = {}
-    full = 1 << len(codeq.generators)
-    for w in range(min(max_weight, codeq.n) + 1):
-        candidates = sorted(iter_paulis_of_weight(codeq.n, w), key=_lex_key)
-        for p in candidates:
-            s = syndrome_of(codeq, p)
+    full = 1 << len(checks)
+    for w in range(min(max_weight, n) + 1):
+        candidates = iter_paulis_of_weight(n, w)
+        for p in sorted(candidates, key=lambda p: format(p.row(), width)[::-1]):
+            row = p.row()
+            s = tuple([(row & g).bit_count() & 1 for g in checks])
             if s not in entries:
                 entries[s] = p
                 if len(entries) == full:
@@ -206,27 +216,41 @@ class TrialResult:
 
 
 def _sample_block(p: float, n: int, seed: int, t_lo: int, t_hi: int):
-    """Vectorized errors for trials [t_lo, t_hi); matches sample_error with
-    CounterRng(seed, t) exactly."""
-    t = np.arange(t_lo, t_hi, dtype=np.uint64)
-    keys = _mix64_array(
-        np.uint64(_mix64(seed)) + (t + np.uint64(1)) * np.uint64(_GOLDEN)
-    )
+    """Errors of trials [t_lo, t_hi), kept only for trials that drew one.
+
+    Returns (hit, ex, ez): the trial numbers with at least one nonidentity
+    qubit, increasing, and their (len(hit), n) x and z bit rows; every
+    other trial drew the identity.  Row i matches sample_error with
+    CounterRng(seed, hit[i]) exactly.
+    """
     b = t_hi - t_lo
-    ex = np.zeros((b, n), dtype=np.uint8)
-    ez = np.zeros((b, n), dtype=np.uint8)
-    if p == 0.0:
-        return ex, ez
+    # u = (w >> 11) * 2**-53 is below p exactly when w >> 11 < ceil(p * 2**53),
+    # that is when w <= top; p * 2**53 is exact, and top fits 64 bits for p = 1
+    limit = math.ceil(p * 2.0 ** 53)
+    if limit == 0:
+        empty = np.zeros((0, n), dtype=np.uint8)
+        return np.zeros(0, dtype=np.int64), empty, empty.copy()
+    top = np.uint64((limit << 11) - 1)
+    t = np.arange(t_lo, t_hi, dtype=np.uint64)
+    keys = _mix64_array(np.uint64(_mix64(seed)) + (t + np.uint64(1)) * np.uint64(_GOLDEN))
+    words = np.empty(b, dtype=np.uint64)
+    scratch = np.empty(b, dtype=np.uint64)
+    below = np.empty(b, dtype=bool)
+    mark = np.zeros(b, dtype=bool)  # trials with a hit so far
+    letters = np.zeros((b, n), dtype=np.uint8)  # 0 = I, 1 = X, 2 = Y, 3 = Z
     for j in range(n):
-        step = np.uint64((j + 1) * _GOLDEN & _MASK64)
-        words = _mix64_array(keys + step)
-        u = (words >> np.uint64(11)) * (2.0 ** -53)
-        hit = u < p
-        # clamp before the cast so non-hits cannot overflow the int64
-        kind = np.minimum((np.minimum(u, p) * 3.0 / p).astype(np.int64), 2)
-        ex[:, j] = hit & (kind != 2)
-        ez[:, j] = hit & (kind != 0)
-    return ex, ez
+        np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=words)
+        _mix64_array(words, scratch)
+        np.less_equal(words, top, out=below)
+        r = np.flatnonzero(below)
+        mark[r] = True
+        u = (words[r] >> np.uint64(11)) * (2.0 ** -53)
+        letters[r, j] = np.minimum((u * 3.0 / p).astype(np.int64), 2) + 1
+    hit = np.flatnonzero(mark)
+    drawn = letters[hit]
+    ex = ((drawn == 1) | (drawn == 2)).view(np.uint8)
+    ez = (drawn >= 2).view(np.uint8)
+    return hit + t_lo, ex, ez
 
 
 def _bit_matrix(rows: List[int], width: int) -> np.ndarray:
@@ -321,15 +345,20 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     decoder = _BlockDecoder.build(codeq, table)
+    # every trial without a hit drew the identity: decode it once, count it often
+    zero = np.zeros((1, codeq.n), dtype=np.uint8)
+    quiet = decoder.decode(zero, zero)
 
     def run_range(lo: int, hi: int) -> Tuple[int, int, int]:
         failures = degenerate = violations = 0
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            f, g, v = decoder.decode(*_sample_block(ch.p, codeq.n, seed, start, stop))
-            failures += f
-            degenerate += g
-            violations += v
+            hit, ex, ez = _sample_block(ch.p, codeq.n, seed, start, stop)
+            f, g, v = decoder.decode(ex, ez)
+            misses = stop - start - len(hit)
+            failures += f + misses * quiet[0]
+            degenerate += g + misses * quiet[1]
+            violations += v + misses * quiet[2]
         return failures, degenerate, violations
 
     bounds = [i * trials // workers for i in range(workers + 1)]

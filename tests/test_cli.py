@@ -165,6 +165,24 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "distinct_syndromes=no" in out
 
+    def test_no_logical_qubits_no_distance(self, capsys, tmp_path):
+        # [[2,0;2]]: no logical operators, so there is no distance to bound
+        path = tmp_path / "k0.code"
+        path.write_text("2 0\n1 0\n0 1\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "code=[[2,0;2]]",
+            "n=2",
+            "k=0",
+            "c=2",
+            "s=0",
+            "rate=-1",
+            "d=undefined",
+            "t=1",
+            "distinct_syndromes=yes",
+        ]
+
 
 class TestSimulateCommand:
     def test_p_zero(self, capsys):

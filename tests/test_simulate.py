@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eaqecc import gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
@@ -41,6 +43,21 @@ def _lex_key(p):
     )
 
 
+def _decode_one_by_one(codeq, table, ch, trials, seed):
+    """run_trials' counts from sample_error and decode_error, trial by trial."""
+    failures = degenerate = violations = 0
+    zero = (0,) * len(codeq.generators)
+    for t in range(trials):
+        outcome = decode_error(codeq, table, sample_error(ch, codeq.n, CounterRng(seed, t)))
+        if not outcome.success:
+            failures += 1
+        elif not outcome.residual.is_identity():
+            degenerate += 1
+        if outcome.known_syndrome and syndrome_of(codeq, outcome.residual) != zero:
+            violations += 1
+    return simulate.TrialResult(trials, failures, degenerate, seed, violations)
+
+
 class TestDepolarizingChannel:
     def test_validation(self):
         DepolarizingChannel(0.0)
@@ -64,15 +81,14 @@ class TestSampleError:
             assert e.weight == 5
 
     def test_marginals_close_to_p_over_three(self):
-        # p = 0.3, 1e5 single-qubit samples: each letter frequency 0.1 +- 0.005
-        ch = DepolarizingChannel(0.3)
-        counts = {"X": 0, "Y": 0, "Z": 0, "I": 0}
+        # p = 0.3, 1e5 single-qubit samples: each letter frequency 0.1 +- 0.005;
+        # the block sampler draws exactly what sample_error would (tested below)
         trials = 100000
-        for t in range(trials):
-            e = sample_error(ch, 1, CounterRng(123, t))
-            counts[e.letter(0)] += 1
+        _, ex, ez = _sample_block(0.3, 1, 123, 0, trials)
+        x, z = ex[:, 0] == 1, ez[:, 0] == 1
+        counts = {"X": x & ~z, "Y": x & z, "Z": ~x & z}
         for letter in "XYZ":
-            assert abs(counts[letter] / trials - 0.1) < 0.005
+            assert abs(np.count_nonzero(counts[letter]) / trials - 0.1) < 0.005
 
     def test_works_with_numpy_generator(self):
         rng = np.random.default_rng(0)
@@ -90,14 +106,33 @@ class TestSampleError:
         parts = np.concatenate([rng.random(2), rng.random(4)])
         assert np.array_equal(a, parts)
 
-    def test_block_sampler_matches_per_trial_sampler(self):
-        ch = DepolarizingChannel(0.37)
-        ex, ez = _sample_block(0.37, 6, 77, 100, 130)
-        for offset, t in enumerate(range(100, 130)):
-            scalar = sample_error(ch, 6, CounterRng(77, t))
-            x = sum(int(ex[offset][j]) << j for j in range(6))
-            z = sum(int(ez[offset][j]) << j for j in range(6))
-            assert (scalar.x, scalar.z) == (x, z)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.floats(0.0, 1.0),
+        n=st.integers(1, 6),
+        seed=st.integers(0, (1 << 64) - 1),
+        t_lo=st.integers(0, 1 << 40),
+        b=st.integers(0, 40),
+    )
+    # 0.25 * 2**53 is an integer, which ceil must leave as the hit threshold
+    @example(p=0.0, n=3, seed=1, t_lo=0, b=40)
+    @example(p=1.0, n=3, seed=1, t_lo=5, b=40)
+    @example(p=1e-9, n=6, seed=2, t_lo=1 << 33, b=40)
+    @example(p=0.25, n=6, seed=3, t_lo=100, b=40)
+    def test_block_sampler_matches_per_trial_sampler(self, p, n, seed, t_lo, b):
+        ch = DepolarizingChannel(p)
+        hit, ex, ez = _sample_block(p, n, seed, t_lo, t_lo + b)
+        assert ex.shape == ez.shape == (len(hit), n)
+        drawn = {int(t): (ex[i], ez[i]) for i, t in enumerate(hit)}
+        assert list(drawn) == sorted(drawn)
+        for t in range(t_lo, t_lo + b):
+            scalar = sample_error(ch, n, CounterRng(seed, t))
+            if t not in drawn:
+                assert scalar.is_identity()
+                continue
+            x = sum(int(bit) << j for j, bit in enumerate(drawn[t][0]))
+            z = sum(int(bit) << j for j, bit in enumerate(drawn[t][1]))
+            assert (scalar.x, scalar.z) == (x, z) and not scalar.is_identity()
 
 
 class TestSyndromeTable:
@@ -219,19 +254,50 @@ class TestRunTrials:
         # max_weight=1 leaves three syndromes unknown, exercising that path
         table = build_syndrome_table(golden, max_weight)
         ch = DepolarizingChannel(0.2)
-        trials = 2000
-        result = run_trials(golden, ch, table, trials, seed=5)
-        failures = 0
-        degenerate = 0
-        for t in range(trials):
-            e = sample_error(ch, 4, CounterRng(5, t))
-            outcome = decode_error(golden, table, e)
-            if not outcome.success:
-                failures += 1
-            elif not outcome.residual.is_identity():
-                degenerate += 1
-        assert result.logical_failures == failures
-        assert result.residual_in_isotropic == degenerate
+        result = run_trials(golden, ch, table, 2000, seed=5)
+        assert result == _decode_one_by_one(golden, table, ch, 2000, 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32),
+        depth=st.integers(0, 2),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 1 << 32),
+    )
+    def test_random_codes_match_scalar_decode(self, code_seed, depth, p, seed):
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        table = build_syndrome_table(codeq, depth)
+        ch = DepolarizingChannel(p)
+        expected = _decode_one_by_one(codeq, table, ch, 150, seed)
+        for workers in (1, 3):
+            assert run_trials(codeq, ch, table, 150, seed, workers) == expected
+
+    @pytest.mark.parametrize("edit", ["no_zero", "zero_isotropic", "corrupt", "corrupt_zero"])
+    def test_hand_built_tables_match_scalar_decode(self, golden, edit):
+        entries = dict(build_syndrome_table(golden, 1).entries)
+        zero = (0,) * len(golden.generators)
+        if edit == "no_zero":  # a trial without an error has an unknown syndrome
+            del entries[zero]
+            quiet = (1, 0, 0)
+        elif edit == "zero_isotropic":  # ... or a degenerate success
+            entries[zero] = golden.decomposition.isotropic[0]
+            quiet = (0, 1, 0)
+        else:  # one entry whose correction does not have its syndrome
+            s1, s2 = [s for s in entries if s != zero][:2]
+            if edit == "corrupt_zero":
+                s1 = zero
+            entries[s1] = entries[s2]
+            quiet = (1, 0, 1) if s1 == zero else (0, 0, 0)
+        table = SyndromeTable(entries, 1)
+        idle = run_trials(golden, DepolarizingChannel(0.0), table, 500, seed=2)
+        counts = (idle.logical_failures, idle.residual_in_isotropic, idle.residual_syndrome_nonzero)
+        assert counts == tuple(500 * q for q in quiet)
+        ch = DepolarizingChannel(0.1)
+        expected = _decode_one_by_one(golden, table, ch, 3000, 7)
+        if edit == "corrupt":
+            assert expected.residual_syndrome_nonzero > 0
+        for workers in (1, 3):
+            assert run_trials(golden, ch, table, 3000, 7, workers) == expected
 
     def test_residual_syndromes_always_zero(self, golden):
         table = build_syndrome_table(golden, 2)
@@ -290,17 +356,9 @@ class TestRunTrials:
         table = build_syndrome_table(built, 1)
         ch = DepolarizingChannel(0.02)
         result = run_trials(built, ch, table, 300, seed=6)
-        failures = degenerate = 0
-        for t in range(300):
-            outcome = decode_error(built, table, sample_error(ch, n, CounterRng(6, t)))
-            if not outcome.success:
-                failures += 1
-            elif not outcome.residual.is_identity():
-                degenerate += 1
-        assert 0 < failures < 300
-        assert result.logical_failures == failures
-        assert result.residual_in_isotropic == degenerate
+        assert 0 < result.logical_failures < 300
         assert result.residual_syndrome_nonzero == 0
+        assert result == _decode_one_by_one(built, table, ch, 300, 6)
         assert result == run_trials(built, ch, table, 300, seed=6, workers=3)
 
     def test_report_lines(self, golden):
