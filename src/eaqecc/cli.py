@@ -9,6 +9,7 @@ then n-k lines of n tokens from {0, 1, w, W}, '#' starting a comment.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,12 @@ from .simulate import (
     run_trials,
     trial_report,
 )
+
+
+# Most Paulis `simulate --max-weight` may enumerate for its syndrome table:
+# sum over w <= depth of C(n, w) * 3**w.  Above it the table build is refused,
+# since it could run for hours (and a table that never fills never stops early).
+TABLE_BUDGET = 10**7
 
 
 class CodeFileError(ValueError):
@@ -170,6 +177,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     codeq = build_code(load_code_file(args.input).code)
     channel = DepolarizingChannel(args.p)
+    n = codeq.n
+    count = sum(math.comb(n, w) * 3**w for w in range(min(args.max_weight, n) + 1))
+    if count > TABLE_BUDGET:
+        raise ValueError(
+            f"--max-weight {args.max_weight} would enumerate {count} Paulis for the "
+            f"syndrome table, over the budget of {TABLE_BUDGET}"
+        )
     table = build_syndrome_table(codeq, args.max_weight)
     result = run_trials(codeq, channel, table, args.trials, args.seed, args.workers)
     print(trial_report(result, codeq))

@@ -10,17 +10,23 @@ Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
 partitioning of trials across workers.
 
-Trials run in blocks.  The sampler hashes one qubit column at a time and
-keeps only the trials in which some qubit erred (at p = 0.01 most trials
-draw the identity); one block decoder looks their packed syndromes up in
-the table, whatever the number of generators.  Every other trial drew the
-identity, whose outcome is decoded once per run and counted for each of
-them.  sample_error and decode_error are the per-trial references the
+Trials run in blocks, and every error is carried as its signature: its
+symplectic products with a basis of 2n check rows, packed into uint64
+words.  The generators come first, so the low bits are the syndrome; the
+next rows check the normalizer, so a residual lies in the isotropic span
+exactly when those bits are zero too.  The sampler hashes one qubit column
+at a time, XORs the signature of each drawn letter into the trials that
+erred, and keeps only those trials (at p = 0.01 most draw the identity).
+The decoder finds each syndrome's table entry by its key words and
+compares the residual signature under two masks.  Every other trial drew
+the identity, whose outcome is decoded once per run and counted for each
+of them.  sample_error and decode_error are the per-trial references the
 block path must agree with.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,18 +63,8 @@ class DepolarizingChannel:
             raise ValueError(f"error probability {self.p} outside [0, 1]")
 
 
-def _mix64(v: int) -> int:
-    v &= _MASK64
-    v ^= v >> 30
-    v = (v * _MIX1) & _MASK64
-    v ^= v >> 27
-    v = (v * _MIX2) & _MASK64
-    v ^= v >> 31
-    return v
-
-
 def _mix64_array(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """_mix64 of every word of the uint64 array v, computed in place.
+    """The splitmix64 finalizer of every word of the uint64 array v, in place.
 
     scratch, when given, is a uint64 buffer of v's shape that is overwritten.
     """
@@ -82,8 +78,14 @@ def _mix64_array(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndar
     return v
 
 
+def _seed_key(seed: int) -> np.ndarray:
+    """The mixed seed (taken mod 2**64) as a one-element uint64 array."""
+    return _mix64_array(np.array([seed & _MASK64], dtype=np.uint64))
+
+
 def _stream_key(seed: int, stream: int) -> int:
-    return _mix64(_mix64(seed) + ((stream + 1) * _GOLDEN & _MASK64))
+    key = _seed_key(seed) + np.uint64((stream + 1) * _GOLDEN & _MASK64)
+    return int(_mix64_array(key)[0])
 
 
 class CounterRng:
@@ -215,119 +217,193 @@ class TrialResult:
         return self.logical_failures / self.trials if self.trials else 0.0
 
 
-def _sample_block(p: float, n: int, seed: int, t_lo: int, t_hi: int):
-    """Errors of trials [t_lo, t_hi), kept only for trials that drew one.
+def _words(values: List[int], width: int) -> np.ndarray:
+    """Ints below 2**width as (len(values), max(1, ceil(width / 64))) uint64 words.
 
-    Returns (hit, ex, ez): the trial numbers with at least one nonidentity
-    qubit, increasing, and their (len(hit), n) x and z bit rows; every
-    other trial drew the identity.  Row i matches sample_error with
-    CounterRng(seed, hit[i]) exactly.
+    Bit i of a value is bit i % 64 of word i // 64.
     """
+    size = 8 * max(1, -(-width // 64))
+    data = b"".join(v.to_bytes(size, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8).astype(np.uint64)
+
+
+def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
+    """A basis of 2n check rows, and how many of them test isotropy.
+
+    An error's signature bit i is the parity of its (x|z) row & rows[i].
+    The first m rows are the generators, halves swapped, so a signature's
+    low m bits are the syndrome.  The next rows check the normalizer N(S)
+    modulo the isotropic span (which the generator rows already check):
+    an error commutes with all of these exactly when it lies in
+    span(S) & N(S), the isotropic span.  Unit rows on the columns those
+    leave free complete the basis, so the signature of an error is zero
+    exactly when the error is the identity.
+    """
+    n, width = codeq.n, 2 * codeq.n
+    rows = [_swap_halves(g.row(), n) for g in codeq.generators]
+    iso, iso_pivots = gf2.row_reduce([g.row() for g in codeq.decomposition.isotropic], width)
+    normalizer = [gf2.reduce_vector(v, iso, iso_pivots) for v in gf2.nullspace(rows, width)]
+    rows += [_swap_halves(v, n) for v in gf2.row_reduce(normalizer, width)[0]]
+    pivots = set(gf2.row_reduce(rows, width)[1])
+    return rows + [1 << col for col in range(width) if col not in pivots], len(rows)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix as little-endian uint64 words, at least one per row."""
+    packed = np.zeros((len(bits), 8 * max(1, -(-bits.shape[1] // 64))), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Signature words of (x|z) rows given as words: the XOR of units[c] over their bits c.
+
+    Each byte of the rows is looked up in a 256-entry table of XORs.
+    """
+    data = rows.view(np.uint8)  # little-endian: byte i holds bits 8i..8i+7
+    sig = np.zeros((len(rows), units.shape[1]), dtype=np.uint64)
+    for i in range(-(-len(units) // 8)):
+        table = np.zeros((256, units.shape[1]), dtype=np.uint64)
+        for bit, unit in enumerate(units[8 * i : 8 * i + 8]):
+            table[1 << bit : 2 << bit] = table[: 1 << bit] ^ unit
+        sig ^= table[data[:, i]]
+    return sig
+
+
+def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int):
+    """Errors of trials [t_lo, t_hi) as signature words, for trials that drew one.
+
+    letters is an (n, 3, W) uint64 table: the words of X, Y and Z on each
+    qubit.  Returns (hit, words): the trial numbers with at least one
+    nonidentity qubit, increasing, and the (W, len(hit)) XOR of the
+    letters each of them drew, word by word; every other trial drew the
+    identity.  With the (x|z) unit words as the table, column i is the
+    (x|z) row of sample_error with CounterRng(seed, hit[i]) exactly.
+    """
+    n, _, width = letters.shape
     b = t_hi - t_lo
     # u = (w >> 11) * 2**-53 is below p exactly when w >> 11 < ceil(p * 2**53),
     # that is when w <= top; p * 2**53 is exact, and top fits 64 bits for p = 1
     limit = math.ceil(p * 2.0 ** 53)
     if limit == 0:
-        empty = np.zeros((0, n), dtype=np.uint8)
-        return np.zeros(0, dtype=np.int64), empty, empty.copy()
+        return np.zeros(0, dtype=np.int64), np.zeros((width, 0), dtype=np.uint64)
     top = np.uint64((limit << 11) - 1)
     t = np.arange(t_lo, t_hi, dtype=np.uint64)
-    keys = _mix64_array(np.uint64(_mix64(seed)) + (t + np.uint64(1)) * np.uint64(_GOLDEN))
-    words = np.empty(b, dtype=np.uint64)
+    keys = _mix64_array(_seed_key(seed) + (t + np.uint64(1)) * np.uint64(_GOLDEN))
+    draws = np.empty(b, dtype=np.uint64)
     scratch = np.empty(b, dtype=np.uint64)
     below = np.empty(b, dtype=bool)
     mark = np.zeros(b, dtype=bool)  # trials with a hit so far
-    letters = np.zeros((b, n), dtype=np.uint8)  # 0 = I, 1 = X, 2 = Y, 3 = Z
+    words = np.zeros((width, b), dtype=np.uint64)
     for j in range(n):
-        np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=words)
-        _mix64_array(words, scratch)
-        np.less_equal(words, top, out=below)
+        np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=draws)
+        _mix64_array(draws, scratch)
+        np.less_equal(draws, top, out=below)
         r = np.flatnonzero(below)
         mark[r] = True
-        u = (words[r] >> np.uint64(11)) * (2.0 ** -53)
-        letters[r, j] = np.minimum((u * 3.0 / p).astype(np.int64), 2) + 1
+        u = (draws[r] >> np.uint64(11)) * (2.0 ** -53)
+        kind = np.minimum((u * 3.0 / p).astype(np.int64), 2)
+        for w, word in enumerate(words):
+            word[r] ^= letters[j, kind, w]
     hit = np.flatnonzero(mark)
-    drawn = letters[hit]
-    ex = ((drawn == 1) | (drawn == 2)).view(np.uint8)
-    ez = (drawn >= 2).view(np.uint8)
-    return hit + t_lo, ex, ez
+    # take keeps the columns C-contiguous (words[:, hit] would not), which
+    # the decoder's word-by-word operations need to run at full speed
+    return hit + t_lo, np.take(words, hit, axis=1)
 
 
-def _bit_matrix(rows: List[int], width: int) -> np.ndarray:
-    """0/1 uint8 matrix whose row i holds bits 0..width-1 of rows[i]."""
-    size = (width + 7) // 8
-    data = b"".join(r.to_bytes(size, "little") for r in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), size)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pos, found): each query's position in the sorted values, and whether it is there.
 
-
-def _pack_keys(bits: np.ndarray) -> np.ndarray:
-    """One fixed-width np.void key per row of a 0/1 matrix."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view(f"V{packed.shape[1]}").ravel()
+    The queries are searched in sorted order, which keeps the binary
+    searches' branches predictable: about 3x faster on 65536 random keys.
+    """
+    order = np.argsort(queries)
+    pos = np.empty(len(queries), dtype=np.int64)
+    pos[order] = np.minimum(np.searchsorted(values, queries[order]), len(values) - 1)
+    return pos, values[pos] == queries
 
 
 @dataclass(frozen=True)
 class _BlockDecoder:
-    """A code and its syndrome table as bit arrays, for decoding blocks.
+    """A code and its syndrome table as signature words, for decoding blocks.
 
-    Errors are (b, 2n) (x|z) bit rows.  Syndromes are packed into byte
-    keys of fixed width, so one sorted-key lookup serves any number of
-    generators.  A code without generators gets one always-zero syndrome
-    bit, so that no key is empty.
+    Errors are (W, b) signature words against the check rows of
+    _check_rows.  A trial's syndrome is its low m bits; the table entry
+    for it is found one key word at a time, so one lookup serves any m.
+    The residual (error times correction) has signature error ^ correction:
+    it lies in the isotropic span when its generator and normalizer bits
+    are zero, and it is the identity when all of its bits are.
     """
 
-    checks: np.ndarray  # (2n, max(m, 1)) float32: column i is generator i, halves swapped
-    keys: np.ndarray  # sorted packed syndromes of the table entries
-    corrections: np.ndarray  # (len(keys), 2n) correction rows in key order
-    iso_rows: np.ndarray  # RREF rows of the isotropic span, (s, 2n)
-    iso_pivots: Tuple[int, ...]
+    letters: np.ndarray  # (n, 3, W): signature of X, Y, Z on each qubit
+    syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
+    normalizer_mask: np.ndarray  # (W,): the normalizer bits
+    key_values: Tuple[np.ndarray, ...]  # sorted distinct table values of key word k
+    key_codes: Tuple[np.ndarray, ...]  # sorted distinct table ranks of key words 0..k, k >= 1
+    corrections: np.ndarray  # (W, len(table)) correction signatures in key order
+    mismatched: np.ndarray  # whether a correction's syndrome differs from its key
 
     @classmethod
     def build(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
-        n = codeq.n
-        m = len(codeq.generators)
-        checks = np.zeros((2 * n, max(m, 1)), dtype=np.float32)
-        checks[:, :m] = _bit_matrix(
-            [_swap_halves(g.row(), n) for g in codeq.generators], 2 * n
-        ).T
-        syndromes = np.zeros((len(table), max(m, 1)), dtype=np.uint8)
-        syndromes[:, :m] = np.array(list(table.entries), dtype=np.uint8).reshape(len(table), m)
-        keys = _pack_keys(syndromes)
-        order = np.argsort(keys, kind="stable")
-        corrections = _bit_matrix([c.row() for c in table.entries.values()], 2 * n)
-        iso_reduced, iso_pivots = gf2.row_reduce(
-            [g.row() for g in codeq.decomposition.isotropic], 2 * n
-        )
+        n, m = codeq.n, len(codeq.generators)
+        rows, isotropy = _check_rows(codeq)
+        # units[c]: the signature of the row with only bit c set, bit i of rows[i]
+        checks = np.unpackbits(_words(rows, 2 * n).view(np.uint8), axis=1, bitorder="little")
+        units = _pack(checks[:, : 2 * n].T)
+        letters = np.stack([units[:n], units[:n] ^ units[n:], units[n:]], axis=1)
+        nkeys = max(1, -(-m // 64))
+        syndrome_mask = _words([(1 << m) - 1], 2 * n)[0, :nkeys]
+        normalizer_mask = _words([(1 << isotropy) - (1 << m)], 2 * n)[0]
+        bits = np.frombuffer(bytes(itertools.chain.from_iterable(table.entries)), dtype=np.uint8)
+        keys = _pack(bits.reshape(len(table), m))
+        corrections = _signatures(_words([c.row() for c in table.entries.values()], 2 * n), units)
+        mismatched = ((corrections[:, :nkeys] & syndrome_mask) != keys).any(axis=1)
+        # rank the keys word by word; the ranks of distinct keys are 0..len(table)-1
+        values, codes = [], []
+        rank = np.zeros(len(table), dtype=np.int64)
+        for k in range(nkeys):
+            values.append(np.unique(keys[:, k]))
+            rank = rank * len(values[k]) + np.searchsorted(values[k], keys[:, k])
+            if k:
+                codes.append(np.unique(rank))
+                rank = np.searchsorted(codes[-1], rank)
+        order = np.argsort(rank)
         return cls(
-            checks,
-            keys[order],
-            corrections[order],
-            _bit_matrix(iso_reduced, 2 * n),
-            tuple(iso_pivots),
+            letters,
+            syndrome_mask,
+            normalizer_mask,
+            tuple(values),
+            tuple(codes),
+            np.ascontiguousarray(corrections[order].T),
+            mismatched[order],
         )
 
-    def syndromes(self, errors: np.ndarray) -> np.ndarray:
-        # float32 products run in BLAS; sums of at most 2n ones are exact below 2**24
-        return (errors.astype(np.float32) @ self.checks).astype(np.int32) & 1
+    def lookup(self, sig: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(entry, known): each trial's table entry, valid where known."""
+        keys = sig[: len(self.syndrome_mask)] & self.syndrome_mask[:, None]
+        known = np.ones(sig.shape[1], dtype=bool)
+        rank = np.zeros(sig.shape[1], dtype=np.int64)
+        for k, values in enumerate(self.key_values):
+            pos, found = _search(values, keys[k])
+            known &= found
+            rank = rank * len(values) + pos
+            if k:  # keep ranks below len(table): rank the words so far among the table's
+                rank, found = _search(self.key_codes[k - 1], rank)
+                known &= found
+        return rank, known
 
-    def decode(self, ex: np.ndarray, ez: np.ndarray) -> Tuple[int, int, int]:
+    def decode(self, sig: np.ndarray) -> Tuple[int, int, int]:
         """(failures, degenerate successes, residual-syndrome violations)."""
-        errors = np.concatenate([ex, ez], axis=1)
-        b = errors.shape[0]
-        if not len(self.keys):  # a hand-built empty table knows no syndrome
+        b = sig.shape[1]
+        if not len(self.mismatched):  # a hand-built empty table knows no syndrome
             return b, 0, 0
-        keys = _pack_keys(self.syndromes(errors))
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        known = self.keys[pos] == keys
-        residual = errors ^ self.corrections[pos]
-        violations = int(np.count_nonzero(self.syndromes(residual).any(axis=1) & known))
-        reduced = residual.copy()
-        for row, pivot in zip(self.iso_rows, self.iso_pivots):
-            reduced[reduced[:, pivot] == 1] ^= row
-        success = known & ~reduced.any(axis=1)
+        entry, known = self.lookup(sig)
+        residual = sig ^ np.take(self.corrections, entry, axis=1)
+        mismatched = self.mismatched[entry]
+        violations = int(np.count_nonzero(known & mismatched))
+        success = known & ~mismatched & ~(residual & self.normalizer_mask[:, None]).any(axis=0)
         failures = b - int(np.count_nonzero(success))
-        degenerate = int(np.count_nonzero(success & residual.any(axis=1)))
+        degenerate = int(np.count_nonzero(success & residual.any(axis=0)))
         return failures, degenerate, violations
 
 
@@ -346,15 +422,14 @@ def run_trials(
         raise ValueError(f"workers must be >= 1, got {workers}")
     decoder = _BlockDecoder.build(codeq, table)
     # every trial without a hit drew the identity: decode it once, count it often
-    zero = np.zeros((1, codeq.n), dtype=np.uint8)
-    quiet = decoder.decode(zero, zero)
+    quiet = decoder.decode(np.zeros((decoder.letters.shape[2], 1), dtype=np.uint64))
 
     def run_range(lo: int, hi: int) -> Tuple[int, int, int]:
         failures = degenerate = violations = 0
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            hit, ex, ez = _sample_block(ch.p, codeq.n, seed, start, stop)
-            f, g, v = decoder.decode(ex, ez)
+            hit, sig = _sample_block(ch.p, decoder.letters, seed, start, stop)
+            f, g, v = decoder.decode(sig)
             misses = stop - start - len(hit)
             failures += f + misses * quiet[0]
             degenerate += g + misses * quiet[1]

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqecc import gf4
 from eaqecc.builder import (
@@ -115,6 +118,21 @@ class TestBuildCode:
             built = build_code(code)
             assert len(built.generators) == 2 * (code.n - code.k)
             assert built.k_enc == 2 * code.k - code.n + built.c
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 1 << 32))
+    def test_entanglement_is_rank_of_h_h_dagger(self, seed):
+        # Wilde-Brun (PRA 77, 064302): c = rank over GF(4) of H H^dagger,
+        # where (H H^dagger)_ij = sum_l H_il * conj(H_jl)
+        code = random_classical_code(random.Random(seed))
+        h = [code.h.row(i) for i in range(code.h.nrows)]
+        gram = [
+            [reduce(gf4.add, (gf4.mul(a, gf4.conj(b)) for a, b in zip(u, v)), 0) for v in h]
+            for u in h
+        ]
+        built = build_code(code)
+        assert built.c == gf4.rank(gram, len(h))
+        assert built.k_enc == 2 * code.k - code.n + built.c
 
     def test_trivial_empty_stabilizer(self):
         built = build_code(ClassicalCode.from_rows(3, 3, []))

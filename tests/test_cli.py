@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import math
+import random
+
 import pytest
 
-from eaqecc import builder, example_code_path
+from eaqecc import builder, cli, example_code_path, gf4
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
+
+from helpers import random_classical_code
 
 H4_PATH = example_code_path("h4.code")
 
@@ -213,6 +218,20 @@ class TestSimulateCommand:
             return float(next(l.split("=")[1] for l in out.splitlines() if l.startswith("rate=")))
 
         assert rate("0.5") > rate("0.1")
+
+    def test_table_over_budget_is_refused(self, capsys, monkeypatch, tmp_path):
+        # a 40-qubit code at depth 6 would enumerate about 3e9 Paulis
+        code = random_classical_code(random.Random(0), 40, 38)
+        rows = [" ".join(gf4.format_symbol(a) for a in code.h.row(i)) for i in range(2)]
+        path = tmp_path / "n40.code"
+        path.write_text("\n".join(["40 38", *rows]) + "\n", encoding="ascii")
+        built = []
+        monkeypatch.setattr(cli, "build_syndrome_table", lambda *a: built.append(a))
+        code, out, err = run(capsys, "simulate", str(path), "--p", "0.1", "--max-weight", "6")
+        assert (code, out, built) == (1, "", [])
+        count = sum(math.comb(40, w) * 3**w for w in range(7))
+        assert f"would enumerate {count} Paulis" in err
+        assert f"budget of {cli.TABLE_BUDGET}" in err
 
     def test_invalid_probability_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

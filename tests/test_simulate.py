@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import gf4, simulate
+from eaqecc import gf2, gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
 from eaqecc.builder import ClassicalCode, build_code
 from eaqecc.pauli import (
@@ -31,9 +31,10 @@ from eaqecc.simulate import (
     sample_error,
     trial_report,
 )
-from eaqecc.simulate import _sample_block
+from eaqecc.simulate import _BlockDecoder, _sample_block
+from eaqecc.symplectic import _swap_halves
 
-from helpers import random_classical_code
+from helpers import random_classical_code, random_pauli
 
 
 def _lex_key(p):
@@ -41,6 +42,32 @@ def _lex_key(p):
     return tuple((p.x >> j) & 1 for j in range(p.n)) + tuple(
         (p.z >> j) & 1 for j in range(p.n)
     )
+
+
+def _xz_letters(n):
+    """Sampler table of the (x|z) unit words: X_j sets bit j, Z_j bit n + j."""
+    table = np.zeros((n, 3, -(-2 * n // 64)), dtype=np.uint64)
+    for j in range(n):
+        for kind, (x, z) in enumerate([(1, 0), (1, 1), (0, 1)]):
+            row = (x << j) | (z << (n + j))
+            for w in range(table.shape[2]):
+                table[j, kind, w] = (row >> (64 * w)) & ((1 << 64) - 1)
+    return table
+
+
+def _row(words):
+    """The int whose little-endian uint64 words are words."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+def _signature(letters, p):
+    """XOR of the sampler table's words over p's letters (X, Y, Z = 0, 1, 2)."""
+    sig = np.zeros(letters.shape[2], dtype=np.uint64)
+    for j in range(p.n):
+        letter = p.letter(j)
+        if letter != "I":
+            sig ^= letters[j, "XYZ".index(letter)]
+    return sig
 
 
 def _decode_one_by_one(codeq, table, ch, trials, seed):
@@ -84,8 +111,8 @@ class TestSampleError:
         # p = 0.3, 1e5 single-qubit samples: each letter frequency 0.1 +- 0.005;
         # the block sampler draws exactly what sample_error would (tested below)
         trials = 100000
-        _, ex, ez = _sample_block(0.3, 1, 123, 0, trials)
-        x, z = ex[:, 0] == 1, ez[:, 0] == 1
+        _, words = _sample_block(0.3, _xz_letters(1), 123, 0, trials)
+        x, z = (words[0] & 1) == 1, (words[0] >> 1) == 1
         counts = {"X": x & ~z, "Y": x & z, "Z": ~x & z}
         for letter in "XYZ":
             assert abs(np.count_nonzero(counts[letter]) / trials - 0.1) < 0.005
@@ -119,20 +146,19 @@ class TestSampleError:
     @example(p=1.0, n=3, seed=1, t_lo=5, b=40)
     @example(p=1e-9, n=6, seed=2, t_lo=1 << 33, b=40)
     @example(p=0.25, n=6, seed=3, t_lo=100, b=40)
+    @example(p=0.1, n=40, seed=4, t_lo=7, b=40)  # two signature words
     def test_block_sampler_matches_per_trial_sampler(self, p, n, seed, t_lo, b):
         ch = DepolarizingChannel(p)
-        hit, ex, ez = _sample_block(p, n, seed, t_lo, t_lo + b)
-        assert ex.shape == ez.shape == (len(hit), n)
-        drawn = {int(t): (ex[i], ez[i]) for i, t in enumerate(hit)}
+        hit, words = _sample_block(p, _xz_letters(n), seed, t_lo, t_lo + b)
+        assert words.shape == (-(-2 * n // 64), len(hit))
+        drawn = {int(t): _row(words[:, i]) for i, t in enumerate(hit)}
         assert list(drawn) == sorted(drawn)
         for t in range(t_lo, t_lo + b):
             scalar = sample_error(ch, n, CounterRng(seed, t))
             if t not in drawn:
                 assert scalar.is_identity()
                 continue
-            x = sum(int(bit) << j for j, bit in enumerate(drawn[t][0]))
-            z = sum(int(bit) << j for j, bit in enumerate(drawn[t][1]))
-            assert (scalar.x, scalar.z) == (x, z) and not scalar.is_identity()
+            assert scalar.row() == drawn[t] and not scalar.is_identity()
 
 
 class TestSyndromeTable:
@@ -230,6 +256,42 @@ class TestDecodeError:
         assert outcome.success
         assert not outcome.residual.is_identity()
         assert in_isotropic(golden, outcome.residual)
+
+
+class TestSignatures:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32),
+        draw=st.integers(0, 1 << 32),
+        kind=st.sampled_from(["identity", "isotropic", "normalizer", "random"]),
+    )
+    def test_classification_matches_oracles(self, code_seed, draw, kind):
+        # decode e = r * correction against a one-entry table holding e's
+        # syndrome: the decoder sees the residual r only through signatures
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        rng = random.Random(draw)
+        n = codeq.n
+        r = identity(n)
+        if kind in ("isotropic", "normalizer"):
+            if kind == "isotropic":
+                rows = [g.row() for g in codeq.decomposition.isotropic]
+            else:  # Paulis that commute with every generator, logicals included
+                rows = gf2.nullspace([_swap_halves(g.row(), n) for g in codeq.generators], 2 * n)
+            for row in rows:
+                if rng.getrandbits(1):
+                    r = PauliString.from_row(n, r.row() ^ row)
+            assert not any(syndrome_of(codeq, r))
+        elif kind == "random":
+            r = random_pauli(rng, n)
+        correction = random_pauli(rng, n)
+        e = PauliString.from_row(n, r.row() ^ correction.row())
+        decoder = _BlockDecoder.build(codeq, SyndromeTable({syndrome_of(codeq, e): correction}, 0))
+        assert (not _signature(decoder.letters, r).any()) == r.is_identity()
+        failures, degenerate, violations = decoder.decode(_signature(decoder.letters, e)[:, None])
+        isotropic = in_isotropic(codeq, r)
+        assert failures == (0 if isotropic else 1)
+        assert degenerate == (1 if isotropic and not r.is_identity() else 0)
+        assert violations == (1 if any(syndrome_of(codeq, r)) else 0)
 
 
 class TestRunTrials:
@@ -360,6 +422,30 @@ class TestRunTrials:
         assert result.residual_syndrome_nonzero == 0
         assert result == _decode_one_by_one(built, table, ch, 300, 6)
         assert result == run_trials(built, ch, table, 300, seed=6, workers=3)
+
+    def test_lookup_needs_every_key_word(self):
+        # 66 generators make a key of two words; a query that matches one
+        # table key in word 0 and another in word 1 is still unknown, and
+        # word 1's bits above the syndrome (bit 66 on) are not part of the key
+        built = build_code(random_classical_code(random.Random(5), 36, 3))
+        assert len(built.generators) == 66
+        table = build_syndrome_table(built, 1)
+        decoder = _BlockDecoder.build(built, table)
+        keys = {}
+        for syndrome, correction in table.entries.items():
+            row = sum(bit << i for i, bit in enumerate(syndrome))
+            keys[row & ((1 << 64) - 1), row >> 64] = correction
+        low = sorted({k[0] for k in keys})[:40]
+        high = sorted({k[1] for k in keys})
+        queries = [(a, b | extra) for a in low for b in high for extra in (0, 1 << 40)]
+        queries += [(3, 0), (1 << 63, 3)]
+        expected = [(a, b & 3) for a, b in queries]
+        assert 0 < sum(q in keys for q in expected) < len(expected)
+        entry, known = decoder.lookup(np.array(queries, dtype=np.uint64).T)
+        for q, i, found in zip(expected, entry, known):
+            assert found == (q in keys)
+            if found:
+                assert (decoder.corrections[:, i] == _signature(decoder.letters, keys[q])).all()
 
     def test_report_lines(self, golden):
         table = build_syndrome_table(golden, 1)
