@@ -179,16 +179,16 @@ def min_isotropic_weight(codeq: EaqeccCode, limit: int = 20) -> Optional[int]:
         return None
     if len(iso_rows) > limit:
         return None
-    best: Optional[int] = None
-    for combo in range(1, 1 << len(iso_rows)):
-        vec = 0
-        bits = combo
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            vec ^= iso_rows[j]
-            bits &= bits - 1
-        w = PauliString.from_row(codeq.n, vec).weight
-        if best is None or w < best:
+    # Gray-code order: step i flips row j, the lowest set bit of i, so each
+    # step costs one XOR and every nonempty subset comes up once
+    n = codeq.n
+    mask = (1 << n) - 1
+    best = n
+    vec = 0
+    for i in range(1, 1 << len(iso_rows)):
+        vec ^= iso_rows[(i & -i).bit_length() - 1]
+        w = ((vec | vec >> n) & mask).bit_count()
+        if w < best:
             best = w
     return best
 

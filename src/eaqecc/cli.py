@@ -35,10 +35,26 @@ from .simulate import (
 )
 
 
-# Most Paulis `simulate --max-weight` may enumerate for its syndrome table:
-# sum over w <= depth of C(n, w) * 3**w.  Above it the table build is refused,
-# since it could run for hours (and a table that never fills never stops early).
+# Most Paulis a command may enumerate: the syndrome table of `simulate
+# --max-weight`, and the distance search (`--weight-cap`) and distinct-syndrome
+# check (`--t`) of `analyze`, each counted by paulis_up_to.  An explicit value
+# above it is refused, since the work could run for hours (and a table that
+# never fills never stops early); analyze's default weight cap shrinks to fit.
 TABLE_BUDGET = 10**7
+
+
+def paulis_up_to(n: int, weight: int) -> int:
+    """Number of n-qubit Paulis of weight at most weight: sum of C(n, w) * 3**w."""
+    return sum(math.comb(n, w) * 3**w for w in range(min(weight, n) + 1))
+
+
+def _within_budget(option: str, value: int, n: int, work: str) -> None:
+    count = paulis_up_to(n, value)
+    if count > TABLE_BUDGET:
+        raise ValueError(
+            f"{option} {value} would enumerate {count} Paulis for the {work}, "
+            f"over the budget of {TABLE_BUDGET}"
+        )
 
 
 class CodeFileError(ValueError):
@@ -147,9 +163,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     code = load_code_file(args.input).code
     codeq = build_code(code)
+    n = codeq.n
+    if args.weight_cap is not None:
+        _within_budget("--weight-cap", args.weight_cap, n, "distance search")
+    _within_budget("--t", args.t, n, "distinct-syndrome check")
     dist = None
     if codeq.k_enc > 0:  # without logical operators a code has no distance
-        cap = args.weight_cap if args.weight_cap is not None else min(codeq.n, 6)
+        cap = args.weight_cap
+        if cap is None:  # the largest weight up to min(n, 6) within the budget
+            cap = min(n, 6)
+            while cap > 1 and paulis_up_to(n, cap) > TABLE_BUDGET:
+                cap -= 1
         dist = min_distance_bruteforce(codeq, cap)
     report = parameters(codeq, None if dist is None else dist.distance)
     lines = _param_lines(report)
@@ -177,13 +201,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     codeq = build_code(load_code_file(args.input).code)
     channel = DepolarizingChannel(args.p)
-    n = codeq.n
-    count = sum(math.comb(n, w) * 3**w for w in range(min(args.max_weight, n) + 1))
-    if count > TABLE_BUDGET:
-        raise ValueError(
-            f"--max-weight {args.max_weight} would enumerate {count} Paulis for the "
-            f"syndrome table, over the budget of {TABLE_BUDGET}"
-        )
+    _within_budget("--max-weight", args.max_weight, codeq.n, "syndrome table")
     table = build_syndrome_table(codeq, args.max_weight)
     result = run_trials(codeq, channel, table, args.trials, args.seed, args.workers)
     print(trial_report(result, codeq))
@@ -263,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--weight-cap",
         type=_positive_int,
         default=None,
-        help="distance search cap (default: min(n, 6))",
+        help="distance search cap (default: min(n, 6), lowered to fit the Pauli budget)",
     )
     p_analyze.add_argument(
         "--t", type=_nonnegative_int, default=1, help="distinct-syndrome check weight"

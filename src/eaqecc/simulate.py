@@ -22,6 +22,12 @@ compares the residual signature under two masks.  Every other trial drew
 the identity, whose outcome is decoded once per run and counted for each
 of them.  sample_error and decode_error are the per-trial references the
 block path must agree with.
+
+The syndrome table is built with the same kind of letter table: each
+weight's candidate errors are enumerated as arrays, in chunks of at most
+_BLOCK, and a candidate's syndrome is the XOR of the syndrome words of its
+letters.  The table stays in array form, its keys sorted in the decoder's
+lookup order, so a run converts nothing but the corrections' signatures.
 """
 
 from __future__ import annotations
@@ -30,13 +36,13 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
-from .pauli import PauliString, iter_paulis_of_weight
+from .pauli import PauliString
 from .analysis import Syndrome, syndrome_of, in_isotropic
 from .symplectic import _swap_halves
 
@@ -130,48 +136,236 @@ def sample_error(ch: DepolarizingChannel, n: int, rng) -> PauliString:
     return PauliString(n, x, z, 0)
 
 
-@dataclass(frozen=True)
+def _words(values: List[int], width: int) -> np.ndarray:
+    """Ints below 2**width as (len(values), max(1, ceil(width / 64))) uint64 words.
+
+    Bit i of a value is bit i % 64 of word i // 64.
+    """
+    size = 8 * max(1, -(-width // 64))
+    data = b"".join(v.to_bytes(size, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8).astype(np.uint64)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix as little-endian uint64 words, at least one per row."""
+    packed = np.zeros((len(bits), 8 * max(1, -(-bits.shape[1] // 64))), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _units(rows: List[int], n: int) -> np.ndarray:
+    """(2n, max(1, ceil(len(rows) / 64))) words: bit i of word row c is bit c of rows[i].
+
+    Row c is the check bits of the (x|z) row with only bit c set.
+    """
+    checks = np.unpackbits(_words(rows, 2 * n).view(np.uint8), axis=1, bitorder="little")
+    return _pack(checks[:, : 2 * n].T)
+
+
+def _letter_table(units: np.ndarray) -> np.ndarray:
+    """The (n, 3, W) words of X, Y and Z on each qubit, from the (2n, W) units of _units."""
+    n = len(units) // 2
+    return np.stack([units[:n], units[:n] ^ units[n:], units[n:]], axis=1)
+
+
+def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pos, found): each query's position in the sorted values, and whether it is there.
+
+    The queries are searched in sorted order, which keeps the binary
+    searches' branches predictable: about 3x faster on 65536 random keys.
+    """
+    order = np.argsort(queries)
+    pos = np.empty(len(queries), dtype=np.int64)
+    pos[order] = np.minimum(np.searchsorted(values, queries[order]), len(values) - 1)
+    return pos, values[pos] == queries
+
+
+def _key_index(keys: np.ndarray) -> Tuple[tuple, tuple, np.ndarray]:
+    """(values, codes, rank) that find distinct (N, K) key words one word at a time.
+
+    values[k] holds the sorted distinct values of key word k, and
+    codes[k - 1] the sorted distinct ranks of words 0..k among the keys,
+    for k >= 1.  rank[i] is the rank of key i among the distinct keys
+    sorted by word 0, then word 1, ...
+    """
+    values, codes = [], []
+    rank = np.zeros(len(keys), dtype=np.int64)
+    for k in range(keys.shape[1]):
+        word_values, word_rank = np.unique(keys[:, k], return_inverse=True)
+        values.append(word_values)
+        rank = rank * len(word_values) + word_rank
+        if k:
+            rank_values, rank = np.unique(rank, return_inverse=True)
+            codes.append(rank_values)
+    return tuple(values), tuple(codes), rank
+
+
+def _find(values, codes, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(rank, found) of each column of the (K, b) query words among the keys of _key_index."""
+    found = np.ones(queries.shape[1], dtype=bool)
+    rank = np.zeros(queries.shape[1], dtype=np.int64)
+    for k, word_values in enumerate(values):
+        pos, hit = _search(word_values, queries[k])
+        found &= hit
+        rank = rank * len(word_values) + pos
+        if k:  # keep ranks below len(keys): rank the words so far among the keys'
+            rank, hit = _search(codes[k - 1], rank)
+            found &= hit
+    return rank, found
+
+
 class SyndromeTable:
     """Minimum-weight correction for every syndrome seen up to max_weight.
 
     Ties within a weight are broken lexicographically on the error's
-    (x|z) bit pattern.  Immutable after build.
+    (x|z) bit pattern.  The table is held as read-only arrays:
+
+    - keys, (len, K) uint64: the syndromes, bit i in bit i % 64 of word
+      i // 64, sorted by word 0, then word 1, ... (the decoder's lookup
+      order);
+    - rows, (len, W) uint64: the corrections' (x|z) rows, in key order;
+    - inserted: the key-order index of each entry in insertion order
+      (by weight, then by tie-break).
+
+    entries, the same table as a dict in insertion order, is derived from
+    them on first use; a table built by hand from such a dict keeps it.
     """
 
-    entries: Dict[Syndrome, PauliString]
-    max_weight_built: int
+    def __init__(self, entries: Dict[Syndrome, PauliString], max_weight_built: int) -> None:
+        n = next(iter(entries.values())).n if entries else 0
+        m = len(next(iter(entries))) if entries else 0
+        bits = np.array(list(entries), dtype=np.uint8).reshape(len(entries), m)
+        rows = _words([c.row() for c in entries.values()], 2 * n)
+        self._init(n, m, _pack(bits), rows, max_weight_built, dict(entries))
+
+    @classmethod
+    def _from_arrays(
+        cls, n: int, m: int, keys: np.ndarray, rows: np.ndarray, max_weight_built: int
+    ) -> "SyndromeTable":
+        """The table of the entries whose keys and rows are given in insertion order."""
+        table = object.__new__(cls)
+        table._init(n, m, keys, rows, max_weight_built, None)
+        return table
+
+    def _init(
+        self,
+        n: int,
+        m: int,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        max_weight_built: int,
+        entries: Optional[Dict[Syndrome, PauliString]],
+    ) -> None:
+        values, codes, rank = _key_index(keys)
+        order = np.argsort(rank)
+        self._n, self._m, self._index = n, m, (values, codes)
+        self.keys, self.rows, self.inserted = keys[order], rows[order], rank
+        for array in (self.keys, self.rows, self.inserted):
+            array.flags.writeable = False
+        self.max_weight_built = max_weight_built
+        self._entries = entries
+
+    @property
+    def entries(self) -> Dict[Syndrome, PauliString]:
+        if self._entries is None:
+            bits = np.unpackbits(self.keys.view(np.uint8), axis=1, bitorder="little")
+            syndromes = bits[:, : self._m].tolist()
+            size = self.rows.itemsize * self.rows.shape[1]
+            data = self.rows.tobytes()
+            self._entries = {
+                tuple(syndromes[j]): PauliString.from_row(
+                    self._n, int.from_bytes(data[size * j : size * (j + 1)], "little")
+                )
+                for j in self.inserted.tolist()
+            }
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def lookup(self, syndrome: Syndrome) -> Optional[PauliString]:
         return self.entries.get(syndrome)
 
 
+def _candidates(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The n-qubit Paulis of weight w, in chunks of at most _BLOCK.
+
+    Each chunk is (support, kinds): (N, w) arrays of the qubits and of
+    their letters, 0, 1, 2 for X, Y, Z.
+    """
+    per = 3**w  # letter choices per support
+    combos = itertools.combinations(range(n), w)
+    while chunk := list(itertools.islice(combos, max(1, _BLOCK // per))):
+        support = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
+        for lo in range(0, per, _BLOCK):
+            choice = np.arange(lo, min(per, lo + _BLOCK))
+            kinds = choice[:, None] // 3 ** np.arange(w) % 3
+            yield np.repeat(support, len(choice), axis=0), np.tile(kinds, (len(support), 1))
+
+
+def _fewest(words: np.ndarray, nkeys: int, nrows: int) -> np.ndarray:
+    """The rows of words with the smallest tie-break key of each syndrome, by syndrome.
+
+    A row of words is a candidate's syndrome (nkeys words), its (x|z) row
+    (nrows words) and its tie-break key (the rest, high word first).
+    Tie-break keys are distinct, so one sort on the syndrome's rank and
+    then the key's orders the rows.
+    """
+    syndrome = _key_index(words[:, :nkeys])[2]
+    tie = _key_index(words[:, nkeys + nrows :])[2]
+    words = words[np.argsort(syndrome * len(words) + tie)]
+    first = np.ones(len(words), dtype=bool)
+    first[1:] = (words[1:, :nkeys] != words[:-1, :nkeys]).any(axis=1)
+    return words[first]
+
+
 def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     """Enumerate errors by increasing weight, keeping first-seen syndromes.
 
-    Enumeration stops as soon as every syndrome has an entry.
+    Each weight is enumerated in chunks of at most _BLOCK candidates.  A
+    candidate's syndrome is the XOR of the syndrome words of its letters;
+    of the candidates with a syndrome no lighter error has, each syndrome
+    keeps the one with the smallest tie-break key, and the new entries
+    follow in key order.  Enumeration stops after the weight in which
+    every syndrome has an entry.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    n = codeq.n
-    # bit i of a syndrome is the parity of row & checks[i] (syndrome_of's order)
-    checks = [_swap_halves(g.row(), n) for g in codeq.generators]
-    # the (x|z) bits as a string, qubit 0's x bit first: the lexicographic tie-break
-    width = f"0{2 * n}b"
-    entries: Dict[Syndrome, PauliString] = {}
-    full = 1 << len(checks)
+    n, m = codeq.n, len(codeq.generators)
+    syndromes = _units([_swap_halves(g.row(), n) for g in codeq.generators], n)
+    # the tie-break key puts bit c of the (x|z) row at bit 2n-1-c, high word
+    # first, so ordering the keys orders the rows lexicographically from
+    # qubit 0's x bit on
+    eye = np.eye(2 * n, dtype=np.uint8)
+    units = np.concatenate([syndromes, _pack(eye), _pack(eye[:, ::-1])[:, ::-1]], axis=1)
+    letters = _letter_table(units)
+    nkeys, nrows = syndromes.shape[1], (units.shape[1] - syndromes.shape[1]) // 2
+    kept = np.zeros((0, units.shape[1]), dtype=np.uint64)  # entries in insertion order
     for w in range(min(max_weight, n) + 1):
-        candidates = iter_paulis_of_weight(n, w)
-        for p in sorted(candidates, key=lambda p: format(p.row(), width)[::-1]):
-            row = p.row()
-            s = tuple([(row & g).bit_count() & 1 for g in checks])
-            if s not in entries:
-                entries[s] = p
-                if len(entries) == full:
-                    return SyndromeTable(entries, max_weight)
-    return SyndromeTable(entries, max_weight)
+        known = _key_index(kept[:, :nkeys])[:2] if len(kept) else None
+        # later chunks' winners wait in pending until they outnumber best, so
+        # every merge at least doubles the rows it sorts
+        best, pending = None, []
+        for support, kinds in _candidates(n, w):
+            words = np.zeros((len(support), units.shape[1]), dtype=np.uint64)
+            for t in range(w):
+                words ^= letters[support[:, t], kinds[:, t]]
+            if known is not None:
+                words = words[~_find(*known, words[:, :nkeys].T)[1]]
+            if best is None:
+                best = _fewest(words, nkeys, nrows)
+                continue
+            pending.append(_fewest(words, nkeys, nrows))
+            if sum(map(len, pending)) >= len(best):
+                best, pending = _fewest(np.concatenate([best, *pending]), nkeys, nrows), []
+        if pending:
+            best = _fewest(np.concatenate([best, *pending]), nkeys, nrows)
+        kept = np.concatenate([kept, best[np.argsort(_key_index(best[:, nkeys + nrows :])[2])]])
+        if len(kept) == 1 << m:
+            break
+    return SyndromeTable._from_arrays(
+        n, m, kept[:, :nkeys], kept[:, nkeys : nkeys + nrows], max_weight
+    )
 
 
 @dataclass(frozen=True)
@@ -217,16 +411,6 @@ class TrialResult:
         return self.logical_failures / self.trials if self.trials else 0.0
 
 
-def _words(values: List[int], width: int) -> np.ndarray:
-    """Ints below 2**width as (len(values), max(1, ceil(width / 64))) uint64 words.
-
-    Bit i of a value is bit i % 64 of word i // 64.
-    """
-    size = 8 * max(1, -(-width // 64))
-    data = b"".join(v.to_bytes(size, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8).astype(np.uint64)
-
-
 def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     """A basis of 2n check rows, and how many of them test isotropy.
 
@@ -248,13 +432,6 @@ def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     return rows + [1 << col for col in range(width) if col not in pivots], len(rows)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 matrix as little-endian uint64 words, at least one per row."""
-    packed = np.zeros((len(bits), 8 * max(1, -(-bits.shape[1] // 64))), dtype=np.uint8)
-    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
-
-
 def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
     """Signature words of (x|z) rows given as words: the XOR of units[c] over their bits c.
 
@@ -262,7 +439,7 @@ def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
     """
     data = rows.view(np.uint8)  # little-endian: byte i holds bits 8i..8i+7
     sig = np.zeros((len(rows), units.shape[1]), dtype=np.uint64)
-    for i in range(-(-len(units) // 8)):
+    for i in range(min(-(-len(units) // 8), data.shape[1])):  # missing bytes are zero
         table = np.zeros((256, units.shape[1]), dtype=np.uint64)
         for bit, unit in enumerate(units[8 * i : 8 * i + 8]):
             table[1 << bit : 2 << bit] = table[: 1 << bit] ^ unit
@@ -311,18 +488,6 @@ def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int
     return hit + t_lo, np.take(words, hit, axis=1)
 
 
-def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(pos, found): each query's position in the sorted values, and whether it is there.
-
-    The queries are searched in sorted order, which keeps the binary
-    searches' branches predictable: about 3x faster on 65536 random keys.
-    """
-    order = np.argsort(queries)
-    pos = np.empty(len(queries), dtype=np.int64)
-    pos[order] = np.minimum(np.searchsorted(values, queries[order]), len(values) - 1)
-    return pos, values[pos] == queries
-
-
 @dataclass(frozen=True)
 class _BlockDecoder:
     """A code and its syndrome table as signature words, for decoding blocks.
@@ -347,50 +512,26 @@ class _BlockDecoder:
     def build(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
         n, m = codeq.n, len(codeq.generators)
         rows, isotropy = _check_rows(codeq)
-        # units[c]: the signature of the row with only bit c set, bit i of rows[i]
-        checks = np.unpackbits(_words(rows, 2 * n).view(np.uint8), axis=1, bitorder="little")
-        units = _pack(checks[:, : 2 * n].T)
-        letters = np.stack([units[:n], units[:n] ^ units[n:], units[n:]], axis=1)
+        units = _units(rows, n)  # units[c]: the signature of the row with only bit c set
         nkeys = max(1, -(-m // 64))
         syndrome_mask = _words([(1 << m) - 1], 2 * n)[0, :nkeys]
         normalizer_mask = _words([(1 << isotropy) - (1 << m)], 2 * n)[0]
-        bits = np.frombuffer(bytes(itertools.chain.from_iterable(table.entries)), dtype=np.uint8)
-        keys = _pack(bits.reshape(len(table), m))
-        corrections = _signatures(_words([c.row() for c in table.entries.values()], 2 * n), units)
-        mismatched = ((corrections[:, :nkeys] & syndrome_mask) != keys).any(axis=1)
-        # rank the keys word by word; the ranks of distinct keys are 0..len(table)-1
-        values, codes = [], []
-        rank = np.zeros(len(table), dtype=np.int64)
-        for k in range(nkeys):
-            values.append(np.unique(keys[:, k]))
-            rank = rank * len(values[k]) + np.searchsorted(values[k], keys[:, k])
-            if k:
-                codes.append(np.unique(rank))
-                rank = np.searchsorted(codes[-1], rank)
-        order = np.argsort(rank)
+        corrections = _signatures(table.rows, units)
+        mismatched = ((corrections[:, :nkeys] & syndrome_mask) != table.keys).any(axis=1)
+        # the table's keys are in lookup order, so entry i has rank i
         return cls(
-            letters,
+            _letter_table(units),
             syndrome_mask,
             normalizer_mask,
-            tuple(values),
-            tuple(codes),
-            np.ascontiguousarray(corrections[order].T),
-            mismatched[order],
+            *table._index,
+            np.ascontiguousarray(corrections.T),
+            mismatched,
         )
 
     def lookup(self, sig: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(entry, known): each trial's table entry, valid where known."""
         keys = sig[: len(self.syndrome_mask)] & self.syndrome_mask[:, None]
-        known = np.ones(sig.shape[1], dtype=bool)
-        rank = np.zeros(sig.shape[1], dtype=np.int64)
-        for k, values in enumerate(self.key_values):
-            pos, found = _search(values, keys[k])
-            known &= found
-            rank = rank * len(values) + pos
-            if k:  # keep ranks below len(table): rank the words so far among the table's
-                rank, found = _search(self.key_codes[k - 1], rank)
-                known &= found
-        return rank, known
+        return _find(self.key_values, self.key_codes, keys)
 
     def decode(self, sig: np.ndarray) -> Tuple[int, int, int]:
         """(failures, degenerate successes, residual-syndrome violations)."""

@@ -8,8 +8,9 @@ from typing import Optional
 import numpy as np
 
 from eaqecc import gf4
+from eaqecc.analysis import syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
-from eaqecc.pauli import PauliString
+from eaqecc.pauli import PauliString, iter_paulis_of_weight
 from eaqecc.symplectic import GeneratorSet, SymplecticMatrix
 
 # Single-qubit products under Y = iXZ, written out by hand: (A, B) -> (i-exponent, A*B).
@@ -94,3 +95,22 @@ def isotropic_span_rows(codeq: EaqeccCode) -> set:
                 vec ^= r
         span.add(vec)
     return span
+
+
+def reference_syndrome_table(codeq: EaqeccCode, max_weight: int) -> dict:
+    """The syndrome table's entries by enumerating one PauliString at a time.
+
+    Errors come by increasing weight and, within a weight, in the
+    lexicographic order of their (x|z) bits, qubit 0's x bit first; each
+    syndrome keeps the first error that has it, in insertion order.
+    Enumeration stops once every syndrome has an entry.
+    """
+    entries = {}
+    full = 1 << len(codeq.generators)
+    width = f"0{2 * codeq.n}b"
+    for w in range(min(max_weight, codeq.n) + 1):
+        for p in sorted(iter_paulis_of_weight(codeq.n, w), key=lambda p: format(p.row(), width)[::-1]):
+            entries.setdefault(syndrome_of(codeq, p), p)
+            if len(entries) == full:
+                return entries
+    return entries

@@ -18,7 +18,7 @@ from eaqecc.builder import (
     parameters,
     quaternary_to_stabilizer,
 )
-from eaqecc.pauli import format_pauli, parse_pauli, pauli_to_gf4, symplectic_product
+from eaqecc.pauli import PauliString, format_pauli, parse_pauli, pauli_to_gf4, symplectic_product
 from eaqecc.symplectic import (
     Decomposition,
     GeneratorSet,
@@ -26,7 +26,7 @@ from eaqecc.symplectic import (
     group_equal_up_to_phase,
 )
 
-from helpers import random_classical_code
+from helpers import isotropic_span_rows, random_classical_code
 
 EQ6 = ["ZXZIZ", "ZZIZX", "YXXZI", "ZYYXI"]
 
@@ -211,3 +211,16 @@ class TestParameters:
     def test_min_isotropic_weight_golden(self, golden):
         # the three nonidentity isotropic-span elements all have weight 4
         assert min_isotropic_weight(golden) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), n=st.integers(2, 7), limit=st.integers(0, 12))
+    def test_min_isotropic_weight_matches_span_enumeration(self, code_seed, n, limit):
+        rng = random.Random(code_seed)
+        codeq = build_code(random_classical_code(rng, n, rng.randint(0, n - 1)))
+        span = isotropic_span_rows(codeq) - {0}
+        assert len(span) == 2**codeq.s - 1
+        if codeq.s == 0 or codeq.s > limit:
+            expected = None
+        else:
+            expected = min(PauliString.from_row(n, row).weight for row in span)
+        assert min_isotropic_weight(codeq, limit) == expected

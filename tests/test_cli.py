@@ -6,6 +6,7 @@ import random
 import pytest
 
 from eaqecc import builder, cli, example_code_path, gf4
+from eaqecc.analysis import DistanceResult
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
 
 from helpers import random_classical_code
@@ -17,6 +18,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_n40_code(tmp_path) -> str:
+    """A [40, 38] code file: about 3e9 Paulis up to weight 6, 7.5e6 up to weight 4."""
+    code = random_classical_code(random.Random(0), 40, 38)
+    rows = [" ".join(gf4.format_symbol(a) for a in code.h.row(i)) for i in range(2)]
+    path = tmp_path / "n40.code"
+    path.write_text("\n".join(["40 38", *rows]) + "\n", encoding="ascii")
+    return str(path)
 
 
 class TestCodeFileParsing:
@@ -170,6 +180,39 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "distinct_syndromes=no" in out
 
+    @pytest.mark.parametrize("option", ["--weight-cap", "--t"])
+    def test_explicit_weight_over_budget_is_refused(self, capsys, monkeypatch, tmp_path, option):
+        searched = []
+        monkeypatch.setattr(cli, "min_distance_bruteforce", lambda *a: searched.append(a))
+        monkeypatch.setattr(cli, "nondegenerate_distinct_syndromes", lambda *a: searched.append(a))
+        code, out, err = run(capsys, "analyze", write_n40_code(tmp_path), option, "5")
+        assert (code, out, searched) == (1, "", [])
+        count = sum(math.comb(40, w) * 3**w for w in range(6))
+        assert f"{option} 5 would enumerate {count} Paulis" in err
+        assert f"budget of {cli.TABLE_BUDGET}" in err
+
+    def test_default_weight_cap_shrinks_to_budget(self, capsys, monkeypatch, tmp_path):
+        # n = 40: weight 4 takes 7.5e6 Paulis, weight 5 would take 1.7e8
+        caps = []
+        search = cli.min_distance_bruteforce
+
+        def recording(codeq, cap):
+            caps.append(cap)
+            return DistanceResult(None, cap)
+
+        monkeypatch.setattr(cli, "min_distance_bruteforce", recording)
+        code, out, _ = run(capsys, "analyze", write_n40_code(tmp_path))
+        assert (code, caps) == (0, [4])
+        assert "d_lower_bound=5" in out.splitlines()
+        # the golden code's weight 3 is over a budget of 100 Paulis: the
+        # search stops at weight 2 and reports a lower bound
+        monkeypatch.setattr(cli, "min_distance_bruteforce", search)
+        monkeypatch.setattr(cli, "TABLE_BUDGET", 100)
+        code, out, _ = run(capsys, "analyze", H4_PATH)
+        assert code == 0
+        assert "d_lower_bound=3" in out.splitlines()
+        assert "\nd=" not in out and "singleton" not in out
+
     def test_no_logical_qubits_no_distance(self, capsys, tmp_path):
         # [[2,0;2]]: no logical operators, so there is no distance to bound
         path = tmp_path / "k0.code"
@@ -221,13 +264,10 @@ class TestSimulateCommand:
 
     def test_table_over_budget_is_refused(self, capsys, monkeypatch, tmp_path):
         # a 40-qubit code at depth 6 would enumerate about 3e9 Paulis
-        code = random_classical_code(random.Random(0), 40, 38)
-        rows = [" ".join(gf4.format_symbol(a) for a in code.h.row(i)) for i in range(2)]
-        path = tmp_path / "n40.code"
-        path.write_text("\n".join(["40 38", *rows]) + "\n", encoding="ascii")
+        path = write_n40_code(tmp_path)
         built = []
         monkeypatch.setattr(cli, "build_syndrome_table", lambda *a: built.append(a))
-        code, out, err = run(capsys, "simulate", str(path), "--p", "0.1", "--max-weight", "6")
+        code, out, err = run(capsys, "simulate", path, "--p", "0.1", "--max-weight", "6")
         assert (code, out, built) == (1, "", [])
         count = sum(math.comb(40, w) * 3**w for w in range(7))
         assert f"would enumerate {count} Paulis" in err

@@ -1,6 +1,7 @@
 """Tests for the depolarizing-channel Monte Carlo and syndrome-table decoder."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from eaqecc.simulate import (
 from eaqecc.simulate import _BlockDecoder, _sample_block
 from eaqecc.symplectic import _swap_halves
 
-from helpers import random_classical_code, random_pauli
+from helpers import random_classical_code, random_pauli, reference_syndrome_table
 
 
 def _lex_key(p):
@@ -207,23 +208,69 @@ class TestSyndromeTable:
 
     def test_full_table_stops_early_unchanged(self, golden, monkeypatch):
         # every syndrome of the golden code appears by weight 2
-        reference = {}
-        for w in range(4):
-            for p in sorted(iter_paulis_of_weight(4, w), key=_lex_key):
-                reference.setdefault(syndrome_of(golden, p), p)
+        reference = reference_syndrome_table(golden, 3)
         assert len(reference) == 2 ** len(golden.generators)
         weights = []
+        candidates = simulate._candidates
 
         def recording(n, w):
             weights.append(w)
-            return iter_paulis_of_weight(n, w)
+            return candidates(n, w)
 
-        monkeypatch.setattr(simulate, "iter_paulis_of_weight", recording)
+        monkeypatch.setattr(simulate, "_candidates", recording)
         table = build_syndrome_table(golden, 3)
         assert weights == [0, 1, 2]
         assert table.entries == reference
         assert list(table.entries) == list(reference)
         assert table.max_weight_built == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3))
+    def test_matches_reference_enumeration(self, code_seed, depth):
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        table = build_syndrome_table(codeq, depth)
+        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
+        assert table.max_weight_built == depth
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_wide_code_matches_reference_enumeration(self, depth):
+        # 66 generators make two key words, and n = 36 two (x|z) row words
+        codeq = build_code(random_classical_code(random.Random(5), 36, 3))
+        assert len(codeq.generators) == 66
+        table = build_syndrome_table(codeq, depth)
+        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
+        assert table.max_weight_built == depth
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3), block=st.integers(1, 100)
+    )
+    def test_small_chunks_build_the_same_table(self, code_seed, depth, block):
+        # many chunks per weight, and for block < 3**w one support split over
+        # several chunks: winners of later chunks must merge with earlier ones
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        expected = list(reference_syndrome_table(codeq, depth).items())
+        with mock.patch.object(simulate, "_BLOCK", block):
+            table = build_syndrome_table(codeq, depth)
+            for w in range(min(depth, codeq.n) + 1):
+                chunks = list(simulate._candidates(codeq.n, w))
+                assert all(len(support) <= block for support, _ in chunks)
+                rows = [
+                    sum([1, 1 | 1 << codeq.n, 1 << codeq.n][kind] << j for j, kind in zip(*pair))
+                    for support, kinds in chunks
+                    for pair in zip(support.tolist(), kinds.tolist())
+                ]
+                assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
+        assert list(table.entries.items()) == expected
+
+    def test_hand_built_table_keeps_its_entries(self, golden):
+        # the array form does not depend on insertion order; entries keep it
+        built = build_syndrome_table(golden, 2)
+        items = list(built.entries.items())[::-1]
+        table = SyndromeTable(dict(items), 2)
+        assert list(table.entries.items()) == items
+        assert (table.keys == built.keys).all() and (table.rows == built.rows).all()
+        assert len(table) == len(built) and table.max_weight_built == 2
 
 
 class TestDecodeError:
