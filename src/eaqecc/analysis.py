@@ -5,6 +5,12 @@ code's sender-side generators in construction order; receiver qubits are
 assumed error-free.  An error set is correctable exactly when every pair
 product is either detected (nonzero syndrome) or harmless (inside the
 isotropic span).
+
+The three searches (distance, distinct syndromes, correctable sets) carry
+errors as signature words against the check rows of frames._check_rows:
+an error is an undetected logical exactly when its syndrome bits are zero
+and a normalizer bit is set, and a product's signature is the XOR of its
+factors'.  Each weight is enumerated in frames._candidates chunks.
 """
 
 from __future__ import annotations
@@ -13,9 +19,23 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import gf2
 from .builder import EaqeccCode
-from .pauli import PauliString, iter_paulis_of_weight, symplectic_product
+from .frames import (
+    _candidates,
+    _check_masks,
+    _check_rows,
+    _combine,
+    _find,
+    _key_index,
+    _letter_table,
+    _signatures,
+    _units,
+    _words,
+)
+from .pauli import PauliString, symplectic_product
 from .symplectic import _swap_halves
 
 Syndrome = Tuple[int, ...]
@@ -52,24 +72,42 @@ class CorrectabilityReport:
         return self.correctable
 
 
+def _logical_checks(codeq: EaqeccCode) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, syndrome mask, normalizer mask) of the check rows up to the normalizer's.
+
+    units[c] is the signature of the (x|z) row with only bit c set.
+    """
+    rows, isotropy = _check_rows(codeq)
+    return (_units(rows[:isotropy], codeq.n),) + _check_masks(
+        len(codeq.generators), isotropy, isotropy
+    )
+
+
+def _undetected_logical(
+    sig: np.ndarray, syndrome: np.ndarray, normalizer: np.ndarray
+) -> np.ndarray:
+    """Which (N, W) signatures have zero syndrome bits and a nonzero normalizer bit."""
+    return ~(sig & syndrome).any(axis=1) & (sig & normalizer).any(axis=1)
+
+
 def check_correctable_set(
     codeq: EaqeccCode, errors: Sequence[PauliString]
 ) -> CorrectabilityReport:
     """Check that every pair product is detected or isotropic.
 
     Returns the first offending pair (a, b) whose product commutes with
-    all generators yet falls outside the isotropic span.
+    all generators yet falls outside the isotropic span, scanning a by
+    index and then b from a on.
     """
-    reduced, pivots = _isotropic_basis(codeq)
-    swapped = [_swap_halves(g.row(), codeq.n) for g in codeq.generators]
-    rows = [e.row() for e in errors]
+    for e in errors:
+        if e.n != codeq.n:
+            raise ValueError(f"error acts on {e.n} qubits, code has {codeq.n}")
+    units, syndrome, normalizer = _logical_checks(codeq)
+    sig = _signatures(_words([e.row() for e in errors], 2 * codeq.n), units)
     for i in range(len(errors)):
-        for j in range(i, len(errors)):
-            prod = rows[i] ^ rows[j]
-            if any(gf2.parity(prod & s) for s in swapped):
-                continue
-            if gf2.reduce_vector(prod, reduced, pivots) != 0:
-                return CorrectabilityReport(False, (errors[i], errors[j]))
+        bad = np.flatnonzero(_undetected_logical(sig[i:] ^ sig[i], syndrome, normalizer))
+        if len(bad):
+            return CorrectabilityReport(False, (errors[i], errors[i + int(bad[0])]))
     return CorrectabilityReport(True)
 
 
@@ -97,36 +135,51 @@ class DistanceResult:
 def min_distance_bruteforce(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
     """Smallest weight of an undetected, non-isotropic Pauli.
 
-    Enumerates supports by increasing weight with early exit; exponential,
-    intended for small codes.  When nothing is found up to the cap the
-    result only certifies distance >= cap + 1.
+    Enumerates each weight in chunks, by increasing weight with early
+    exit; exponential, intended for small codes.  When nothing is found up
+    to the cap the result only certifies distance >= cap + 1.
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    reduced, pivots = _isotropic_basis(codeq)
-    swapped = [_swap_halves(g.row(), codeq.n) for g in codeq.generators]
+    units, syndrome, normalizer = _logical_checks(codeq)
+    letters = _letter_table(units)
     for w in range(1, min(weight_cap, codeq.n) + 1):
-        for p in iter_paulis_of_weight(codeq.n, w):
-            row = p.row()
-            if any(gf2.parity(row & s) for s in swapped):
-                continue
-            if gf2.reduce_vector(row, reduced, pivots) != 0:
+        for support, kinds in _candidates(codeq.n, w):
+            sig = _combine(letters, support, kinds)
+            if _undetected_logical(sig, syndrome, normalizer).any():
                 return DistanceResult(w, weight_cap)
     return DistanceResult(None, weight_cap)
 
 
 def nondegenerate_distinct_syndromes(codeq: EaqeccCode, t: int) -> bool:
-    """Whether all nonidentity errors of weight <= t have distinct nonzero syndromes."""
+    """Whether all nonidentity errors of weight <= t have distinct nonzero syndromes.
+
+    Each chunk's syndromes are checked for zeros and repeats, then against
+    the syndromes seen so far.  Those are kept in runs of decreasing size,
+    each with its key index; a new run absorbs the runs no larger than
+    itself, so every syndrome is indexed O(log) times.
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    seen = set()
-    zero = (0,) * len(codeq.generators)
-    for w in range(1, min(t, codeq.n) + 1):
-        for p in iter_paulis_of_weight(codeq.n, w):
-            s = syndrome_of(codeq, p)
-            if s == zero or s in seen:
+    n = codeq.n
+    letters = _letter_table(_units([_swap_halves(g.row(), n) for g in codeq.generators], n))
+    runs: List[Tuple[np.ndarray, tuple]] = []  # (keys, their _key_index) by decreasing size
+    for w in range(1, min(t, n) + 1):
+        for support, kinds in _candidates(n, w):
+            keys = _combine(letters, support, kinds)
+            if not keys.any(axis=1).all():
                 return False
-            seen.add(s)
+            values, codes, rank = _key_index(keys)
+            if rank.max() + 1 < len(keys):
+                return False
+            if any(_find(*index, keys.T)[1].any() for _, index in runs):
+                return False
+            size = len(keys)
+            while runs and len(runs[-1][0]) <= len(keys):
+                keys = np.concatenate([runs.pop()[0], keys])
+            if len(keys) > size:
+                values, codes = _key_index(keys)[:2]
+            runs.append((keys, (values, codes)))
     return True
 
 

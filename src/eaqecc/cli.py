@@ -194,6 +194,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"singleton_saturated={'yes' if saturated else 'no'}")
         if report.degenerate is not None:
             lines.append(f"degenerate={'yes' if report.degenerate else 'no'}")
+        elif codeq.s:  # min_isotropic_weight skips spans of more than 2**20 elements
+            lines.append("degenerate=unknown")
     print("\n".join(lines))
     return 0
 

@@ -10,8 +10,8 @@ Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
 partitioning of trials across workers.
 
-Trials run in blocks, and every error is carried as its signature: its
-symplectic products with a basis of 2n check rows, packed into uint64
+Trials run in blocks, and every error is carried as its signature
+against the 2n check rows of frames._check_rows, packed into uint64
 words.  The generators come first, so the low bits are the syndrome; the
 next rows check the normalizer, so a residual lies in the isotropic span
 exactly when those bits are zero too.  The sampler hashes one qubit column
@@ -24,24 +24,36 @@ of them.  sample_error and decode_error are the per-trial references the
 block path must agree with.
 
 The syndrome table is built with the same kind of letter table: each
-weight's candidate errors are enumerated as arrays, in chunks of at most
-_BLOCK, and a candidate's syndrome is the XOR of the syndrome words of its
-letters.  The table stays in array form, its keys sorted in the decoder's
-lookup order, so a run converts nothing but the corrections' signatures.
+weight's candidate errors come from frames._candidates, and a candidate's
+syndrome is the XOR of the syndrome words of its letters.  The table stays
+in array form, its keys sorted in the decoder's lookup order, so a run
+converts nothing but the corrections' signatures.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import gf2
 from .builder import EaqeccCode
+from .frames import (
+    _BLOCK,
+    _candidates,
+    _check_masks,
+    _check_rows,
+    _combine,
+    _find,
+    _key_index,
+    _letter_table,
+    _pack,
+    _signatures,
+    _units,
+    _words,
+)
 from .pauli import PauliString
 from .analysis import Syndrome, syndrome_of, in_isotropic
 from .symplectic import _swap_halves
@@ -50,8 +62,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-_BLOCK = 1 << 16
 
 
 class InfeasibleError(ValueError):
@@ -136,84 +146,6 @@ def sample_error(ch: DepolarizingChannel, n: int, rng) -> PauliString:
     return PauliString(n, x, z, 0)
 
 
-def _words(values: List[int], width: int) -> np.ndarray:
-    """Ints below 2**width as (len(values), max(1, ceil(width / 64))) uint64 words.
-
-    Bit i of a value is bit i % 64 of word i // 64.
-    """
-    size = 8 * max(1, -(-width // 64))
-    data = b"".join(v.to_bytes(size, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8).astype(np.uint64)
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 matrix as little-endian uint64 words, at least one per row."""
-    packed = np.zeros((len(bits), 8 * max(1, -(-bits.shape[1] // 64))), dtype=np.uint8)
-    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
-
-
-def _units(rows: List[int], n: int) -> np.ndarray:
-    """(2n, max(1, ceil(len(rows) / 64))) words: bit i of word row c is bit c of rows[i].
-
-    Row c is the check bits of the (x|z) row with only bit c set.
-    """
-    checks = np.unpackbits(_words(rows, 2 * n).view(np.uint8), axis=1, bitorder="little")
-    return _pack(checks[:, : 2 * n].T)
-
-
-def _letter_table(units: np.ndarray) -> np.ndarray:
-    """The (n, 3, W) words of X, Y and Z on each qubit, from the (2n, W) units of _units."""
-    n = len(units) // 2
-    return np.stack([units[:n], units[:n] ^ units[n:], units[n:]], axis=1)
-
-
-def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(pos, found): each query's position in the sorted values, and whether it is there.
-
-    The queries are searched in sorted order, which keeps the binary
-    searches' branches predictable: about 3x faster on 65536 random keys.
-    """
-    order = np.argsort(queries)
-    pos = np.empty(len(queries), dtype=np.int64)
-    pos[order] = np.minimum(np.searchsorted(values, queries[order]), len(values) - 1)
-    return pos, values[pos] == queries
-
-
-def _key_index(keys: np.ndarray) -> Tuple[tuple, tuple, np.ndarray]:
-    """(values, codes, rank) that find distinct (N, K) key words one word at a time.
-
-    values[k] holds the sorted distinct values of key word k, and
-    codes[k - 1] the sorted distinct ranks of words 0..k among the keys,
-    for k >= 1.  rank[i] is the rank of key i among the distinct keys
-    sorted by word 0, then word 1, ...
-    """
-    values, codes = [], []
-    rank = np.zeros(len(keys), dtype=np.int64)
-    for k in range(keys.shape[1]):
-        word_values, word_rank = np.unique(keys[:, k], return_inverse=True)
-        values.append(word_values)
-        rank = rank * len(word_values) + word_rank
-        if k:
-            rank_values, rank = np.unique(rank, return_inverse=True)
-            codes.append(rank_values)
-    return tuple(values), tuple(codes), rank
-
-
-def _find(values, codes, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(rank, found) of each column of the (K, b) query words among the keys of _key_index."""
-    found = np.ones(queries.shape[1], dtype=bool)
-    rank = np.zeros(queries.shape[1], dtype=np.int64)
-    for k, word_values in enumerate(values):
-        pos, hit = _search(word_values, queries[k])
-        found &= hit
-        rank = rank * len(word_values) + pos
-        if k:  # keep ranks below len(keys): rank the words so far among the keys'
-            rank, hit = _search(codes[k - 1], rank)
-            found &= hit
-    return rank, found
-
-
 class SyndromeTable:
     """Minimum-weight correction for every syndrome seen up to max_weight.
 
@@ -229,6 +161,7 @@ class SyndromeTable:
 
     entries, the same table as a dict in insertion order, is derived from
     them on first use; a table built by hand from such a dict keeps it.
+    lookup searches the keys, or a hand-built table's dict.
     """
 
     def __init__(self, entries: Dict[Syndrome, PauliString], max_weight_built: int) -> None:
@@ -284,23 +217,16 @@ class SyndromeTable:
         return len(self.keys)
 
     def lookup(self, syndrome: Syndrome) -> Optional[PauliString]:
-        return self.entries.get(syndrome)
-
-
-def _candidates(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The n-qubit Paulis of weight w, in chunks of at most _BLOCK.
-
-    Each chunk is (support, kinds): (N, w) arrays of the qubits and of
-    their letters, 0, 1, 2 for X, Y, Z.
-    """
-    per = 3**w  # letter choices per support
-    combos = itertools.combinations(range(n), w)
-    while chunk := list(itertools.islice(combos, max(1, _BLOCK // per))):
-        support = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
-        for lo in range(0, per, _BLOCK):
-            choice = np.arange(lo, min(per, lo + _BLOCK))
-            kinds = choice[:, None] // 3 ** np.arange(w) % 3
-            yield np.repeat(support, len(choice), axis=0), np.tile(kinds, (len(support), 1))
+        if self._entries is not None:
+            return self._entries.get(syndrome)
+        if len(syndrome) != self._m or any(b not in (0, 1) for b in syndrome):
+            return None
+        key = _words([sum(int(b) << i for i, b in enumerate(syndrome))], self._m)
+        rank, found = _find(*self._index, key.T)
+        if not found[0]:
+            return None
+        row = int.from_bytes(self.rows[rank[0]].tobytes(), "little")
+        return PauliString.from_row(self._n, row)
 
 
 def _fewest(words: np.ndarray, nkeys: int, nrows: int) -> np.ndarray:
@@ -347,9 +273,7 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
         # every merge at least doubles the rows it sorts
         best, pending = None, []
         for support, kinds in _candidates(n, w):
-            words = np.zeros((len(support), units.shape[1]), dtype=np.uint64)
-            for t in range(w):
-                words ^= letters[support[:, t], kinds[:, t]]
+            words = _combine(letters, support, kinds)
             if known is not None:
                 words = words[~_find(*known, words[:, :nkeys].T)[1]]
             if best is None:
@@ -409,42 +333,6 @@ class TrialResult:
     @property
     def failure_rate(self) -> float:
         return self.logical_failures / self.trials if self.trials else 0.0
-
-
-def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
-    """A basis of 2n check rows, and how many of them test isotropy.
-
-    An error's signature bit i is the parity of its (x|z) row & rows[i].
-    The first m rows are the generators, halves swapped, so a signature's
-    low m bits are the syndrome.  The next rows check the normalizer N(S)
-    modulo the isotropic span (which the generator rows already check):
-    an error commutes with all of these exactly when it lies in
-    span(S) & N(S), the isotropic span.  Unit rows on the columns those
-    leave free complete the basis, so the signature of an error is zero
-    exactly when the error is the identity.
-    """
-    n, width = codeq.n, 2 * codeq.n
-    rows = [_swap_halves(g.row(), n) for g in codeq.generators]
-    iso, iso_pivots = gf2.row_reduce([g.row() for g in codeq.decomposition.isotropic], width)
-    normalizer = [gf2.reduce_vector(v, iso, iso_pivots) for v in gf2.nullspace(rows, width)]
-    rows += [_swap_halves(v, n) for v in gf2.row_reduce(normalizer, width)[0]]
-    pivots = set(gf2.row_reduce(rows, width)[1])
-    return rows + [1 << col for col in range(width) if col not in pivots], len(rows)
-
-
-def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Signature words of (x|z) rows given as words: the XOR of units[c] over their bits c.
-
-    Each byte of the rows is looked up in a 256-entry table of XORs.
-    """
-    data = rows.view(np.uint8)  # little-endian: byte i holds bits 8i..8i+7
-    sig = np.zeros((len(rows), units.shape[1]), dtype=np.uint64)
-    for i in range(min(-(-len(units) // 8), data.shape[1])):  # missing bytes are zero
-        table = np.zeros((256, units.shape[1]), dtype=np.uint64)
-        for bit, unit in enumerate(units[8 * i : 8 * i + 8]):
-            table[1 << bit : 2 << bit] = table[: 1 << bit] ^ unit
-        sig ^= table[data[:, i]]
-    return sig
 
 
 def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int):
@@ -514,8 +402,8 @@ class _BlockDecoder:
         rows, isotropy = _check_rows(codeq)
         units = _units(rows, n)  # units[c]: the signature of the row with only bit c set
         nkeys = max(1, -(-m // 64))
-        syndrome_mask = _words([(1 << m) - 1], 2 * n)[0, :nkeys]
-        normalizer_mask = _words([(1 << isotropy) - (1 << m)], 2 * n)[0]
+        syndrome_mask, normalizer_mask = _check_masks(m, isotropy, 2 * n)
+        syndrome_mask = syndrome_mask[:nkeys]
         corrections = _signatures(table.rows, units)
         mismatched = ((corrections[:, :nkeys] & syndrome_mask) != table.keys).any(axis=1)
         # the table's keys are in lookup order, so entry i has rank i

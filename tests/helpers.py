@@ -7,11 +7,11 @@ from typing import Optional
 
 import numpy as np
 
-from eaqecc import gf4
-from eaqecc.analysis import syndrome_of
+from eaqecc import gf2, gf4
+from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
 from eaqecc.pauli import PauliString, iter_paulis_of_weight
-from eaqecc.symplectic import GeneratorSet, SymplecticMatrix
+from eaqecc.symplectic import GeneratorSet, SymplecticMatrix, _swap_halves
 
 # Single-qubit products under Y = iXZ, written out by hand: (A, B) -> (i-exponent, A*B).
 SINGLE_PRODUCTS = {
@@ -114,3 +114,52 @@ def reference_syndrome_table(codeq: EaqeccCode, max_weight: int) -> dict:
             if len(entries) == full:
                 return entries
     return entries
+
+
+def _undetected_logical_test(codeq: EaqeccCode):
+    """Whether an (x|z) row commutes with every generator yet lies outside the isotropic span."""
+    reduced, pivots = gf2.row_reduce(
+        [g.row() for g in codeq.decomposition.isotropic], 2 * codeq.n
+    )
+    swapped = [_swap_halves(g.row(), codeq.n) for g in codeq.generators]
+
+    def test(row: int) -> bool:
+        if any(gf2.parity(row & s) for s in swapped):
+            return False
+        return gf2.reduce_vector(row, reduced, pivots) != 0
+
+    return test
+
+
+def reference_min_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
+    """min_distance_bruteforce by testing one PauliString at a time."""
+    undetected_logical = _undetected_logical_test(codeq)
+    for w in range(1, min(weight_cap, codeq.n) + 1):
+        for p in iter_paulis_of_weight(codeq.n, w):
+            if undetected_logical(p.row()):
+                return DistanceResult(w, weight_cap)
+    return DistanceResult(None, weight_cap)
+
+
+def reference_distinct_syndromes(codeq: EaqeccCode, t: int) -> bool:
+    """nondegenerate_distinct_syndromes with a set of syndrome tuples."""
+    seen = set()
+    zero = (0,) * len(codeq.generators)
+    for w in range(1, min(t, codeq.n) + 1):
+        for p in iter_paulis_of_weight(codeq.n, w):
+            s = syndrome_of(codeq, p)
+            if s == zero or s in seen:
+                return False
+            seen.add(s)
+    return True
+
+
+def reference_correctable_set(codeq: EaqeccCode, errors) -> CorrectabilityReport:
+    """check_correctable_set by testing every pair product (i, j >= i) in turn."""
+    undetected_logical = _undetected_logical_test(codeq)
+    rows = [e.row() for e in errors]
+    for i in range(len(errors)):
+        for j in range(i, len(errors)):
+            if undetected_logical(rows[i] ^ rows[j]):
+                return CorrectabilityReport(False, (errors[i], errors[j]))
+    return CorrectabilityReport(True)

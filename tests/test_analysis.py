@@ -3,9 +3,13 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eaqecc import frames, gf2
 from eaqecc.analysis import (
     check_correctable_set,
     hashing_rates,
@@ -25,7 +29,16 @@ from eaqecc.pauli import (
     parse_pauli,
 )
 
-from helpers import isotropic_span_rows, random_classical_code
+from eaqecc.symplectic import _swap_halves
+
+from helpers import (
+    isotropic_span_rows,
+    random_classical_code,
+    random_pauli,
+    reference_correctable_set,
+    reference_distinct_syndromes,
+    reference_min_distance,
+)
 
 
 class TestSyndrome:
@@ -212,6 +225,85 @@ class TestConditionEquivalence:
                             pairs_ok = False
                             break
                 assert correctable == pairs_ok
+
+
+class TestSearchesMatchOracles:
+    """The signature-word searches against their one-PauliString-at-a-time oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), cap=st.integers(1, 6), block=st.integers(1, 100))
+    def test_distance(self, code_seed, cap, block):
+        # small blocks split every weight over many chunks, and for
+        # block < 3**w one support over several
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        with mock.patch.object(frames, "_BLOCK", block):
+            assert min_distance_bruteforce(codeq, cap) == reference_min_distance(codeq, cap)
+
+    def test_distance_found_and_not_found(self):
+        outcomes = set()
+        rng = random.Random(55)
+        for _ in range(30):
+            codeq = build_code(random_classical_code(rng))
+            cap = rng.randint(1, 3)
+            result = min_distance_bruteforce(codeq, cap)
+            assert result == reference_min_distance(codeq, cap)
+            outcomes.add(result.exact)
+        assert outcomes == {True, False}
+
+    @settings(max_examples=80, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3), block=st.integers(1, 100))
+    def test_distinct_syndromes(self, code_seed, t, block):
+        # syndromes repeat across chunks as well as within them
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        with mock.patch.object(frames, "_BLOCK", block):
+            assert nondegenerate_distinct_syndromes(codeq, t) == reference_distinct_syndromes(
+                codeq, t
+            )
+
+    def test_distinct_syndromes_yes_and_no(self):
+        outcomes = set()
+        rng = random.Random(56)
+        for _ in range(30):
+            code = random_classical_code(rng, n=rng.randint(3, 7), k=rng.randint(0, 2))
+            codeq = build_code(code)
+            t = rng.randint(1, 2)
+            with mock.patch.object(frames, "_BLOCK", 7):
+                distinct = nondegenerate_distinct_syndromes(codeq, t)
+            assert distinct == reference_distinct_syndromes(codeq, t)
+            outcomes.add(distinct)
+        assert outcomes == {True, False}
+
+    @settings(max_examples=80, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), size=st.integers(0, 12))
+    def test_correctable_set_witness(self, code_seed, size):
+        rng = random.Random(code_seed)
+        codeq = build_code(random_classical_code(rng))
+        errors = [random_pauli(rng, codeq.n) for _ in range(size)]
+        errors += rng.sample(errors, min(2, size))  # repeats pair to the identity
+        report = check_correctable_set(codeq, errors)
+        assert report == reference_correctable_set(codeq, errors)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_wide_code(self, seed):
+        # 66 generators and n = 36: two words of syndrome and of signature;
+        # seed 6 gives k_enc = 0, so nothing that commutes with S is logical
+        codeq = build_code(random_classical_code(random.Random(seed), 36, 3))
+        assert len(codeq.generators) == 66
+        assert min_distance_bruteforce(codeq, 2) == reference_min_distance(codeq, 2)
+        assert nondegenerate_distinct_syndromes(codeq, 2) == reference_distinct_syndromes(codeq, 2)
+        # random errors are detected: add operators that commute with S
+        swapped = [_swap_halves(g.row(), 36) for g in codeq.generators]
+        commuting = [PauliString.from_row(36, v) for v in gf2.nullspace(swapped, 72)]
+        rng = random.Random(seed)
+        errors = [random_pauli(rng, 36) for _ in range(20)]
+        errors[10:10] = list(codeq.decomposition.isotropic[:1]) + commuting[:3]
+        report = check_correctable_set(codeq, errors)
+        assert report.correctable == (codeq.k_enc == 0)
+        assert report == reference_correctable_set(codeq, errors)
+
+    def test_correctable_set_rejects_wrong_size(self, golden):
+        with pytest.raises(ValueError, match="qubits"):
+            check_correctable_set(golden, [parse_pauli("XX")])
 
 
 class TestSingleton:

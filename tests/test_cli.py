@@ -213,6 +213,18 @@ class TestAnalyzeCommand:
         assert "d_lower_bound=3" in out.splitlines()
         assert "\nd=" not in out and "singleton" not in out
 
+    def test_degeneracy_unknown_beyond_isotropic_scan(self, capsys, tmp_path):
+        # 11 disjoint "1 1" rows are self-orthogonal: c = 0 and s = 22, over
+        # the isotropic scan's 20 rows; a free qubit gives d = 1 exactly
+        rows = ["0 " * 2 * i + "1 1" + " 0" * (22 - 2 * i) for i in range(11)]
+        path = tmp_path / "s22.code"
+        path.write_text("\n".join(["24 13", *rows]) + "\n", encoding="ascii")
+        code, out, _ = run(capsys, "analyze", str(path))
+        lines = out.splitlines()
+        assert code == 0
+        assert "s=22" in lines and "d=1" in lines
+        assert lines[-1] == "degenerate=unknown"
+
     def test_no_logical_qubits_no_distance(self, capsys, tmp_path):
         # [[2,0;2]]: no logical operators, so there is no distance to bound
         path = tmp_path / "k0.code"

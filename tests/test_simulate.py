@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import gf2, gf4, simulate
+from eaqecc import frames, gf2, gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
 from eaqecc.builder import ClassicalCode, build_code
 from eaqecc.pauli import (
@@ -250,10 +250,10 @@ class TestSyndromeTable:
         # several chunks: winners of later chunks must merge with earlier ones
         codeq = build_code(random_classical_code(random.Random(code_seed)))
         expected = list(reference_syndrome_table(codeq, depth).items())
-        with mock.patch.object(simulate, "_BLOCK", block):
+        with mock.patch.object(frames, "_BLOCK", block):
             table = build_syndrome_table(codeq, depth)
             for w in range(min(depth, codeq.n) + 1):
-                chunks = list(simulate._candidates(codeq.n, w))
+                chunks = list(frames._candidates(codeq.n, w))
                 assert all(len(support) <= block for support, _ in chunks)
                 rows = [
                     sum([1, 1 | 1 << codeq.n, 1 << codeq.n][kind] << j for j, kind in zip(*pair))
@@ -262,6 +262,44 @@ class TestSyndromeTable:
                 ]
                 assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
         assert list(table.entries.items()) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3))
+    def test_lookup_searches_the_keys(self, code_seed, depth):
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        table = build_syndrome_table(codeq, depth)
+        entries = build_syndrome_table(codeq, depth).entries
+        m = len(codeq.generators)
+        rng = random.Random(code_seed)
+        absent = [tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(20)]
+        for syndrome in list(entries) + absent:
+            assert table.lookup(syndrome) == entries.get(syndrome)
+        assert table.lookup((0,) * (m + 1)) is None
+        assert table.lookup((2,) + (0,) * (m - 1)) is None
+        assert table._entries is None  # lookup derived no dict
+
+    def test_lookup_on_a_deep_table(self):
+        # [24, 16] at depth 3, like the benchmark's r24@3: tens of thousands
+        # of entries over 65536 syndromes
+        codeq = build_code(random_classical_code(random.Random(7), 24, 16))
+        table = build_syndrome_table(codeq, 3)
+        entries = build_syndrome_table(codeq, 3).entries
+        assert len(entries) > 30000
+        rng = random.Random(7)
+        queries = rng.sample(list(entries), 2000)
+        queries += [tuple(rng.getrandbits(1) for _ in range(16)) for _ in range(2000)]
+        assert [table.lookup(s) for s in queries] == [entries.get(s) for s in queries]
+
+    def test_lookup_on_two_key_words(self):
+        codeq = build_code(random_classical_code(random.Random(5), 36, 3))
+        table = build_syndrome_table(codeq, 1)
+        entries = build_syndrome_table(codeq, 1).entries
+        rng = random.Random(5)
+        queries = list(entries) + [tuple(rng.getrandbits(1) for _ in range(66)) for _ in range(50)]
+        # keys that share one word with an entry and differ in the other
+        queries += [s[:64] + (1 - s[64],) + s[65:] for s in entries]
+        queries += [(1 - s[0],) + s[1:] for s in entries]
+        assert [table.lookup(s) for s in queries] == [entries.get(s) for s in queries]
 
     def test_hand_built_table_keeps_its_entries(self, golden):
         # the array form does not depend on insertion order; entries keep it
