@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from . import gf2
+
 ZERO = 0
 ONE = 1
 OMEGA = 2
@@ -78,28 +80,23 @@ def hermitian_trace_inner(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
-    """Rank of a list of GF(4) row vectors via Gaussian elimination."""
-    work: List[List[int]] = [list(r) for r in rows]
-    rk = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rk, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        inv = _CONJ[work[rk][col]]
-        work[rk] = [_MUL[inv][v] for v in work[rk]]
-        for i in range(len(work)):
-            if i != rk and work[i][col]:
-                f = work[i][col]
-                work[i] = [a ^ _MUL[f][b] for a, b in zip(work[i], work[rk])]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
+    """Rank of a list of GF(4) row vectors.
+
+    GF(4) has the GF(2) basis {1, OMEGA}, so the GF(2) span of r and
+    OMEGA*r over all rows r is the GF(4) row space, with twice its
+    dimension.  Each row is packed as its coefficients of 1 in bits
+    0..ncols-1 and of OMEGA in bits ncols..2*ncols-1; multiplying
+    a0 + a1*OMEGA by OMEGA gives a1 + (a0 + a1)*OMEGA.
+    """
+    images: List[int] = []
+    for r in rows:
+        ones = omegas = 0
+        for j, a in enumerate(r):
+            ones |= (a & 1) << j
+            omegas |= (a >> 1) << j
+        images.append(ones | (omegas << ncols))
+        images.append(omegas | ((ones ^ omegas) << ncols))
+    return gf2.rank(images, 2 * ncols) // 2
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from . import gf4
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {bits: char for char, bits in _CHAR_TO_BITS.items()}
+# letter of the digit x_j + 2*z_j
+_DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
 # single-qubit letter <-> GF(4): I->0, X->OMEGA_BAR, Y->1, Z->OMEGA
@@ -140,7 +142,12 @@ def parse_pauli(text: str) -> PauliString:
 
 def format_pauli(p: PauliString) -> str:
     """Canonical text form; inverse of parse_pauli on its own output."""
-    letters = "".join(p.letter(j) for j in range(p.n))
+    # Read back as hexadecimal, each binary digit of x and z becomes one
+    # hex digit, so x + 2z has the digit x_j + 2*z_j for qubit j.  The
+    # sentinel bit n keeps leading identities and is sliced off.
+    top = 1 << p.n
+    digits = int(format(p.x | top, "b"), 16) + 2 * int(format(p.z | top, "b"), 16)
+    letters = format(digits, "x")[:0:-1].translate(_DIGIT_TO_CHAR)
     return _PHASE_PREFIX[p.phase_exp] + letters
 
 

@@ -208,10 +208,10 @@ class SymplecticMatrix:
         """Check M J M^T = J for the x/z block pairing form J."""
         n = self.n
         swapped = [_swap_halves(r, n) for r in self.rows]
-        for a in range(2 * n):
+        for a, row in enumerate(self.rows):
+            partner = a + n if a < n else a - n
             for b in range(a, 2 * n):
-                want = 1 if abs(a - b) == n else 0
-                if gf2.parity(self.rows[a] & swapped[b]) != want:
+                if (row & swapped[b]).bit_count() & 1 != (b == partner):
                     return False
         return True
 
@@ -229,8 +229,18 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     xbar_{i+1} and zbar_{i+1}), ancilla slots next (row n+c+j holds the
     j-th isotropic generator), logical slots last.  The free rows are
     completed deterministically: each ancilla partner and logical row is
-    the pivoting solution of the GF(2) linear system expressing the
-    required symplectic products against everything placed so far.
+    the pivoting solution (free variables zero) of the GF(2) linear system
+    expressing the required symplectic products against everything placed
+    so far.
+
+    One reduced row echelon basis of the placed constraint rows (each row
+    with its x and z halves swapped) grows as rows are placed, and each
+    reduced row carries the bitmask of the slots it combines.  A row slot
+    t must have product 1 with its partner slot t +- n and 0 with every
+    other placed slot, so its right-hand side is the unit vector at the
+    partner and the solution is read off the reduced rows whose mask holds
+    the partner.  The reduced echelon form is unique, so the result equals
+    a from-scratch elimination per slot.
     """
     d.validate()
     n, c, s = d.n, d.c, d.s
@@ -238,41 +248,70 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
         raise ValueError(f"decomposition needs {c + s} slots but only {n} qubits exist")
     width = 2 * n
     rows: List[Optional[int]] = [None] * width
-    for i, (zbar, xbar) in enumerate(d.pairs):
-        rows[i] = xbar.row()
-        rows[n + i] = zbar.row()
-    for j, iso in enumerate(d.isotropic):
-        rows[n + c + j] = iso.row()
+    reduced: List[int] = []
+    tags: List[int] = []
+    pivots: List[int] = []
 
-    def placed_indices() -> List[int]:
-        return [t for t in range(width) if rows[t] is not None]
+    def place(t: int, row: int) -> None:
+        rows[t] = row
+        vec, tag = _swap_halves(row, n), 1 << t
+        for r, g, p in zip(reduced, tags, pivots):
+            if (vec >> p) & 1:
+                vec ^= r
+                tag ^= g
+        if vec == 0:
+            raise ValueError("cannot complete symplectic basis; generators degenerate")
+        col = (vec & -vec).bit_length() - 1
+        for i, r in enumerate(reduced):
+            if (r >> col) & 1:
+                reduced[i] = r ^ vec
+                tags[i] ^= tag
+        reduced.append(vec)
+        tags.append(tag)
+        pivots.append(col)
 
     def solve_for(target: int) -> int:
-        placed = placed_indices()
-        constraints = [_swap_halves(rows[t], n) for t in placed]
-        rhs = [1 if abs(t - target) == n else 0 for t in placed]
-        sol = gf2.solve(constraints, rhs, width)
-        if sol is None:
-            raise ValueError("cannot complete symplectic basis; generators degenerate")
+        partner = 1 << (target + n if target < n else target - n)
+        sol = 0
+        for g, p in zip(tags, pivots):
+            if g & partner:
+                sol |= 1 << p
         return sol
 
+    for i, (zbar, xbar) in enumerate(d.pairs):
+        place(i, xbar.row())
+        place(n + i, zbar.row())
+    for j, iso in enumerate(d.isotropic):
+        place(n + c + j, iso.row())
     # partners for the ancilla slots
     for j in range(s):
-        rows[c + j] = solve_for(c + j)
-    # fresh hyperbolic pairs for the logical slots; prefer a pure-Z row so
-    # that the canonical decomposition completes to the identity matrix
-    x_half = (1 << n) - 1
+        place(c + j, solve_for(c + j))
+    # fresh hyperbolic pairs for the logical slots.  The nullspace vector
+    # of free column f has an empty x half when f >= n and no row pivoting
+    # in the x half has bit f.  Take the first such, so that the canonical
+    # decomposition completes to the identity matrix, else the first
+    # nullspace vector.
+    z_half = ((1 << n) - 1) << n
     for q in range(c + s, n):
-        placed = placed_indices()
-        constraints = [_swap_halves(rows[t], n) for t in placed]
-        basis = gf2.nullspace(constraints, width)
-        rows[n + q] = next((v for v in basis if v & x_half == 0), basis[0])
-        rows[q] = solve_for(q)
+        pivot_mask = x_hits = 0
+        for r, p in zip(reduced, pivots):
+            pivot_mask |= 1 << p
+            if p < n:
+                x_hits |= r
+        free = ~pivot_mask & ((1 << width) - 1)
+        pick = free & z_half & ~x_hits or free
+        f = (pick & -pick).bit_length() - 1
+        vec = 1 << f
+        for r, p in zip(reduced, pivots):
+            if (r >> f) & 1:
+                vec |= 1 << p
+        place(n + q, vec)
+        place(q, solve_for(q))
 
     m = SymplecticMatrix(n, tuple(rows))
     if not m.is_symplectic():
         raise ValueError("completed matrix fails the symplectic form check")
-    if gf2.rank(list(m.rows), width) != width:
+    if len(pivots) != width:
         raise ValueError("completed matrix is singular")
     return m
 

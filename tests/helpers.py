@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
+from pathlib import Path
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -11,7 +12,10 @@ from eaqecc import gf2, gf4
 from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
 from eaqecc.pauli import PauliString, iter_paulis_of_weight
-from eaqecc.symplectic import GeneratorSet, SymplecticMatrix, _swap_halves
+from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
+
+# The pinned benchmark corpus: .code files plus manifest.json with each build report's sha256.
+BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 # Single-qubit products under Y = iXZ, written out by hand: (A, B) -> (i-exponent, A*B).
 SINGLE_PRODUCTS = {
@@ -163,3 +167,72 @@ def reference_correctable_set(codeq: EaqeccCode, errors) -> CorrectabilityReport
             if undetected_logical(rows[i] ^ rows[j]):
                 return CorrectabilityReport(False, (errors[i], errors[j]))
     return CorrectabilityReport(True)
+
+
+def reference_gf4_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
+    """gf4.rank by Gaussian elimination directly over GF(4)."""
+    work: List[List[int]] = [list(r) for r in rows]
+    rk = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rk, len(work)):
+            if work[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rk], work[pivot] = work[pivot], work[rk]
+        inv = gf4.conj(work[rk][col])
+        work[rk] = [gf4.mul(inv, v) for v in work[rk]]
+        for i in range(len(work)):
+            if i != rk and work[i][col]:
+                f = work[i][col]
+                work[i] = [a ^ gf4.mul(f, b) for a, b in zip(work[i], work[rk])]
+        rk += 1
+        if rk == len(work):
+            break
+    return rk
+
+
+def reference_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
+    """find_encoding_symplectic with a from-scratch gf2.solve / gf2.nullspace per free slot."""
+    d.validate()
+    n, c, s = d.n, d.c, d.s
+    if c + s > n:
+        raise ValueError(f"decomposition needs {c + s} slots but only {n} qubits exist")
+    width = 2 * n
+    rows: List[Optional[int]] = [None] * width
+    for i, (zbar, xbar) in enumerate(d.pairs):
+        rows[i] = xbar.row()
+        rows[n + i] = zbar.row()
+    for j, iso in enumerate(d.isotropic):
+        rows[n + c + j] = iso.row()
+
+    def placed_indices() -> List[int]:
+        return [t for t in range(width) if rows[t] is not None]
+
+    def solve_for(target: int) -> int:
+        placed = placed_indices()
+        constraints = [_swap_halves(rows[t], n) for t in placed]
+        rhs = [1 if abs(t - target) == n else 0 for t in placed]
+        sol = gf2.solve(constraints, rhs, width)
+        if sol is None:
+            raise ValueError("cannot complete symplectic basis; generators degenerate")
+        return sol
+
+    for j in range(s):
+        rows[c + j] = solve_for(c + j)
+    x_half = (1 << n) - 1
+    for q in range(c + s, n):
+        placed = placed_indices()
+        constraints = [_swap_halves(rows[t], n) for t in placed]
+        basis = gf2.nullspace(constraints, width)
+        rows[n + q] = next((v for v in basis if v & x_half == 0), basis[0])
+        rows[q] = solve_for(q)
+
+    m = SymplecticMatrix(n, tuple(rows))
+    if not m.is_symplectic():
+        raise ValueError("completed matrix fails the symplectic form check")
+    if gf2.rank(list(m.rows), width) != width:
+        raise ValueError("completed matrix is singular")
+    return m

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -9,7 +11,7 @@ from eaqecc import builder, cli, example_code_path, gf4
 from eaqecc.analysis import DistanceResult
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
 
-from helpers import random_classical_code
+from helpers import BENCH_CORPUS, random_classical_code
 
 H4_PATH = example_code_path("h4.code")
 
@@ -335,3 +337,12 @@ class TestCatalyticCommand:
         assert code == 1
         assert out == ""
         assert "ebits" in err
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_CORPUS.glob("*.code")), ids=lambda p: p.stem)
+def test_build_report_matches_corpus_manifest(capsys, path):
+    manifest = json.loads((BENCH_CORPUS / "manifest.json").read_text(encoding="utf-8"))
+    (entry,) = [e for e in manifest.values() if e["file"] == path.name]
+    code, out, err = run(capsys, "build", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == entry["build_report_sha256"]

@@ -3,9 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqecc import gf4
 from eaqecc.gf4 import OMEGA, OMEGA_BAR, ONE, ZERO
+
+from helpers import reference_gf4_rank
 
 
 class TestFieldAxioms:
@@ -84,6 +88,26 @@ class TestRank:
         for s in (ONE, OMEGA, OMEGA_BAR):
             scaled = [gf4.scale(r, s) for r in rows]
             assert gf4.rank(scaled, 3) == gf4.rank(rows, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_gf4_elimination(self, data):
+        ncols = data.draw(st.integers(1, 8))
+        element = st.sampled_from(gf4.ELEMENTS)
+        nonzero = st.sampled_from((ONE, OMEGA, OMEGA_BAR))
+        rows = data.draw(st.lists(st.tuples(*[element] * ncols), max_size=5))
+        for _ in range(data.draw(st.integers(0, 4))):
+            kind = data.draw(st.sampled_from(("zero", "scaled", "sum")))
+            if kind == "zero" or not rows:
+                rows.append((ZERO,) * ncols)
+            elif kind == "scaled":
+                rows.append(gf4.scale(data.draw(st.sampled_from(rows)), data.draw(nonzero)))
+            else:
+                u = gf4.scale(data.draw(st.sampled_from(rows)), data.draw(nonzero))
+                v = gf4.scale(data.draw(st.sampled_from(rows)), data.draw(nonzero))
+                rows.append(tuple(a ^ b for a, b in zip(u, v)))
+        rows = data.draw(st.permutations(rows))
+        assert gf4.rank(rows, ncols) == reference_gf4_rank(rows, ncols)
 
 
 class TestGfFourMatrix:

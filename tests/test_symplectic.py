@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eaqecc import gf2
-from eaqecc.pauli import parse_pauli, symplectic_product
+from eaqecc.builder import build_code
+from eaqecc.cli import load_code_file
+from eaqecc.pauli import PauliString, parse_pauli, symplectic_product
 from eaqecc.symplectic import (
     Decomposition,
     GeneratorSet,
@@ -16,9 +20,16 @@ from eaqecc.symplectic import (
     gram_schmidt_decompose,
     group_equal_up_to_phase,
     reduce_independent,
+    _swap_halves,
 )
 
-from helpers import numpy_is_symplectic, random_generator_set
+from helpers import (
+    BENCH_CORPUS,
+    numpy_is_symplectic,
+    random_classical_code,
+    random_generator_set,
+    reference_encoding_symplectic,
+)
 
 EQ1 = ["ZXZI", "ZZIZ", "XYXI", "XXIX"]
 EQ2 = ["ZXZI", "ZZIZ", "YXXZ", "ZYYX"]
@@ -26,6 +37,30 @@ EQ2 = ["ZXZI", "ZZIZ", "YXXZ", "ZYYX"]
 
 def gens(texts):
     return GeneratorSet.from_strings(texts)
+
+
+def random_symplectic_decomposition(rng, n, c, s):
+    """c pairs and s isotropic generators read off a random symplectic basis.
+
+    The canonical basis (X_t in row t, Z_t in row n + t) goes through
+    random transvections v -> v + <v, h> h, which keep the symplectic form.
+    """
+    width = 2 * n
+    rows = [1 << t for t in range(width)]
+    for _ in range(2 * width):
+        h = rng.getrandbits(width)
+        h_swapped = _swap_halves(h, n)
+        rows = [r ^ h if gf2.parity(r & h_swapped) else r for r in rows]
+    paulis = [PauliString.from_row(n, r) for r in rows]
+    pairs = tuple((paulis[n + i], paulis[i]) for i in range(c))
+    return Decomposition(n, pairs, tuple(paulis[n + c + j] for j in range(s)))
+
+
+@st.composite
+def slot_counts(draw):
+    n = draw(st.integers(1, 10))
+    c = draw(st.integers(0, n))
+    return n, c, draw(st.integers(0, n - c))
 
 
 class TestGeneratorSet:
@@ -228,3 +263,64 @@ class TestFindEncodingSymplectic:
         monkeypatch.setattr(SymplecticMatrix, "is_symplectic", lambda self: False)
         with pytest.raises(ValueError, match="symplectic form check"):
             find_encoding_symplectic(gram_schmidt_decompose(gens(EQ1)))
+
+
+def test_completion_refuses_a_dependent_row_past_validate(monkeypatch):
+    # the growing basis itself refuses a dependent row, not only Decomposition.validate
+    monkeypatch.setattr(Decomposition, "validate", lambda self: None)
+    d = Decomposition(2, (), (parse_pauli("ZZ"), parse_pauli("ZZ")))
+    with pytest.raises(ValueError, match="degenerate"):
+        find_encoding_symplectic(d)
+
+
+class TestCompletionMatchesReference:
+    """The growing-basis completion equals a from-scratch solve per free slot, row for row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=slot_counts(), seed=st.integers(0, 1 << 32))
+    @example(counts=(1, 0, 0), seed=0)
+    @example(counts=(1, 1, 0), seed=0)
+    @example(counts=(1, 0, 1), seed=0)
+    @example(counts=(6, 0, 3), seed=1)
+    @example(counts=(6, 3, 0), seed=2)
+    @example(counts=(7, 2, 5), seed=3)
+    @example(counts=(10, 0, 10), seed=4)
+    @example(counts=(10, 10, 0), seed=5)
+    @example(counts=(10, 4, 6), seed=6)
+    def test_random_symplectic_decompositions(self, counts, seed):
+        d = random_symplectic_decomposition(random.Random(seed), *counts)
+        assert find_encoding_symplectic(d) == reference_encoding_symplectic(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 1 << 32))
+    def test_gram_schmidt_decompositions(self, n, seed):
+        rng = random.Random(seed)
+        g = reduce_independent(random_generator_set(rng, n, rng.randint(1, 2 * n)))
+        d = gram_schmidt_decompose(g)
+        if d.c + d.s > n:
+            with pytest.raises(ValueError, match="slots"):
+                find_encoding_symplectic(d)
+            return
+        assert find_encoding_symplectic(d) == reference_encoding_symplectic(d)
+
+    def test_random_n48_code(self):
+        d = build_code(random_classical_code(random.Random(48), 48, 28)).decomposition
+        assert find_encoding_symplectic(d) == reference_encoding_symplectic(d)
+
+    @pytest.mark.parametrize("path", sorted(BENCH_CORPUS.glob("*.code")), ids=lambda p: p.stem)
+    def test_bench_corpus(self, path):
+        d = build_code(load_code_file(str(path)).code).decomposition
+        assert find_encoding_symplectic(d) == reference_encoding_symplectic(d)
+
+
+class TestIsSymplectic:
+    @settings(max_examples=200, deadline=None)
+    @given(counts=slot_counts(), seed=st.integers(0, 1 << 32), flips=st.integers(0, 3))
+    def test_matches_numpy_oracle_on_perturbed_matrices(self, counts, seed, flips):
+        rng = random.Random(seed)
+        n = counts[0]
+        rows = list(find_encoding_symplectic(random_symplectic_decomposition(rng, *counts)).rows)
+        for _ in range(flips):
+            rows[rng.randrange(2 * n)] ^= 1 << rng.randrange(2 * n)
+        m = SymplecticMatrix(n, tuple(rows))
+        assert m.is_symplectic() == numpy_is_symplectic(m)
