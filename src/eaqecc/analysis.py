@@ -48,17 +48,11 @@ def syndrome_of(codeq: EaqeccCode, e: PauliString) -> Syndrome:
     return tuple(symplectic_product(g, e) for g in codeq.generators)
 
 
-def _isotropic_basis(codeq: EaqeccCode) -> Tuple[List[int], List[int]]:
-    rows = [g.row() for g in codeq.decomposition.isotropic]
-    return gf2.row_reduce(rows, 2 * codeq.n)
-
-
 def in_isotropic(codeq: EaqeccCode, p: PauliString) -> bool:
     """Whether p's (x|z) row lies in the isotropic span (phase ignored)."""
     if p.n != codeq.n:
         raise ValueError(f"operator acts on {p.n} qubits, code has {codeq.n}")
-    reduced, pivots = _isotropic_basis(codeq)
-    return gf2.reduce_vector(p.row(), reduced, pivots) == 0
+    return gf2.in_span(p.row(), [g.row() for g in codeq.decomposition.isotropic], 2 * codeq.n)
 
 
 @dataclass(frozen=True)

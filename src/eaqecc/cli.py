@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -131,10 +130,6 @@ def load_code_file(path: str) -> CodeFile:
     return CodeFile(path, parse_code_text(text))
 
 
-def _format_rate(rate: Fraction) -> str:
-    return str(rate)
-
-
 def _param_lines(report: CodeParameters) -> List[str]:
     return [
         f"code={report.label}",
@@ -142,7 +137,7 @@ def _param_lines(report: CodeParameters) -> List[str]:
         f"k={report.k_enc}",
         f"c={report.c}",
         f"s={report.s}",
-        f"rate={_format_rate(report.rate)}",
+        f"rate={report.rate}",
     ]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import gf2
-from .pauli import PauliString, equal_up_to_phase, multiply, symplectic_product
+from .pauli import PauliString, multiply, symplectic_product
 
 
 @dataclass(frozen=True)
@@ -86,35 +86,26 @@ class Decomposition:
     def validate(self) -> None:
         """Raise ValueError unless the pairing pattern and independence hold."""
         gens = self.generators()
-        for g in gens:
-            if g.n != self.n:
-                raise ValueError("generator qubit count differs from decomposition n")
-        for i, a in enumerate(gens):
-            for j in range(i + 1, len(gens)):
-                b = gens[j]
-                expect = 1 if (i // 2 == j // 2 and i < 2 * self.c and j < 2 * self.c) else 0
-                if symplectic_product(a, b) != expect:
-                    raise ValueError(
-                        f"generators {i} and {j} have symplectic product "
-                        f"{1 - expect}, expected {expect}"
-                    )
+        if any(g.n != self.n for g in gens):
+            raise ValueError("generator qubit count differs from decomposition n")
         rows = [g.row() for g in gens]
+        partners = [i ^ 1 if i < 2 * self.c else -1 for i in range(len(rows))]
+        bad = _first_bad_product(rows, self.n, partners)
+        if bad is not None:
+            expect = int(bad[1] == partners[bad[0]])
+            raise ValueError(
+                f"generators {bad[0]} and {bad[1]} have symplectic product "
+                f"{1 - expect}, expected {expect}"
+            )
         if gf2.rank(rows, 2 * self.n) != len(rows):
             raise ValueError("decomposition generators are GF(2)-dependent")
 
 
 def reduce_independent(g: GeneratorSet) -> GeneratorSet:
     """Greedy subset of g whose (x|z) rows form a basis of g's row space."""
-    kept: List[PauliString] = []
-    basis: List[int] = []
+    reduced: List[int] = []
     pivots: List[int] = []
-    for gen in g.gens:
-        residue = gf2.reduce_vector(gen.row(), basis, pivots)
-        if residue == 0:
-            continue
-        kept.append(gen)
-        basis.append(residue)
-        pivots.append((residue & -residue).bit_length() - 1)
+    kept = [gen for gen in g.gens if gf2.add_to_basis(reduced, pivots, gen.row(), 2 * g.n)]
     return GeneratorSet(g.n, tuple(kept))
 
 
@@ -207,19 +198,29 @@ class SymplecticMatrix:
     def is_symplectic(self) -> bool:
         """Check M J M^T = J for the x/z block pairing form J."""
         n = self.n
-        swapped = [_swap_halves(r, n) for r in self.rows]
-        for a, row in enumerate(self.rows):
-            partner = a + n if a < n else a - n
-            for b in range(a, 2 * n):
-                if (row & swapped[b]).bit_count() & 1 != (b == partner):
-                    return False
-        return True
+        partners = [(a + n) % (2 * n) for a in range(2 * n)]
+        return _first_bad_product(self.rows, n, partners) is None
 
 
 def _swap_halves(v: int, n: int) -> int:
     """Exchange the x and z halves of a 2n-bit (x|z) row vector."""
     mask = (1 << n) - 1
     return (v >> n) | ((v & mask) << n)
+
+
+def _first_bad_product(
+    rows: Sequence[int], n: int, partners: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """First (a, b), a < b, whose symplectic product is not [b == partners[a]], or None.
+
+    Pairs are scanned by a, then b; a row's product with itself is always 0.
+    """
+    swapped = [_swap_halves(r, n) for r in rows]
+    for a, row in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            if (row & swapped[b]).bit_count() & 1 != (b == partners[a]):
+                return a, b
+    return None
 
 
 def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
@@ -233,48 +234,36 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     expressing the required symplectic products against everything placed
     so far.
 
-    One reduced row echelon basis of the placed constraint rows (each row
-    with its x and z halves swapped) grows as rows are placed, and each
-    reduced row carries the bitmask of the slots it combines.  A row slot
-    t must have product 1 with its partner slot t +- n and 0 with every
-    other placed slot, so its right-hand side is the unit vector at the
-    partner and the solution is read off the reduced rows whose mask holds
-    the partner.  The reduced echelon form is unique, so the result equals
-    a from-scratch elimination per slot.
+    The placed rows, x and z halves swapped, grow one gf2.add_to_basis
+    basis of width 2n, and each carries its slot bit t above the width as
+    a tag, so a reduced row's tag is the set of slots it combines.  A row
+    slot t must have product 1 with its partner slot t +- n and 0 with
+    every other placed slot, so its right-hand side is the unit vector at
+    the partner and the solution is read off the reduced rows whose tag
+    holds the partner.  The reduced echelon form is unique, so the result
+    equals a from-scratch elimination per slot.
     """
     d.validate()
     n, c, s = d.n, d.c, d.s
     if c + s > n:
         raise ValueError(f"decomposition needs {c + s} slots but only {n} qubits exist")
     width = 2 * n
+    low = (1 << width) - 1
     rows: List[Optional[int]] = [None] * width
     reduced: List[int] = []
-    tags: List[int] = []
     pivots: List[int] = []
 
     def place(t: int, row: int) -> None:
         rows[t] = row
-        vec, tag = _swap_halves(row, n), 1 << t
-        for r, g, p in zip(reduced, tags, pivots):
-            if (vec >> p) & 1:
-                vec ^= r
-                tag ^= g
-        if vec == 0:
+        residue = gf2.add_to_basis(reduced, pivots, _swap_halves(row, n) | 1 << (width + t), width)
+        if not residue & low:
             raise ValueError("cannot complete symplectic basis; generators degenerate")
-        col = (vec & -vec).bit_length() - 1
-        for i, r in enumerate(reduced):
-            if (r >> col) & 1:
-                reduced[i] = r ^ vec
-                tags[i] ^= tag
-        reduced.append(vec)
-        tags.append(tag)
-        pivots.append(col)
 
     def solve_for(target: int) -> int:
         partner = 1 << (target + n if target < n else target - n)
         sol = 0
-        for g, p in zip(tags, pivots):
-            if g & partner:
+        for r, p in zip(reduced, pivots):
+            if (r >> width) & partner:
                 sol |= 1 << p
         return sol
 
@@ -298,14 +287,9 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
             pivot_mask |= 1 << p
             if p < n:
                 x_hits |= r
-        free = ~pivot_mask & ((1 << width) - 1)
+        free = ~pivot_mask & low
         pick = free & z_half & ~x_hits or free
-        f = (pick & -pick).bit_length() - 1
-        vec = 1 << f
-        for r, p in zip(reduced, pivots):
-            if (r >> f) & 1:
-                vec |= 1 << p
-        place(n + q, vec)
+        place(n + q, gf2.null_vector(reduced, pivots, (pick & -pick).bit_length() - 1))
         place(q, solve_for(q))
 
     m = SymplecticMatrix(n, tuple(rows))

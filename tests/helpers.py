@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,18 +54,28 @@ def random_generator_set(rng: random.Random, n: int, m: int) -> GeneratorSet:
     return GeneratorSet(n, tuple(random_pauli(rng, n, nonidentity=True) for _ in range(m)))
 
 
+# Draws random_classical_code makes before giving up; an independent draw
+# fails with probability below 1/3 for every n and k.
+RANDOM_CODE_DRAWS = 1000
+
+
 def random_classical_code(
     rng: random.Random, n: Optional[int] = None, k: Optional[int] = None
 ) -> ClassicalCode:
-    """Random [n, k] GF(4) code with independent parity-check rows."""
+    """Random [n, k] GF(4) code with independent parity-check rows.
+
+    Raises RuntimeError when RANDOM_CODE_DRAWS draws all come out dependent,
+    so a gf4.rank that under-reports fails a test instead of hanging it.
+    """
     if n is None:
         n = rng.randint(2, 6)
     if k is None:
         k = rng.randint(0, n - 1)
-    while True:
+    for _ in range(RANDOM_CODE_DRAWS):
         rows = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(n - k)]
         if gf4.rank(rows, n) == n - k:
             return ClassicalCode.from_rows(n, k, rows)
+    raise RuntimeError(f"no independent [{n}, {k}] parity checks in {RANDOM_CODE_DRAWS} draws")
 
 
 def symplectic_matrix_to_numpy(m: SymplecticMatrix) -> np.ndarray:
@@ -167,6 +177,34 @@ def reference_correctable_set(codeq: EaqeccCode, errors) -> CorrectabilityReport
             if undetected_logical(rows[i] ^ rows[j]):
                 return CorrectabilityReport(False, (errors[i], errors[j]))
     return CorrectabilityReport(True)
+
+
+def reference_eliminate(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
+    """gf2 elimination by a column sweep, pivoting on the lowest available column.
+
+    Only columns below width are pivoted on; higher bits ride along.
+    Returns (work, pivots): work[:len(pivots)] are the reduced pivot rows
+    and every later row is zero below width.
+    """
+    work = [r for r in rows if r]
+    pivots: List[int] = []
+    for col in range(width):
+        rk = len(pivots)
+        if rk == len(work):
+            break
+        pivot = None
+        for i in range(rk, len(work)):
+            if (work[i] >> col) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rk], work[pivot] = work[pivot], work[rk]
+        for i in range(len(work)):
+            if i != rk and ((work[i] >> col) & 1):
+                work[i] ^= work[rk]
+        pivots.append(col)
+    return work, pivots
 
 
 def reference_gf4_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:

@@ -224,3 +224,10 @@ class TestParameters:
         else:
             expected = min(PauliString.from_row(n, row).weight for row in span)
         assert min_isotropic_weight(codeq, limit) == expected
+
+
+def test_random_code_draws_are_bounded(monkeypatch):
+    # a gf4.rank that under-reports fails the draw instead of hanging the suite
+    monkeypatch.setattr(gf4, "rank", lambda rows, ncols: 0)
+    with pytest.raises(RuntimeError, match="in 1000 draws"):
+        random_classical_code(random.Random(0), 4, 2)

@@ -1,8 +1,15 @@
 """Tests for the int-bitset GF(2) linear algebra helpers."""
 
 import random
+from functools import reduce
+from operator import xor
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eaqecc import gf2
+
+from helpers import reference_eliminate
 
 
 def test_rank_simple_cases():
@@ -95,3 +102,86 @@ def test_nullspace_dimension_and_orthogonality():
             for row in rows:
                 assert gf2.parity(row & vec) == 0
         assert gf2.rank(basis, width) == len(basis)
+
+
+@st.composite
+def systems(draw):
+    """(width, rows, rhs): random rows below width, with zero and duplicate rows mixed in."""
+    width = draw(st.integers(0, 20))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=25))
+    rows += [0] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    rows = draw(st.permutations(rows))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return width, rows, rhs
+
+
+def reference_solve(rows, rhs, width):
+    work, pivots = reference_eliminate([r | b << width for r, b in zip(rows, rhs)], width)
+    if any(work[len(pivots):]):
+        return None
+    return sum(1 << col for row, col in zip(work, pivots) if (row >> width) & 1)
+
+
+def reference_nullspace(rows, width):
+    work, pivots = reference_eliminate(rows, width)
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            vec = 1 << free
+            for row, col in zip(work, pivots):
+                vec |= ((row >> free) & 1) << col
+            basis.append(vec)
+    return basis
+
+
+class TestMatchesColumnSweep:
+    """rank, row_reduce, nullspace, in_span and solve equal the column-sweep elimination."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(system=systems(), vec=st.integers(0, (1 << 20) - 1))
+    @example(system=(0, [], []), vec=0)
+    @example(system=(0, [0, 0], [0, 1]), vec=0)
+    @example(system=(3, [0b101, 0b101, 0b011], [1, 0, 1]), vec=0b110)
+    @example(system=(4, [0, 0b1000, 0b1000], [0, 1, 1]), vec=0b1000)
+    def test_kernels(self, system, vec):
+        width, rows, rhs = system
+        vec &= (1 << width) - 1
+        work, pivots = reference_eliminate(rows, width)
+        assert gf2.rank(rows, width) == len(pivots)
+        assert gf2.row_reduce(rows, width) == (work[: len(pivots)], pivots)
+        assert gf2.nullspace(rows, width) == reference_nullspace(rows, width)
+        in_span = len(reference_eliminate(rows + [vec], width)[1]) == len(pivots)
+        assert gf2.in_span(vec, rows, width) == in_span
+        assert gf2.solve(rows, rhs, width) == reference_solve(rows, rhs, width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(system=systems(), flip=st.integers(0, 1 << 20))
+    def test_inconsistent_systems(self, system, flip):
+        # a copy of a row with the other right-hand side makes every system inconsistent
+        width, rows, rhs = system
+        if not rows:
+            return
+        i = flip % len(rows)
+        rows, rhs = rows + [rows[i]], rhs + [1 - rhs[i]]
+        assert reference_solve(rows, rhs, width) is None
+        assert gf2.solve(rows, rhs, width) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=systems())
+def test_add_to_basis_tags_name_the_rows_combined(system):
+    width, rows, _ = system
+    low = (1 << width) - 1
+    reduced, pivots = [], []
+    for t, row in enumerate(rows):
+        rank = len(pivots)
+        residue = gf2.add_to_basis(reduced, pivots, row | 1 << (width + t), width)
+        assert len(pivots) == rank + (residue & low != 0)
+        # every residue and basis row is the XOR of the input rows its tag names
+        for r in reduced + [residue]:
+            named = [rows[j] for j in range(t + 1) if (r >> (width + j)) & 1]
+            assert r & low == reduce(xor, named, 0)
+    by_pivot = sorted(zip(pivots, reduced))
+    assert gf2.row_reduce(rows, width) == ([r & low for _, r in by_pivot], [p for p, _ in by_pivot])

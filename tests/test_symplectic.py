@@ -313,6 +313,39 @@ class TestCompletionMatchesReference:
         assert find_encoding_symplectic(d) == reference_encoding_symplectic(d)
 
 
+class TestValidate:
+    @settings(max_examples=300, deadline=None)
+    @given(counts=slot_counts(), seed=st.integers(0, 1 << 32), flips=st.integers(0, 3))
+    @example(counts=(3, 0, 3), seed=7, flips=1)  # the pattern holds, the rows are dependent
+    @example(counts=(2, 1, 1), seed=3, flips=1)
+    @example(counts=(6, 2, 3), seed=1, flips=0)
+    def test_names_the_first_bad_pair(self, counts, seed, flips):
+        rng = random.Random(seed)
+        n, c, _ = counts
+        d = random_symplectic_decomposition(rng, *counts)
+        rows = [g.row() for g in d.generators()]
+        for _ in range(flips if rows else 0):
+            rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(2 * n)
+        gens = [PauliString.from_row(n, r) for r in rows]
+        d = Decomposition(n, tuple(zip(gens[: 2 * c : 2], gens[1 : 2 * c : 2])), tuple(gens[2 * c :]))
+        bad = [
+            (i, j, int(i // 2 == j // 2 and j < 2 * c))
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+            if symplectic_product(gens[i], gens[j]) != (i // 2 == j // 2 and j < 2 * c)
+        ]
+        if bad:
+            i, j, expect = bad[0]
+            message = f"^generators {i} and {j} have symplectic product {1 - expect}, expected {expect}$"
+            with pytest.raises(ValueError, match=message):
+                d.validate()
+        elif gf2.rank(rows, 2 * n) < len(rows):
+            with pytest.raises(ValueError, match="dependent"):
+                d.validate()
+        else:
+            d.validate()
+
+
 class TestIsSymplectic:
     @settings(max_examples=200, deadline=None)
     @given(counts=slot_counts(), seed=st.integers(0, 1 << 32), flips=st.integers(0, 3))
