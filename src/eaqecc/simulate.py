@@ -33,6 +33,7 @@ converts nothing but the corrections' signatures.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -159,17 +160,27 @@ class SyndromeTable:
     - inserted: the key-order index of each entry in insertion order
       (by weight, then by tie-break).
 
-    entries, the same table as a dict in insertion order, is derived from
-    them on first use; a table built by hand from such a dict keeps it.
-    lookup searches the keys, or a hand-built table's dict.
+    lookup searches the keys, and entries, the same table as a dict in
+    insertion order, is derived from the arrays on first use.  A table
+    built by hand from such a dict is converted to the arrays and keeps no
+    dict, so its corrections come back with phase 0.  Its keys must be
+    0/1 tuples of one length and its corrections act on one qubit count.
     """
 
     def __init__(self, entries: Dict[Syndrome, PauliString], max_weight_built: int) -> None:
         n = next(iter(entries.values())).n if entries else 0
         m = len(next(iter(entries))) if entries else 0
+        for syndrome, correction in entries.items():
+            if len(syndrome) != m or any(b not in (0, 1) for b in syndrome):
+                raise ValueError(f"syndrome {syndrome} is not {m} bits of 0 or 1")
+            if correction.n != n:
+                raise ValueError(
+                    f"correction {correction} of syndrome {syndrome} acts on "
+                    f"{correction.n} qubits, not {n}"
+                )
         bits = np.array(list(entries), dtype=np.uint8).reshape(len(entries), m)
         rows = _words([c.row() for c in entries.values()], 2 * n)
-        self._init(n, m, _pack(bits), rows, max_weight_built, dict(entries))
+        self._init(n, m, _pack(bits), rows, max_weight_built)
 
     @classmethod
     def _from_arrays(
@@ -177,17 +188,11 @@ class SyndromeTable:
     ) -> "SyndromeTable":
         """The table of the entries whose keys and rows are given in insertion order."""
         table = object.__new__(cls)
-        table._init(n, m, keys, rows, max_weight_built, None)
+        table._init(n, m, keys, rows, max_weight_built)
         return table
 
     def _init(
-        self,
-        n: int,
-        m: int,
-        keys: np.ndarray,
-        rows: np.ndarray,
-        max_weight_built: int,
-        entries: Optional[Dict[Syndrome, PauliString]],
+        self, n: int, m: int, keys: np.ndarray, rows: np.ndarray, max_weight_built: int
     ) -> None:
         values, codes, rank = _key_index(keys)
         order = np.argsort(rank)
@@ -196,7 +201,7 @@ class SyndromeTable:
         for array in (self.keys, self.rows, self.inserted):
             array.flags.writeable = False
         self.max_weight_built = max_weight_built
-        self._entries = entries
+        self._entries: Optional[Dict[Syndrome, PauliString]] = None
 
     @property
     def entries(self) -> Dict[Syndrome, PauliString]:
@@ -217,9 +222,8 @@ class SyndromeTable:
         return len(self.keys)
 
     def lookup(self, syndrome: Syndrome) -> Optional[PauliString]:
-        if self._entries is not None:
-            return self._entries.get(syndrome)
-        if len(syndrome) != self._m or any(b not in (0, 1) for b in syndrome):
+        # an empty table has no keys for _find to search
+        if not len(self) or len(syndrome) != self._m or any(b not in (0, 1) for b in syndrome):
             return None
         key = _words([sum(int(b) << i for i, b in enumerate(syndrome))], self._m)
         rank, found = _find(*self._index, key.T)
@@ -301,8 +305,22 @@ class DecodeOutcome:
     residual: Optional[PauliString]
 
 
+def _require_fit(codeq: EaqeccCode, table: SyndromeTable) -> None:
+    """Raise ValueError unless table was built for codeq's qubits and generators.
+
+    An empty hand-built table knows no syndrome and fits every code.
+    """
+    m = len(codeq.generators)
+    if len(table) and (table._n, table._m) != (codeq.n, m):
+        raise ValueError(
+            f"syndrome table for {table._n} qubits and {table._m} syndrome bits "
+            f"does not fit a code with {codeq.n} qubits and {m} generators"
+        )
+
+
 def decode_error(codeq: EaqeccCode, table: SyndromeTable, e: PauliString) -> DecodeOutcome:
     """Decode one error: correct by table lookup, test the residual."""
+    _require_fit(codeq, table)
     correction = table.lookup(syndrome_of(codeq, e))
     if correction is None:
         return DecodeOutcome(False, False, None)
@@ -398,6 +416,7 @@ class _BlockDecoder:
 
     @classmethod
     def build(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
+        _require_fit(codeq, table)
         n, m = codeq.n, len(codeq.generators)
         rows, isotropy = _check_rows(codeq)
         units = _units(rows, n)  # units[c]: the signature of the row with only bit c set
@@ -470,11 +489,10 @@ def run_trials(
     if workers == 1:
         results = [run_range(*chunks[0])]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the partition into chunks, not the pool size, fixes the result
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             results = list(pool.map(lambda c: run_range(*c), chunks))
-    failures = sum(r[0] for r in results)
-    degenerate = sum(r[1] for r in results)
-    violations = sum(r[2] for r in results)
+    failures, degenerate, violations = map(sum, zip(*results))
     return TrialResult(trials, failures, degenerate, seed, violations)
 
 

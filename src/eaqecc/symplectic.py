@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import gf2
-from .pauli import PauliString, multiply, symplectic_product
+from .pauli import PauliString, parse_pauli
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ class GeneratorSet:
 
     @classmethod
     def from_strings(cls, texts: Sequence[str]) -> "GeneratorSet":
-        from .pauli import parse_pauli
-
         gens = tuple(parse_pauli(t) for t in texts)
         if not gens:
             raise ValueError("cannot infer qubit count from an empty list")
@@ -60,7 +58,11 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """c symplectic pairs plus s isotropic generators on n qubits."""
+    """c symplectic pairs plus s isotropic generators on n qubits.
+
+    gram_schmidt_decompose returns every member with phase 0, the
+    Hermitian representative; consumers read only the (x|z) rows.
+    """
 
     n: int
     pairs: Tuple[Tuple[PauliString, PauliString], ...]
@@ -76,12 +78,7 @@ class Decomposition:
 
     def generators(self) -> Tuple[PauliString, ...]:
         """All generators in order zbar_1, xbar_1, ..., then isotropic."""
-        out: List[PauliString] = []
-        for zbar, xbar in self.pairs:
-            out.append(zbar)
-            out.append(xbar)
-        out.extend(self.isotropic)
-        return tuple(out)
+        return tuple(g for pair in self.pairs for g in pair) + tuple(self.isotropic)
 
     def validate(self) -> None:
         """Raise ValueError unless the pairing pattern and independence hold."""
@@ -111,14 +108,9 @@ def reduce_independent(g: GeneratorSet) -> GeneratorSet:
 
 def commutation_matrix(g: GeneratorSet) -> List[List[int]]:
     """Pairwise symplectic products; antisymmetric with zero diagonal."""
-    m = len(g.gens)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = symplectic_product(g.gens[i], g.gens[j])
-            mat[i][j] = v
-            mat[j][i] = v
-    return mat
+    rows = g.rows()
+    swapped = [_swap_halves(r, g.n) for r in rows]
+    return [[gf2.parity(a & b) for b in swapped] for a in rows]
 
 
 def gram_schmidt_decompose(g: GeneratorSet) -> Decomposition:
@@ -129,30 +121,35 @@ def gram_schmidt_decompose(g: GeneratorSet) -> Decomposition:
     multiplied into every remaining generator anti-commuting with the
     current, and the current into every remaining generator anti-commuting
     with the partner, which restores commutation with the extracted pair.
+
+    The sweep runs on (x|z) rows, where a product is an XOR and two rows
+    anti-commute when the parity of one AND the other's swapped halves is 1.
+    Members carry phase 0: a product of anti-commuting Paulis can pick up
+    a phase of +-i, and such an operator is not Hermitian, so it cannot be
+    a stabilizer generator.
     """
-    todo = list(g.gens)
+    n = g.n
+    todo = g.rows()
     pairs: List[Tuple[PauliString, PauliString]] = []
     isotropic: List[PauliString] = []
     while todo:
         cur = todo.pop(0)
-        partner_idx = None
-        for j, h in enumerate(todo):
-            if symplectic_product(cur, h):
-                partner_idx = j
-                break
+        cur_swapped = _swap_halves(cur, n)
+        partner_idx = next((j for j, h in enumerate(todo) if gf2.parity(h & cur_swapped)), None)
         if partner_idx is None:
-            isotropic.append(cur)
+            isotropic.append(PauliString.from_row(n, cur))
             continue
         partner = todo.pop(partner_idx)
-        cleaned: List[PauliString] = []
+        partner_swapped = _swap_halves(partner, n)
+        cleaned: List[int] = []
         for r in todo:
-            if symplectic_product(r, cur):
-                r = multiply(r, partner)
-            if symplectic_product(r, partner):
-                r = multiply(r, cur)
+            if gf2.parity(r & cur_swapped):
+                r ^= partner
+            if gf2.parity(r & partner_swapped):
+                r ^= cur
             cleaned.append(r)
         todo = cleaned
-        pairs.append((cur, partner))
+        pairs.append((PauliString.from_row(n, cur), PauliString.from_row(n, partner)))
     m = len(g.gens)
     ell = len(pairs) + len(isotropic)
     if not m - m // 2 <= ell <= m:

@@ -11,7 +11,7 @@ import numpy as np
 from eaqecc import gf2, gf4
 from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
-from eaqecc.pauli import PauliString, iter_paulis_of_weight
+from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
 from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
 
 # The pinned benchmark corpus: .code files plus manifest.json with each build report's sha256.
@@ -230,6 +230,45 @@ def reference_gf4_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
         if rk == len(work):
             break
     return rk
+
+
+def reference_gram_schmidt(g: GeneratorSet) -> Decomposition:
+    """gram_schmidt_decompose on PauliString objects, with phase-exact products.
+
+    Generators are processed in input order.  The first later generator
+    anti-commuting with the current one becomes its partner; the partner is
+    multiplied into every remaining generator anti-commuting with the
+    current, and the current into every remaining generator anti-commuting
+    with the partner, which restores commutation with the extracted pair.
+    """
+    todo = list(g.gens)
+    pairs: List[Tuple[PauliString, PauliString]] = []
+    isotropic: List[PauliString] = []
+    while todo:
+        cur = todo.pop(0)
+        partner_idx = None
+        for j, h in enumerate(todo):
+            if symplectic_product(cur, h):
+                partner_idx = j
+                break
+        if partner_idx is None:
+            isotropic.append(cur)
+            continue
+        partner = todo.pop(partner_idx)
+        cleaned: List[PauliString] = []
+        for r in todo:
+            if symplectic_product(r, cur):
+                r = multiply(r, partner)
+            if symplectic_product(r, partner):
+                r = multiply(r, cur)
+            cleaned.append(r)
+        todo = cleaned
+        pairs.append((cur, partner))
+    m = len(g.gens)
+    ell = len(pairs) + len(isotropic)
+    if not m - m // 2 <= ell <= m:
+        raise ValueError("pair/isotropic counts violate the size constraint")
+    return Decomposition(g.n, tuple(pairs), tuple(isotropic))
 
 
 def reference_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:

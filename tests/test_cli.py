@@ -339,10 +339,26 @@ class TestCatalyticCommand:
         assert "ebits" in err
 
 
+CORPUS_MANIFEST = json.loads((BENCH_CORPUS / "manifest.json").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("path", sorted(BENCH_CORPUS.glob("*.code")), ids=lambda p: p.stem)
 def test_build_report_matches_corpus_manifest(capsys, path):
-    manifest = json.loads((BENCH_CORPUS / "manifest.json").read_text(encoding="utf-8"))
-    (entry,) = [e for e in manifest.values() if e["file"] == path.name]
+    (entry,) = [e for e in CORPUS_MANIFEST.values() if e["file"] == path.name]
     code, out, err = run(capsys, "build", str(path))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == entry["build_report_sha256"]
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, entry in sorted(CORPUS_MANIFEST.items()) for key in entry.get("analyze", {})],
+    ids=lambda v: v.replace(" ", "-"),
+)
+def test_analyze_report_matches_corpus_manifest(capsys, name, key):
+    entry = CORPUS_MANIFEST[name]
+    cap, t = (part.split("=")[1] for part in key.split())
+    path = str(BENCH_CORPUS / entry["file"])
+    code, out, err = run(capsys, "analyze", path, "--weight-cap", cap, "--t", t)
+    assert (code, err) == (0, "")
+    assert dict(line.split("=", 1) for line in out.splitlines()) == entry["analyze"][key]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eaqecc import frames, gf2, gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
 from eaqecc.builder import ClassicalCode, build_code
+from eaqecc.cli import load_code_file
 from eaqecc.pauli import (
     PauliString,
     format_pauli,
@@ -35,7 +36,7 @@ from eaqecc.simulate import (
 from eaqecc.simulate import _BlockDecoder, _sample_block
 from eaqecc.symplectic import _swap_halves
 
-from helpers import random_classical_code, random_pauli, reference_syndrome_table
+from helpers import BENCH_CORPUS, random_classical_code, random_pauli, reference_syndrome_table
 
 
 def _lex_key(p):
@@ -310,6 +311,36 @@ class TestSyndromeTable:
         assert (table.keys == built.keys).all() and (table.rows == built.rows).all()
         assert len(table) == len(built) and table.max_weight_built == 2
 
+    def test_hand_built_table_answers_from_its_arrays(self, golden):
+        # a hand-built table keeps no dict: corrections come back with phase 0
+        built = build_syndrome_table(golden, 2)
+        phased = {s: PauliString(4, c.x, c.z, 3) for s, c in built.entries.items()}
+        table = SyndromeTable(phased, 2)
+        assert [table.lookup(s) for s in phased] == list(built.entries.values())
+        assert table._entries is None
+        assert list(table.entries.items()) == list(built.entries.items())
+
+    def test_empty_hand_built_table(self):
+        table = SyndromeTable({}, 0)
+        assert len(table) == 0 and table.entries == {}
+        assert table.lookup(()) is None and table.lookup((0, 1)) is None
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 2): "XI", (0, 1): "ZI"}, r"^syndrome \(0, 2\) is not 2 bits of 0 or 1$"),
+            ({(0, 1): "XI", (0, 1, 1): "ZI"}, r"^syndrome \(0, 1, 1\) is not 2 bits of 0 or 1$"),
+            (
+                {(0, 1): "XI", (1, 0): "ZII"},
+                r"^correction ZII of syndrome \(1, 0\) acts on 3 qubits, not 2$",
+            ),
+        ],
+        ids=["bit_outside_0_1", "mixed_key_lengths", "mixed_qubit_counts"],
+    )
+    def test_hand_built_entries_are_checked(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            SyndromeTable({s: parse_pauli(p) for s, p in entries.items()}, 1)
+
 
 class TestDecodeError:
     def test_weight_one_errors_corrected_exactly(self, golden):
@@ -480,6 +511,52 @@ class TestRunTrials:
     def test_empty_table_fails_every_trial(self, golden):
         result = run_trials(golden, DepolarizingChannel(0.0), SyndromeTable({}, 0), 100, seed=1)
         assert (result.logical_failures, result.residual_in_isotropic) == (100, 0)
+
+    def test_table_of_another_code_is_refused(self, golden):
+        r16, r20 = (
+            build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
+            for name in ("r16", "r20")
+        )
+        # 4 qubits like golden, but 2 generators instead of 4
+        short = build_code(random_classical_code(random.Random(0), 4, 3))
+        assert (r16.n, len(r16.generators)) == (16, 12) and (r20.n, len(r20.generators)) == (20, 12)
+        assert (short.n, len(short.generators)) == (4, 2)
+        for codeq, table in ((r16, build_syndrome_table(r20, 1)), (golden, build_syndrome_table(short, 1))):
+            with pytest.raises(ValueError, match="does not fit"):
+                run_trials(codeq, DepolarizingChannel(0.01), table, 1000, seed=1)
+            with pytest.raises(ValueError, match="does not fit"):
+                decode_error(codeq, table, identity(codeq.n))
+        # an empty hand-built table knows no syndrome, so it fits any code
+        outcome = decode_error(r16, SyndromeTable({}, 0), identity(16))
+        assert (outcome.success, outcome.known_syndrome) == (False, False)
+
+    def test_pool_is_bounded_by_the_cpu_count(self, golden, monkeypatch):
+        # no pool is started: an inline fake records the size asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        table = build_syndrome_table(golden, 2)
+        ch = DepolarizingChannel(0.05)
+        base = run_trials(golden, ch, table, 300, seed=9)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        assert run_trials(golden, ch, table, 300, seed=9, workers=100000) == base
+        assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
+        assert sizes == [2, 2, 1]
 
     def test_validation(self, golden):
         table = build_syndrome_table(golden, 1)

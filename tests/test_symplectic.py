@@ -29,6 +29,7 @@ from helpers import (
     random_classical_code,
     random_generator_set,
     reference_encoding_symplectic,
+    reference_gram_schmidt,
 )
 
 EQ1 = ["ZXZI", "ZZIZ", "XYXI", "XXIX"]
@@ -178,6 +179,46 @@ class TestGramSchmidt:
             for i, a in enumerate(d.isotropic):
                 for b in d.isotropic[i + 1:]:
                     assert symplectic_product(a, b) == 0
+
+
+def random_phased_independent_set(rng, n):
+    """reduce_independent of random generators, each given a random phase."""
+    g = reduce_independent(random_generator_set(rng, n, rng.randint(1, 2 * n)))
+    return GeneratorSet(n, tuple(PauliString(n, p.x, p.z, rng.randrange(4)) for p in g.gens))
+
+
+def assert_matches_reference(g):
+    """The row sweep gives the reference's rows in order, every member with phase 0."""
+    d, ref = gram_schmidt_decompose(g), reference_gram_schmidt(g)
+    assert (d.c, d.s) == (ref.c, ref.s)
+    assert [p.row() for p in d.generators()] == [p.row() for p in ref.generators()]
+    assert all(p.phase_exp == 0 for p in d.generators())
+
+
+class TestRowFormsMatchReference:
+    """Gram-Schmidt and the commutation matrix on (x|z) rows equal the PauliString forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 1 << 32))
+    @example(n=4, seed=0)
+    @example(n=10, seed=1)
+    def test_gram_schmidt_random_sets(self, n, seed):
+        assert_matches_reference(random_phased_independent_set(random.Random(seed), n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 1 << 32))
+    def test_commutation_matrix(self, n, seed):
+        g = random_phased_independent_set(random.Random(seed), n)
+        mat = commutation_matrix(g)
+        m = len(g)
+        assert [len(row) for row in mat] == [m] * m
+        for i in range(m):
+            for j in range(m):
+                assert mat[i][j] == symplectic_product(g.gens[i], g.gens[j])
+
+    @pytest.mark.parametrize("path", sorted(BENCH_CORPUS.glob("*.code")), ids=lambda p: p.stem)
+    def test_gram_schmidt_bench_corpus(self, path):
+        assert_matches_reference(build_code(load_code_file(str(path)).code).generators)
 
 
 class TestGroupEqual:
