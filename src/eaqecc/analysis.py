@@ -8,16 +8,19 @@ isotropic span).
 
 The three searches (distance, distinct syndromes, correctable sets) carry
 errors as signature words against the check rows of frames._check_rows:
-an error is an undetected logical exactly when its syndrome bits are zero
-and a normalizer bit is set, and a product's signature is the XOR of its
-factors'.  Each weight is enumerated in frames._candidates chunks.
+an error with zero syndrome bits is an undetected logical when a
+normalizer bit is set and an isotropic-span element when none is, and a
+product's signature is the XOR of its factors'.  Each weight is
+enumerated in frames._candidates chunks, so the distance search meets
+every isotropic-span element lighter than d on its way and decides
+degeneracy as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,10 +110,16 @@ def check_correctable_set(
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Exact distance when found within the cap, else a lower bound."""
+    """Exact distance when found within the cap, else a lower bound.
+
+    degenerate tells whether a nonidentity isotropic-span element is
+    lighter than the exact distance; it is None when the distance is not
+    exact or the isotropic span is trivial (s = 0).
+    """
 
     distance: Optional[int]
     weight_cap: int
+    degenerate: Optional[bool] = None
 
     @property
     def exact(self) -> bool:
@@ -127,54 +136,56 @@ class DistanceResult:
 
 
 def min_distance_bruteforce(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
-    """Smallest weight of an undetected, non-isotropic Pauli.
+    """Smallest weight of an undetected, non-isotropic Pauli, and whether the code is degenerate.
 
     Enumerates each weight in chunks, by increasing weight with early
     exit; exponential, intended for small codes.  When nothing is found up
-    to the cap the result only certifies distance >= cap + 1.
+    to the cap the result only certifies distance >= cap + 1.  The lightest
+    undetected isotropic-span element is recorded by weight, not by chunk:
+    one of weight d that comes up in a chunk before the logical's does not
+    make the code degenerate.
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
     units, syndrome, normalizer = _logical_checks(codeq)
     letters = _letter_table(units)
+    lightest = codeq.n + 1  # weight of the lightest isotropic-span element met so far
     for w in range(1, min(weight_cap, codeq.n) + 1):
         for support, kinds in _candidates(codeq.n, w):
             sig = _combine(letters, support, kinds)
-            if _undetected_logical(sig, syndrome, normalizer).any():
-                return DistanceResult(w, weight_cap)
+            undetected = ~(sig & syndrome).any(axis=1)
+            logical = (sig & normalizer).any(axis=1)
+            if lightest > w and (undetected & ~logical).any():  # an isotropic-span element
+                lightest = w
+            if (undetected & logical).any():
+                return DistanceResult(w, weight_cap, lightest < w if codeq.s else None)
     return DistanceResult(None, weight_cap)
 
 
 def nondegenerate_distinct_syndromes(codeq: EaqeccCode, t: int) -> bool:
     """Whether all nonidentity errors of weight <= t have distinct nonzero syndromes.
 
-    Each chunk's syndromes are checked for zeros and repeats, then against
-    the syndromes seen so far.  Those are kept in runs of decreasing size,
-    each with its key index; a new run absorbs the runs no larger than
-    itself, so every syndrome is indexed O(log) times.
+    The keys start from the identity's zero syndrome, so a zero syndrome
+    counts as a repeat.  Each weight's chunks are searched in one key
+    index over all lighter syndromes, whose rank also reveals repeats
+    among those; one last rank count checks the heaviest weight.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = codeq.n
     letters = _letter_table(_units([_swap_halves(g.row(), n) for g in codeq.generators], n))
-    runs: List[Tuple[np.ndarray, tuple]] = []  # (keys, their _key_index) by decreasing size
+    keys = np.zeros((1, letters.shape[2]), dtype=np.uint64)
     for w in range(1, min(t, n) + 1):
+        values, codes, rank = _key_index(keys)
+        if rank.max() + 1 < len(keys):
+            return False
+        chunks = [keys]
         for support, kinds in _candidates(n, w):
-            keys = _combine(letters, support, kinds)
-            if not keys.any(axis=1).all():
+            chunks.append(_combine(letters, support, kinds))
+            if _find(values, codes, chunks[-1].T)[1].any():
                 return False
-            values, codes, rank = _key_index(keys)
-            if rank.max() + 1 < len(keys):
-                return False
-            if any(_find(*index, keys.T)[1].any() for _, index in runs):
-                return False
-            size = len(keys)
-            while runs and len(runs[-1][0]) <= len(keys):
-                keys = np.concatenate([runs.pop()[0], keys])
-            if len(keys) > size:
-                values, codes = _key_index(keys)[:2]
-            runs.append((keys, (values, codes)))
-    return True
+        keys = np.concatenate(chunks)
+    return _key_index(keys)[2].max() + 1 == len(keys)
 
 
 @dataclass(frozen=True)

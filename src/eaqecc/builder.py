@@ -12,7 +12,7 @@ independent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -70,11 +70,7 @@ class EaqeccCode:
     generators: GeneratorSet
     extended: GeneratorSet
     decomposition: Decomposition
-    d: Optional[int] = None
     classical: Optional[ClassicalCode] = None
-
-    def with_distance(self, d: int) -> "EaqeccCode":
-        return replace(self, d=d)
 
 
 def quaternary_to_stabilizer(code: ClassicalCode) -> GeneratorSet:
@@ -118,7 +114,6 @@ def build_code(code: ClassicalCode) -> EaqeccCode:
         generators=independent,
         extended=extended,
         decomposition=decomp,
-        d=None,
         classical=code,
     )
 
@@ -158,39 +153,12 @@ class CodeParameters:
 
 
 def parameters(codeq: EaqeccCode, d: Optional[int] = None) -> CodeParameters:
-    """Parameter record for a built code; d overrides any stored distance."""
-    dist = d if d is not None else codeq.d
-    report = CodeParameters.from_counts(codeq.n, codeq.k_enc, codeq.c, codeq.s, dist)
-    degenerate = None
-    if dist is not None:
-        min_iso = min_isotropic_weight(codeq)
-        if min_iso is not None:
-            degenerate = min_iso < dist
-    return replace(report, degenerate=degenerate)
+    """Parameter record for a built code: its counts, rate and the given distance.
 
-
-def min_isotropic_weight(codeq: EaqeccCode, limit: int = 20) -> Optional[int]:
-    """Smallest weight of a nonidentity element in the isotropic span.
-
-    None when the span is trivial or has more than 2**limit elements.
+    degenerate is left None; analysis.min_distance_bruteforce decides it
+    together with the distance.
     """
-    iso_rows = [g.row() for g in codeq.decomposition.isotropic]
-    if not iso_rows:
-        return None
-    if len(iso_rows) > limit:
-        return None
-    # Gray-code order: step i flips row j, the lowest set bit of i, so each
-    # step costs one XOR and every nonempty subset comes up once
-    n = codeq.n
-    mask = (1 << n) - 1
-    best = n
-    vec = 0
-    for i in range(1, 1 << len(iso_rows)):
-        vec ^= iso_rows[(i & -i).bit_length() - 1]
-        w = ((vec | vec >> n) & mask).bit_count()
-        if w < best:
-            best = w
-    return best
+    return CodeParameters.from_counts(codeq.n, codeq.k_enc, codeq.c, codeq.s, d)
 
 
 __all__ = [
@@ -201,5 +169,4 @@ __all__ = [
     "extend_generators",
     "build_code",
     "parameters",
-    "min_isotropic_weight",
 ]

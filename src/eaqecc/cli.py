@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -171,6 +171,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 cap -= 1
         dist = min_distance_bruteforce(codeq, cap)
     report = parameters(codeq, None if dist is None else dist.distance)
+    if dist is not None:
+        report = replace(report, degenerate=dist.degenerate)
     lines = _param_lines(report)
     if dist is None:
         lines.append("d=undefined")
@@ -189,8 +191,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"singleton_saturated={'yes' if saturated else 'no'}")
         if report.degenerate is not None:
             lines.append(f"degenerate={'yes' if report.degenerate else 'no'}")
-        elif codeq.s:  # min_isotropic_weight skips spans of more than 2**20 elements
-            lines.append("degenerate=unknown")
     print("\n".join(lines))
     return 0
 

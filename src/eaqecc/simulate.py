@@ -484,13 +484,15 @@ def run_trials(
             violations += v + misses * quiet[2]
         return failures, degenerate, violations
 
-    bounds = [i * trials // workers for i in range(workers + 1)]
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(workers)]
+    # one range per thread: a trial's outcome depends only on (seed, its
+    # index), so the partition does not change the result
+    parts = min(workers, os.cpu_count() or 1)
+    bounds = [i * trials // parts for i in range(parts + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
     if workers == 1:
         results = [run_range(*chunks[0])]
     else:
-        # the partition into chunks, not the pool size, fixes the result
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=parts) as pool:
             results = list(pool.map(lambda c: run_range(*c), chunks))
     failures, degenerate, violations = map(sum, zip(*results))
     return TrialResult(trials, failures, degenerate, seed, violations)

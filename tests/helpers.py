@@ -145,13 +145,36 @@ def _undetected_logical_test(codeq: EaqeccCode):
     return test
 
 
+def reference_min_isotropic_weight(codeq: EaqeccCode) -> Optional[int]:
+    """Smallest weight of a nonidentity isotropic-span element; None when s = 0.
+
+    Gray-code order: step i flips row j, the lowest set bit of i, so each
+    step costs one XOR and every nonempty subset comes up once.
+    """
+    iso_rows = [g.row() for g in codeq.decomposition.isotropic]
+    if not iso_rows:
+        return None
+    n = codeq.n
+    mask = (1 << n) - 1
+    best = n
+    vec = 0
+    for i in range(1, 1 << len(iso_rows)):
+        vec ^= iso_rows[(i & -i).bit_length() - 1]
+        best = min(best, ((vec | vec >> n) & mask).bit_count())
+    return best
+
+
 def reference_min_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
-    """min_distance_bruteforce by testing one PauliString at a time."""
+    """min_distance_bruteforce by testing one PauliString at a time.
+
+    Degeneracy compares the distance with reference_min_isotropic_weight.
+    """
     undetected_logical = _undetected_logical_test(codeq)
     for w in range(1, min(weight_cap, codeq.n) + 1):
         for p in iter_paulis_of_weight(codeq.n, w):
             if undetected_logical(p.row()):
-                return DistanceResult(w, weight_cap)
+                lightest = reference_min_isotropic_weight(codeq)
+                return DistanceResult(w, weight_cap, None if lightest is None else lightest < w)
     return DistanceResult(None, weight_cap)
 
 

@@ -6,10 +6,10 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import frames, gf2
+from eaqecc import analysis, frames, gf2
 from eaqecc.analysis import (
     check_correctable_set,
     hashing_rates,
@@ -252,6 +252,7 @@ class TestSearchesMatchOracles:
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3), block=st.integers(1, 100))
+    @example(code_seed=0, t=3, block=4)
     def test_distinct_syndromes(self, code_seed, t, block):
         # syndromes repeat across chunks as well as within them
         codeq = build_code(random_classical_code(random.Random(code_seed)))
@@ -272,6 +273,25 @@ class TestSearchesMatchOracles:
             assert distinct == reference_distinct_syndromes(codeq, t)
             outcomes.add(distinct)
         assert outcomes == {True, False}
+
+    def test_distinct_syndromes_stop_early(self, golden):
+        # the twin code's weight-1 repeat stops the check before weight 2;
+        # golden's first weight-2 syndromes repeat weight-1 ones, so the
+        # check stops within weight 2 (6 supports of 3 chunks each)
+        twin = build_code(ClassicalCode.from_rows(2, 1, [(1, 1)]))
+        combine = analysis._combine
+        for codeq, expected in ((twin, [1, 1]), (golden, [1] * 4 + [2])):
+            weights = []
+
+            def recording(letters, support, kinds):
+                weights.append(support.shape[1])
+                return combine(letters, support, kinds)
+
+            with mock.patch.object(frames, "_BLOCK", 4), mock.patch.object(
+                analysis, "_combine", recording
+            ):
+                assert not nondegenerate_distinct_syndromes(codeq, 3)
+            assert weights == expected
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), size=st.integers(0, 12))

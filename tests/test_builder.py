@@ -3,22 +3,23 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import gf4
+from eaqecc import frames, gf4
+from eaqecc.analysis import min_distance_bruteforce
 from eaqecc.builder import (
     ClassicalCode,
     CodeParameters,
     build_code,
     extend_generators,
-    min_isotropic_weight,
     parameters,
     quaternary_to_stabilizer,
 )
-from eaqecc.pauli import PauliString, format_pauli, parse_pauli, pauli_to_gf4, symplectic_product
+from eaqecc.pauli import format_pauli, parse_pauli, pauli_to_gf4, symplectic_product
 from eaqecc.symplectic import (
     Decomposition,
     GeneratorSet,
@@ -26,7 +27,7 @@ from eaqecc.symplectic import (
     group_equal_up_to_phase,
 )
 
-from helpers import isotropic_span_rows, random_classical_code, reference_gf4_rank
+from helpers import random_classical_code, reference_gf4_rank, reference_min_isotropic_weight
 
 EQ6 = ["ZXZIZ", "ZZIZX", "YXXZI", "ZYYXI"]
 
@@ -194,7 +195,9 @@ class TestParameters:
         assert report.label == "[[4,1,3;1]]"
         assert report.rate == Fraction(0)
         assert report.correctable_weight == 1
-        assert report.degenerate is False
+        assert report.degenerate is None  # decided by the distance search
+        # the three nonidentity isotropic-span elements all have weight 4 > d
+        assert min_distance_bruteforce(golden, 4).degenerate is False
         assert golden.k_enc == 2 * golden.classical.k - golden.n + golden.c
 
     def test_bowen_parameters_from_counts(self):
@@ -208,22 +211,35 @@ class TestParameters:
         assert report.rate == Fraction(1)
         assert report.label == "[[4,4;0]]"
 
-    def test_min_isotropic_weight_golden(self, golden):
-        # the three nonidentity isotropic-span elements all have weight 4
-        assert min_isotropic_weight(golden) == 4
-
-    @settings(max_examples=60, deadline=None)
-    @given(code_seed=st.integers(0, 1 << 32), n=st.integers(2, 7), limit=st.integers(0, 12))
-    def test_min_isotropic_weight_matches_span_enumeration(self, code_seed, n, limit):
-        rng = random.Random(code_seed)
-        codeq = build_code(random_classical_code(rng, n, rng.randint(0, n - 1)))
-        span = isotropic_span_rows(codeq) - {0}
-        assert len(span) == 2**codeq.s - 1
-        if codeq.s == 0 or codeq.s > limit:
-            expected = None
+    @settings(max_examples=80, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32))
+    # a weight-d isotropic element comes up chunks before the first logical
+    @example(code_seed=1005)
+    @example(code_seed=1133)
+    def test_degenerate_matches_isotropic_span_scan(self, code_seed):
+        codeq = _random_code(code_seed)
+        # chunks of 4 split each weight over many chunks
+        with mock.patch.object(frames, "_BLOCK", 4):
+            dist = min_distance_bruteforce(codeq, codeq.n)
+        if codeq.s == 0 or not dist.exact:
+            assert dist.degenerate is None
         else:
-            expected = min(PauliString.from_row(n, row).weight for row in span)
-        assert min_isotropic_weight(codeq, limit) == expected
+            assert dist.degenerate == (reference_min_isotropic_weight(codeq) < dist.distance)
+
+    def test_degenerate_yes_and_no(self):
+        outcomes = set()
+        with mock.patch.object(frames, "_BLOCK", 4):
+            for seed in range(60):
+                codeq = _random_code(seed)
+                outcomes.add(min_distance_bruteforce(codeq, codeq.n).degenerate)
+        assert outcomes == {True, False, None}
+
+
+def _random_code(seed: int):
+    """A built random code on 2 to 8 qubits with 0 to n - 1 classical dimensions."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    return build_code(random_classical_code(rng, n, rng.randint(0, n - 1)))
 
 
 def test_random_code_draws_are_bounded(monkeypatch):

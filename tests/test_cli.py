@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from eaqecc import builder, cli, example_code_path, gf4
+from eaqecc import cli, example_code_path, gf4
 from eaqecc.analysis import DistanceResult
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
 
@@ -158,18 +158,19 @@ class TestAnalyzeCommand:
         ]:
             assert expected in lines
 
-    def test_isotropic_scan_runs_once(self, capsys, monkeypatch):
+    def test_distance_search_runs_once(self, capsys, monkeypatch):
+        # the one distance search also decides degeneracy
         calls = []
-        scan = builder.min_isotropic_weight
+        search = cli.min_distance_bruteforce
 
-        def counting(codeq):
-            calls.append(codeq.n)
-            return scan(codeq)
+        def counting(codeq, cap):
+            calls.append((codeq.n, cap))
+            return search(codeq, cap)
 
-        monkeypatch.setattr(builder, "min_isotropic_weight", counting)
+        monkeypatch.setattr(cli, "min_distance_bruteforce", counting)
         code, out, _ = run(capsys, "analyze", H4_PATH)
         assert code == 0 and "degenerate=no" in out.splitlines()
-        assert calls == [4]
+        assert calls == [(4, 4)]
 
     def test_weight_cap_lower_bound(self, capsys):
         code, out, _ = run(capsys, "analyze", H4_PATH, "--weight-cap", "1")
@@ -215,9 +216,9 @@ class TestAnalyzeCommand:
         assert "d_lower_bound=3" in out.splitlines()
         assert "\nd=" not in out and "singleton" not in out
 
-    def test_degeneracy_unknown_beyond_isotropic_scan(self, capsys, tmp_path):
-        # 11 disjoint "1 1" rows are self-orthogonal: c = 0 and s = 22, over
-        # the isotropic scan's 20 rows; a free qubit gives d = 1 exactly
+    def test_degeneracy_decided_beyond_twenty_isotropic_rows(self, capsys, tmp_path):
+        # 11 disjoint "1 1" rows are self-orthogonal: c = 0 and s = 22; a
+        # free qubit gives d = 1 exactly, and no Pauli is lighter than that
         rows = ["0 " * 2 * i + "1 1" + " 0" * (22 - 2 * i) for i in range(11)]
         path = tmp_path / "s22.code"
         path.write_text("\n".join(["24 13", *rows]) + "\n", encoding="ascii")
@@ -225,7 +226,7 @@ class TestAnalyzeCommand:
         lines = out.splitlines()
         assert code == 0
         assert "s=22" in lines and "d=1" in lines
-        assert lines[-1] == "degenerate=unknown"
+        assert lines[-1] == "degenerate=no"
 
     def test_no_logical_qubits_no_distance(self, capsys, tmp_path):
         # [[2,0;2]]: no logical operators, so there is no distance to bound
@@ -266,6 +267,13 @@ class TestSimulateCommand:
         _, one, _ = run(capsys, *base, "--workers", "1")
         _, four, _ = run(capsys, *base, "--workers", "4")
         assert one == four
+
+    def test_million_workers(self, capsys):
+        # cut into at most cpu_count ranges, so this takes as long as --workers 1
+        base = ["simulate", H4_PATH, "--p", "0.1", "--trials", "1000", "--seed", "3"]
+        _, one, _ = run(capsys, *base, "--workers", "1")
+        code, many, _ = run(capsys, *base, "--workers", "1000000")
+        assert code == 0 and many == one
 
     def test_monotone_in_p(self, capsys):
         def rate(p):

@@ -410,6 +410,31 @@ class TestSignatures:
         assert violations == (1 if any(syndrome_of(codeq, r)) else 0)
 
 
+def inline_pool(sizes: list, ranges: list):
+    """A ThreadPoolExecutor stand-in that starts no thread.
+
+    It records the pool size asked for in sizes and the number of ranges
+    mapped in ranges, and runs them inline.
+    """
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            ranges.append(len(items))
+            return map(fn, items)
+
+    return InlinePool
+
+
 class TestRunTrials:
     def test_p_zero_no_failures(self, golden):
         table = build_syndrome_table(golden, 1)
@@ -532,31 +557,35 @@ class TestRunTrials:
 
     def test_pool_is_bounded_by_the_cpu_count(self, golden, monkeypatch):
         # no pool is started: an inline fake records the size asked for
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+        sizes, ranges = [], []
         table = build_syndrome_table(golden, 2)
         ch = DepolarizingChannel(0.05)
         base = run_trials(golden, ch, table, 300, seed=9)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         assert run_trials(golden, ch, table, 300, seed=9, workers=100000) == base
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
-        assert sizes == [2, 2, 1]
+        assert sizes == ranges == [2, 2, 1]
+
+    def test_one_range_per_thread(self, golden, monkeypatch):
+        # trials are cut into min(workers, cpu_count) ranges, never one per worker
+        sizes, ranges = [], []
+        table = build_syndrome_table(golden, 1)
+        ch = DepolarizingChannel(0.1)
+        base = run_trials(golden, ch, table, 1000, seed=3)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 7)
+        for workers in (3, 7, 10**6):
+            assert run_trials(golden, ch, table, 1000, seed=3, workers=workers) == base
+        assert sizes == ranges == [3, 7, 7]
+
+    def test_million_workers_match_one(self, golden):
+        table = build_syndrome_table(golden, 1)
+        ch = DepolarizingChannel(0.1)
+        base = run_trials(golden, ch, table, 1000, seed=3, workers=1)
+        assert run_trials(golden, ch, table, 1000, seed=3, workers=10**6) == base
 
     def test_validation(self, golden):
         table = build_syndrome_table(golden, 1)
