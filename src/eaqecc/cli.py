@@ -26,7 +26,6 @@ from .analysis import (
 from .pauli import format_pauli
 from .simulate import (
     DepolarizingChannel,
-    InfeasibleError,
     build_syndrome_table,
     catalytic_schedule,
     run_trials,
@@ -324,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CodeFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, ValueError) as exc:
+    except ValueError as exc:  # InfeasibleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

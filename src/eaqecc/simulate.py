@@ -36,7 +36,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -233,44 +233,64 @@ class SyndromeTable:
         return PauliString.from_row(self._n, row)
 
 
-def _fewest(words: np.ndarray, nkeys: int, nrows: int) -> np.ndarray:
+def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
     """The rows of words with the smallest tie-break key of each syndrome, by syndrome.
 
-    A row of words is a candidate's syndrome (nkeys words), its (x|z) row
-    (nrows words) and its tie-break key (the rest, high word first).
-    Tie-break keys are distinct, so one sort on the syndrome's rank and
-    then the key's orders the rows.
+    A row of words is a candidate's syndrome (nkeys words) and its
+    tie-break key (the rest).  Tie-break keys are distinct, so one sort on
+    the syndrome's rank and then the key's orders the rows.
     """
     syndrome = _key_index(words[:, :nkeys])[2]
-    tie = _key_index(words[:, nkeys + nrows :])[2]
+    tie = _key_index(words[:, nkeys:])[2]
     words = words[np.argsort(syndrome * len(words) + tie)]
     first = np.ones(len(words), dtype=bool)
     first[1:] = (words[1:, :nkeys] != words[:-1, :nkeys]).any(axis=1)
     return words[first]
 
 
+# (shift, mask) rounds that reverse the bits of each byte: nibbles, pairs, bits
+_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555))
+)
+
+
+def _reverse(words: np.ndarray) -> np.ndarray:
+    """Each uint64 word reversed bit for bit: bit b lands at bit 63 - b.
+
+    The bytes are swapped, then the bits within each byte.  The map is
+    its own inverse.
+    """
+    words = words.byteswap()
+    for shift, mask in _SWAPS:
+        words = ((words >> shift) & mask) | ((words & mask) << shift)
+    return words
+
+
 def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     """Enumerate errors by increasing weight, keeping first-seen syndromes.
 
     Each weight is enumerated in chunks of at most _BLOCK candidates.  A
-    candidate's syndrome is the XOR of the syndrome words of its letters;
-    of the candidates with a syndrome no lighter error has, each syndrome
-    keeps the one with the smallest tie-break key, and the new entries
-    follow in key order.  Enumeration stops after the weight in which
-    every syndrome has an entry.
+    candidate is carried as its syndrome words and its tie-break key (its
+    (x|z) row words, each bit-reversed), both the XOR of its letters'
+    words.  Of the candidates with a syndrome no lighter error has, each
+    syndrome keeps the one with the smallest tie-break key, and the new
+    entries follow in key order.  Enumeration stops after the weight in
+    which every syndrome has an entry; the rows are recovered from the
+    kept keys.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     n, m = codeq.n, len(codeq.generators)
     syndromes = _units([_swap_halves(g.row(), n) for g in codeq.generators], n)
-    # the tie-break key puts bit c of the (x|z) row at bit 2n-1-c, high word
-    # first, so ordering the keys orders the rows lexicographically from
-    # qubit 0's x bit on
-    eye = np.eye(2 * n, dtype=np.uint8)
-    units = np.concatenate([syndromes, _pack(eye), _pack(eye[:, ::-1])[:, ::-1]], axis=1)
-    letters = _letter_table(units)
-    nkeys, nrows = syndromes.shape[1], (units.shape[1] - syndromes.shape[1]) // 2
-    kept = np.zeros((0, units.shape[1]), dtype=np.uint64)  # entries in insertion order
+    # the tie-break key is the (x|z) row with each word bit-reversed, so bit c
+    # of the row is bit 63 - c % 64 of key word c // 64 (the padding bits are
+    # low zeros): ordering the keys by word 0, then word 1, ... orders the
+    # rows lexicographically from qubit 0's x bit on
+    ties = _reverse(_pack(np.eye(2 * n, dtype=np.uint8)))
+    letters = _letter_table(np.concatenate([syndromes, ties], axis=1))
+    nkeys = syndromes.shape[1]
+    kept = np.zeros((0, letters.shape[2]), dtype=np.uint64)  # entries in insertion order
     for w in range(min(max_weight, n) + 1):
         known = _key_index(kept[:, :nkeys])[:2] if len(kept) else None
         # later chunks' winners wait in pending until they outnumber best, so
@@ -281,19 +301,17 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
             if known is not None:
                 words = words[~_find(*known, words[:, :nkeys].T)[1]]
             if best is None:
-                best = _fewest(words, nkeys, nrows)
+                best = _fewest(words, nkeys)
                 continue
-            pending.append(_fewest(words, nkeys, nrows))
+            pending.append(_fewest(words, nkeys))
             if sum(map(len, pending)) >= len(best):
-                best, pending = _fewest(np.concatenate([best, *pending]), nkeys, nrows), []
+                best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
         if pending:
-            best = _fewest(np.concatenate([best, *pending]), nkeys, nrows)
-        kept = np.concatenate([kept, best[np.argsort(_key_index(best[:, nkeys + nrows :])[2])]])
+            best = _fewest(np.concatenate([best, *pending]), nkeys)
+        kept = np.concatenate([kept, best[np.argsort(_key_index(best[:, nkeys:])[2])]])
         if len(kept) == 1 << m:
             break
-    return SyndromeTable._from_arrays(
-        n, m, kept[:, :nkeys], kept[:, nkeys : nkeys + nrows], max_weight
-    )
+    return SyndromeTable._from_arrays(n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight)
 
 
 @dataclass(frozen=True)
@@ -545,15 +563,7 @@ def catalytic_schedule(
         raise InfeasibleError(
             f"catalytic operation needs {c} ebits per round, only {initial_ebits} held"
         )
-    held: List[int] = []
-    delivered: List[int] = []
-    ebits = initial_ebits
-    for _ in range(rounds):
-        ebits -= c
-        delivered.append(k_enc - c)
-        ebits += c
-        held.append(ebits)
-    return CatalyticLedger(rounds, initial_ebits, tuple(held), tuple(delivered))
+    return CatalyticLedger(rounds, initial_ebits, (initial_ebits,) * rounds, (k_enc - c,) * rounds)
 
 
 __all__ = [

@@ -36,10 +36,6 @@ class GeneratorSet:
                 raise ValueError("identity (up to phase) is not a valid generator")
 
     @classmethod
-    def from_paulis(cls, n: int, gens: Sequence[PauliString]) -> "GeneratorSet":
-        return cls(n, tuple(gens))
-
-    @classmethod
     def from_strings(cls, texts: Sequence[str]) -> "GeneratorSet":
         gens = tuple(parse_pauli(t) for t in texts)
         if not gens:

@@ -242,6 +242,14 @@ class TestSyndromeTable:
         assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
         assert table.max_weight_built == depth
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_row_word_edge_matches_reference_enumeration(self, n, depth):
+        # 2n = 64 fills one (x|z) word exactly; 2n = 66 leaves 62 padding bits
+        codeq = build_code(random_classical_code(random.Random(n), n, n - 6))
+        table = build_syndrome_table(codeq, depth)
+        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
+
     @settings(max_examples=40, deadline=None)
     @given(
         code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3), block=st.integers(1, 100)
@@ -263,6 +271,20 @@ class TestSyndromeTable:
                 ]
                 assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
         assert list(table.entries.items()) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_tie_break_key_orders_rows_lexicographically(self, width, data):
+        # words from a small pool make rows that share their first words
+        word = st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
+        row = st.lists(word, min_size=width, max_size=width).map(_row)
+        rows = data.draw(st.lists(row, max_size=20))
+        words = frames._words(rows, 64 * width)
+        keys = simulate._reverse(words)
+        assert (simulate._reverse(keys) == words).all()
+        by_key = sorted(range(len(rows)), key=lambda i: tuple(keys[i].tolist()))
+        by_bits = sorted(range(len(rows)), key=lambda i: format(rows[i], f"0{64 * width}b")[::-1])
+        assert [rows[i] for i in by_key] == [rows[i] for i in by_bits]
 
     @settings(max_examples=40, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3))
