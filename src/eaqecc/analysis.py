@@ -10,10 +10,14 @@ The three searches (distance, distinct syndromes, correctable sets) carry
 errors as signature words against the check rows of frames._check_rows:
 an error with zero syndrome bits is an undetected logical when a
 normalizer bit is set and an isotropic-span element when none is, and a
-product's signature is the XOR of its factors'.  Each weight is
-enumerated in frames._candidates chunks, so the distance search meets
-every isotropic-span element lighter than d on its way and decides
-degeneracy as well.
+product's signature is the XOR of its factors'.  The distance search
+splits each candidate by support: a weight-D Pauli is the product of a
+weight ceil(D/2) and a disjoint weight floor(D/2) half, and it is an
+undetected logical exactly when the halves have equal syndromes and
+different normalizer bits, an isotropic-span element when their
+signatures are equal.  So it enumerates only weights up to ceil(d/2),
+holds their signatures in memory, and decides degeneracy by the same
+collisions.
 """
 
 from __future__ import annotations
@@ -138,28 +142,62 @@ class DistanceResult:
 def min_distance_bruteforce(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
     """Smallest weight of an undetected, non-isotropic Pauli, and whether the code is degenerate.
 
-    Enumerates each weight in chunks, by increasing weight with early
-    exit; exponential, intended for small codes.  When nothing is found up
-    to the cap the result only certifies distance >= cap + 1.  The lightest
-    undetected isotropic-span element is recorded by weight, not by chunk:
-    one of weight d that comes up in a chunk before the logical's does not
-    make the code degenerate.
+    Meet in the middle: split a weight-D Pauli by support into halves of
+    weights a = ceil(D/2) and b = floor(D/2).  It is an undetected logical
+    exactly when the halves have equal syndrome bits and different
+    normalizer bits, and a nonidentity isotropic-span element exactly when
+    they are two different Paulis with equal signatures.  Conversely, such
+    a pair of a weight-a and a weight-b Pauli multiplies to a logical (an
+    isotropic-span element) of weight at most D.  So for D = 1, 2, ... the
+    first D at which the weight-a and weight-b signatures hold such a pair
+    is the distance, and the first D with an equal pair is the weight of
+    the lightest isotropic-span element.
+
+    Each weight's signatures are enumerated once and kept, so memory holds
+    every weight up to ceil(d/2), or up to ceil(weight_cap/2) when nothing
+    is found; exponential, intended for small codes.  When nothing is found
+    up to the cap the result only certifies distance >= cap + 1.
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    units, syndrome, normalizer = _logical_checks(codeq)
+    n = codeq.n
+    units, syndrome, _ = _logical_checks(codeq)
     letters = _letter_table(units)
-    lightest = codeq.n + 1  # weight of the lightest isotropic-span element met so far
-    for w in range(1, min(weight_cap, codeq.n) + 1):
-        for support, kinds in _candidates(codeq.n, w):
-            sig = _combine(letters, support, kinds)
-            undetected = ~(sig & syndrome).any(axis=1)
-            logical = (sig & normalizer).any(axis=1)
-            if lightest > w and (undetected & ~logical).any():  # an isotropic-span element
-                lightest = w
-            if (undetected & logical).any():
-                return DistanceResult(w, weight_cap, lightest < w if codeq.s else None)
+    levels = [np.zeros((1, units.shape[1]), dtype=np.uint64)]  # levels[w]: weight-w signatures
+    isotropic_met = False  # whether a lighter isotropic-span element came up
+    for weight in range(1, min(weight_cap, n) + 1):
+        a, b = -(-weight // 2), weight // 2
+        if a == len(levels):
+            levels.append(np.concatenate([_combine(letters, *c) for c in _candidates(n, a)]))
+        if a == b:
+            sig, split = levels[a], 0
+        else:
+            sig, split = np.concatenate([levels[a], levels[b]]), len(levels[a])
+        full = _key_index(sig)[2]
+        syn = _key_index(sig & syndrome)[2]
+        syn_of_full = np.empty(full.max() + 1, dtype=np.int64)
+        syn_of_full[full] = syn
+        normalizer_values = np.bincount(syn_of_full)  # distinct normalizer bits per syndrome
+        # a syndrome held by both halves with two normalizer values has a
+        # weight-a and a weight-b row whose normalizer bits differ
+        if (_paired(syn, split) & (normalizer_values >= 2)).any():
+            return DistanceResult(weight, weight_cap, isotropic_met if codeq.s else None)
+        isotropic_met = isotropic_met or bool(_paired(full, split).any())
     return DistanceResult(None, weight_cap)
+
+
+def _paired(rank: np.ndarray, split: int) -> np.ndarray:
+    """Per rank: whether rows rank[:split] and rank[split:] both hold it.
+
+    split = 0 stands for one half paired with itself: the rank must then
+    come up twice.
+    """
+    if not split:
+        return np.bincount(rank) >= 2
+    groups = rank.max() + 1
+    return (np.bincount(rank[:split], minlength=groups) > 0) & (
+        np.bincount(rank[split:], minlength=groups) > 0
+    )
 
 
 def nondegenerate_distinct_syndromes(codeq: EaqeccCode, t: int) -> bool:

@@ -38,6 +38,9 @@ from .simulate import (
 # check (`--t`) of `analyze`, each counted by paulis_up_to.  An explicit value
 # above it is refused, since the work could run for hours (and a table that
 # never fills never stops early); analyze's default weight cap shrinks to fit.
+# The distance search enumerates only weights up to ceil(cap / 2), so the
+# count over all weights up to the cap over-states its work; it is kept so
+# that default caps and refusals stay as they were.
 TABLE_BUDGET = 10**7
 
 

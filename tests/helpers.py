@@ -9,8 +9,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from eaqecc import gf2, gf4
-from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
+from eaqecc.analysis import CorrectabilityReport, DistanceResult, _logical_checks, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
+from eaqecc.frames import _candidates, _combine, _letter_table
 from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
 from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
 
@@ -175,6 +176,32 @@ def reference_min_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceResult
             if undetected_logical(p.row()):
                 lightest = reference_min_isotropic_weight(codeq)
                 return DistanceResult(w, weight_cap, None if lightest is None else lightest < w)
+    return DistanceResult(None, weight_cap)
+
+
+def reference_chunked_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
+    """min_distance_bruteforce by enumerating every weight up to the cap in chunks.
+
+    Each weight's chunks are searched for a zero syndrome, by increasing
+    weight with early exit.  The lightest undetected isotropic-span
+    element is recorded by weight, not by chunk: one of weight d that
+    comes up in a chunk before the logical's does not make the code
+    degenerate.
+    """
+    if weight_cap < 1:
+        raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
+    units, syndrome, normalizer = _logical_checks(codeq)
+    letters = _letter_table(units)
+    lightest = codeq.n + 1  # weight of the lightest isotropic-span element met so far
+    for w in range(1, min(weight_cap, codeq.n) + 1):
+        for support, kinds in _candidates(codeq.n, w):
+            sig = _combine(letters, support, kinds)
+            undetected = ~(sig & syndrome).any(axis=1)
+            logical = (sig & normalizer).any(axis=1)
+            if lightest > w and (undetected & ~logical).any():  # an isotropic-span element
+                lightest = w
+            if (undetected & logical).any():
+                return DistanceResult(w, weight_cap, lightest < w if codeq.s else None)
     return DistanceResult(None, weight_cap)
 
 

@@ -20,6 +20,7 @@ from eaqecc.analysis import (
     syndrome_of,
 )
 from eaqecc.builder import ClassicalCode, build_code
+from eaqecc.cli import load_code_file
 from eaqecc.pauli import (
     PauliString,
     identity,
@@ -32,9 +33,11 @@ from eaqecc.pauli import (
 from eaqecc.symplectic import _swap_halves
 
 from helpers import (
+    BENCH_CORPUS,
     isotropic_span_rows,
     random_classical_code,
     random_pauli,
+    reference_chunked_distance,
     reference_correctable_set,
     reference_distinct_syndromes,
     reference_min_distance,
@@ -249,6 +252,33 @@ class TestSearchesMatchOracles:
             assert result == reference_min_distance(codeq, cap)
             outcomes.add(result.exact)
         assert outcomes == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32),
+        n=st.integers(2, 7),
+        gap=st.integers(1, 3),
+        cap=st.integers(1, 7),
+        block=st.integers(1, 100),
+    )
+    def test_distance_few_syndrome_bits(self, code_seed, n, gap, cap, block):
+        # k near n leaves few syndrome bits, so many Paulis share each
+        # syndrome and signature; caps up to n include searches that find nothing
+        codeq = build_code(random_classical_code(random.Random(code_seed), n, max(0, n - gap)))
+        cap = min(cap, n)
+        with mock.patch.object(frames, "_BLOCK", block):
+            result = min_distance_bruteforce(codeq, cap)
+            assert result == reference_chunked_distance(codeq, cap)
+        assert result == reference_min_distance(codeq, cap)
+
+    @pytest.mark.parametrize(
+        "name, top",
+        [("h4", 4), ("d5", 8), ("h22", 5), ("r16", 4), ("r20", 4), ("r24", 4)],
+    )
+    def test_distance_bench_corpus(self, name, top):
+        codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
+        for cap in range(1, top + 1):
+            assert min_distance_bruteforce(codeq, cap) == reference_chunked_distance(codeq, cap)
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3), block=st.integers(1, 100))

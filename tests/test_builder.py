@@ -27,7 +27,12 @@ from eaqecc.symplectic import (
     group_equal_up_to_phase,
 )
 
-from helpers import random_classical_code, reference_gf4_rank, reference_min_isotropic_weight
+from helpers import (
+    random_classical_code,
+    reference_chunked_distance,
+    reference_gf4_rank,
+    reference_min_isotropic_weight,
+)
 
 EQ6 = ["ZXZIZ", "ZZIZX", "YXXZI", "ZYYXI"]
 
@@ -225,6 +230,16 @@ class TestParameters:
             assert dist.degenerate is None
         else:
             assert dist.degenerate == (reference_min_isotropic_weight(codeq) < dist.distance)
+
+    @pytest.mark.parametrize("code_seed", [1005, 1133])
+    def test_isotropic_element_of_weight_d_is_not_degenerate(self, code_seed):
+        # the lightest isotropic-span element and the lightest logical
+        # share a weight, so the code is not degenerate
+        codeq = _random_code(code_seed)
+        dist = min_distance_bruteforce(codeq, codeq.n)
+        assert reference_min_isotropic_weight(codeq) == dist.distance
+        assert dist.degenerate is False
+        assert dist == reference_chunked_distance(codeq, codeq.n)
 
     def test_degenerate_yes_and_no(self):
         outcomes = set()
