@@ -6,40 +6,40 @@ assumed error-free.  An error set is correctable exactly when every pair
 product is either detected (nonzero syndrome) or harmless (inside the
 isotropic span).
 
-The three searches (distance, distinct syndromes, correctable sets) carry
-errors as signature words against the check rows of frames._check_rows:
-an error with zero syndrome bits is an undetected logical when a
-normalizer bit is set and an isotropic-span element when none is, and a
-product's signature is the XOR of its factors'.  The distance search
-splits each candidate by support: a weight-D Pauli is the product of a
-weight ceil(D/2) and a disjoint weight floor(D/2) half, and it is an
-undetected logical exactly when the halves have equal syndromes and
-different normalizer bits, an isotropic-span element when their
-signatures are equal.  So it enumerates only weights up to ceil(d/2),
-holds their signatures in memory, and decides degeneracy by the same
-collisions.
+The distance search and the correctable-set check carry errors as
+signature words against the check rows of frames._check_rows: an error
+with zero syndrome bits is an undetected logical when a normalizer bit is
+set and an isotropic-span element when none is, and a product's signature
+is the XOR of its factors'.  The distance search and the distinct-syndrome
+check share one walk over the weights, _halves: a weight-D Pauli is the
+product of a weight ceil(D/2) and a disjoint weight floor(D/2) half, so it
+has a zero syndrome exactly when the halves' syndromes are equal.  It is
+an undetected logical when their normalizer bits also differ, and an
+isotropic-span element when their signatures are equal.  So the distance
+search enumerates only weights up to ceil(d/2), holds their signatures in
+memory, and decides degeneracy by the same collisions; the
+distinct-syndrome check pairs syndrome words alone and fails at the first
+weight-<=2t collision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
 from .frames import (
-    _candidates,
     _check_masks,
     _check_rows,
-    _combine,
-    _find,
     _key_index,
     _letter_table,
     _signatures,
     _units,
+    _weight_words,
     _words,
 )
 from .pauli import PauliString, symplectic_product
@@ -160,19 +160,9 @@ def min_distance_bruteforce(codeq: EaqeccCode, weight_cap: int) -> DistanceResul
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    n = codeq.n
     units, syndrome, _ = _logical_checks(codeq)
-    letters = _letter_table(units)
-    levels = [np.zeros((1, units.shape[1]), dtype=np.uint64)]  # levels[w]: weight-w signatures
     isotropic_met = False  # whether a lighter isotropic-span element came up
-    for weight in range(1, min(weight_cap, n) + 1):
-        a, b = -(-weight // 2), weight // 2
-        if a == len(levels):
-            levels.append(np.concatenate([_combine(letters, *c) for c in _candidates(n, a)]))
-        if a == b:
-            sig, split = levels[a], 0
-        else:
-            sig, split = np.concatenate([levels[a], levels[b]]), len(levels[a])
+    for weight, sig, split in _halves(_letter_table(units), weight_cap):
         full = _key_index(sig)[2]
         syn = _key_index(sig & syndrome)[2]
         syn_of_full = np.empty(full.max() + 1, dtype=np.int64)
@@ -184,6 +174,25 @@ def min_distance_bruteforce(codeq: EaqeccCode, weight_cap: int) -> DistanceResul
             return DistanceResult(weight, weight_cap, isotropic_met if codeq.s else None)
         isotropic_met = isotropic_met or bool(_paired(full, split).any())
     return DistanceResult(None, weight_cap)
+
+
+def _halves(letters: np.ndarray, weight_cap: int) -> Iterator[Tuple[int, np.ndarray, int]]:
+    """(D, words, split) for D = 1 ... min(weight_cap, n): the halves of weight D.
+
+    words holds the words of every Pauli of weight ceil(D/2) and, from row
+    split on, of every Pauli of weight floor(D/2); split = 0 stands for one
+    weight paired with itself.  Each weight is enumerated once, when first
+    needed, and kept; weight 0 is the identity's zero words.
+    """
+    levels = [np.zeros((1, letters.shape[2]), dtype=np.uint64)]  # levels[w]: weight-w words
+    for weight in range(1, min(weight_cap, len(letters)) + 1):
+        a, b = -(-weight // 2), weight // 2
+        if a == len(levels):
+            levels.append(np.concatenate(list(_weight_words(letters, a))))
+        if a == b:
+            yield weight, levels[a], 0
+        else:
+            yield weight, np.concatenate([levels[a], levels[b]]), len(levels[a])
 
 
 def _paired(rank: np.ndarray, split: int) -> np.ndarray:
@@ -203,27 +212,21 @@ def _paired(rank: np.ndarray, split: int) -> np.ndarray:
 def nondegenerate_distinct_syndromes(codeq: EaqeccCode, t: int) -> bool:
     """Whether all nonidentity errors of weight <= t have distinct nonzero syndromes.
 
-    The keys start from the identity's zero syndrome, so a zero syndrome
-    counts as a repeat.  Each weight's chunks are searched in one key
-    index over all lighter syndromes, whose rank also reveals repeats
-    among those; one last rank count checks the heaviest weight.
+    They do exactly when no nonidentity error of weight <= 2t has a zero
+    syndrome: two errors of weight <= t with equal syndromes (the identity
+    included) multiply to one, and such an error splits by support into two
+    such halves.  So the check pairs the syndromes of weights ceil(D/2) and
+    floor(D/2) for D = 1 ... 2t, as the distance search does, and fails at
+    the first weight-<=2t collision; no weight above min(t, n) is
+    enumerated.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = codeq.n
     letters = _letter_table(_units([_swap_halves(g.row(), n) for g in codeq.generators], n))
-    keys = np.zeros((1, letters.shape[2]), dtype=np.uint64)
-    for w in range(1, min(t, n) + 1):
-        values, codes, rank = _key_index(keys)
-        if rank.max() + 1 < len(keys):
-            return False
-        chunks = [keys]
-        for support, kinds in _candidates(n, w):
-            chunks.append(_combine(letters, support, kinds))
-            if _find(values, codes, chunks[-1].T)[1].any():
-                return False
-        keys = np.concatenate(chunks)
-    return _key_index(keys)[2].max() + 1 == len(keys)
+    return not any(
+        _paired(_key_index(sig)[2], split).any() for _, sig, split in _halves(letters, 2 * t)
+    )
 
 
 @dataclass(frozen=True)

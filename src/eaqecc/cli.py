@@ -323,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CodeFileError, FileNotFoundError) as exc:
+    except (CodeFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # InfeasibleError is a ValueError

@@ -12,9 +12,12 @@ low m bits are the syndrome, then the normalizer checks, so an error with
 zero syndrome lies in the isotropic span exactly when those bits are zero
 too.  The rest complete a basis.
 
-Errors of one weight are enumerated as arrays of supports and letters, in
-chunks of at most _BLOCK candidates; sets of key words are searched one
-word at a time through _key_index and _find, so one search serves any
+_weight_words enumerates the errors of one weight as their words, in
+chunks of at most _BLOCK errors.  The syndrome table keeps the lightest
+error per syndrome; the distance search and the distinct-syndrome check
+pair the words of two weights and stop at the first collision (for the
+check, the first weight-<=2t collision).  Sets of key words are searched
+one word at a time through _key_index and _find, so one search serves any
 number of words.
 """
 
@@ -110,30 +113,30 @@ def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _candidates(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The n-qubit Paulis of weight w, in chunks of at most _BLOCK.
+def _weight_words(letters: np.ndarray, w: int) -> Iterator[np.ndarray]:
+    """The (N, W) words of the Paulis of weight w, in chunks of at most _BLOCK.
 
-    Each chunk is (support, kinds): (N, w) arrays of the qubits and of
-    their letters, 0, 1, 2 for X, Y, Z, in the smallest integer types
-    that hold them (a chunk's index arrays would otherwise outweigh its
+    letters is an (n, 3, W) table of _letter_table; a Pauli's words are the
+    XOR of its letters'.  Supports come in itertools.combinations order and,
+    on each, the letter choices in base-3 order (X, Y, Z = 0, 1, 2, first
+    qubit lowest); a support whose 3**w choices exceed _BLOCK is split over
+    several chunks.  Each chunk's qubit and letter indices are held in the
+    smallest integer types that fit (they would otherwise outweigh its
     words several times over).
     """
     per = 3**w  # letter choices per support
-    combos = itertools.combinations(range(n), w)
+    combos = itertools.combinations(range(len(letters)), w)
     while chunk := list(itertools.islice(combos, max(1, _BLOCK // per))):
-        support = np.array(chunk, dtype=np.min_scalar_type(n)).reshape(len(chunk), w)
+        support = np.array(chunk, dtype=np.min_scalar_type(len(letters))).reshape(len(chunk), w)
         for lo in range(0, per, _BLOCK):
             choice = np.arange(lo, min(per, lo + _BLOCK))
             kinds = (choice[:, None] // 3 ** np.arange(w) % 3).astype(np.uint8)
-            yield np.repeat(support, len(choice), axis=0), np.tile(kinds, (len(support), 1))
-
-
-def _combine(letters: np.ndarray, support: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    """The (N, W) words of a chunk of _candidates: the XOR of each candidate's letters."""
-    words = np.zeros((len(support), letters.shape[2]), dtype=np.uint64)
-    for t in range(support.shape[1]):
-        words ^= letters[support[:, t], kinds[:, t]]
-    return words
+            qubits = np.repeat(support, len(choice), axis=0)
+            kinds = np.tile(kinds, (len(support), 1))
+            words = np.zeros((len(qubits), letters.shape[2]), dtype=np.uint64)
+            for t in range(w):
+                words ^= letters[qubits[:, t], kinds[:, t]]
+            yield words
 
 
 def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,9 +24,9 @@ of them.  sample_error and decode_error are the per-trial references the
 block path must agree with.
 
 The syndrome table is built with the same kind of letter table: each
-weight's candidate errors come from frames._candidates, and a candidate's
-syndrome is the XOR of the syndrome words of its letters.  The table stays
-in array form, its keys sorted in the decoder's lookup order, so a run
+weight's candidate errors come from frames._weight_words, each carried as
+the XOR of its letters' syndrome and tie-break words.  The table stays in
+array form, its keys sorted in the decoder's lookup order, so a run
 converts nothing but the corrections' signatures.
 """
 
@@ -43,16 +43,15 @@ import numpy as np
 from .builder import EaqeccCode
 from .frames import (
     _BLOCK,
-    _candidates,
     _check_masks,
     _check_rows,
-    _combine,
     _find,
     _key_index,
     _letter_table,
     _pack,
     _signatures,
     _units,
+    _weight_words,
     _words,
 )
 from .pauli import PauliString
@@ -296,8 +295,7 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
         # later chunks' winners wait in pending until they outnumber best, so
         # every merge at least doubles the rows it sorts
         best, pending = None, []
-        for support, kinds in _candidates(n, w):
-            words = _combine(letters, support, kinds)
+        for words in _weight_words(letters, w):
             if known is not None:
                 words = words[~_find(*known, words[:, :nkeys].T)[1]]
             if best is None:

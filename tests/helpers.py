@@ -11,7 +11,7 @@ import numpy as np
 from eaqecc import gf2, gf4
 from eaqecc.analysis import CorrectabilityReport, DistanceResult, _logical_checks, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
-from eaqecc.frames import _candidates, _combine, _letter_table
+from eaqecc.frames import _letter_table, _weight_words
 from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
 from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
 
@@ -194,8 +194,7 @@ def reference_chunked_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceRe
     letters = _letter_table(units)
     lightest = codeq.n + 1  # weight of the lightest isotropic-span element met so far
     for w in range(1, min(weight_cap, codeq.n) + 1):
-        for support, kinds in _candidates(codeq.n, w):
-            sig = _combine(letters, support, kinds)
+        for sig in _weight_words(letters, w):
             undetected = ~(sig & syndrome).any(axis=1)
             logical = (sig & normalizer).any(axis=1)
             if lightest > w and (undetected & ~logical).any():  # an isotropic-span element

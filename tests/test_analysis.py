@@ -305,23 +305,37 @@ class TestSearchesMatchOracles:
         assert outcomes == {True, False}
 
     def test_distinct_syndromes_stop_early(self, golden):
-        # the twin code's weight-1 repeat stops the check before weight 2;
-        # golden's first weight-2 syndromes repeat weight-1 ones, so the
-        # check stops within weight 2 (6 supports of 3 chunks each)
+        # the twin code's two weight-1 Paulis with one syndrome collide at
+        # D = 2, so only weight 1 is enumerated; golden's first collision
+        # pairs a weight-2 and a weight-1 Pauli (D = 3): each weight once,
+        # and weight 3 never
         twin = build_code(ClassicalCode.from_rows(2, 1, [(1, 1)]))
-        combine = analysis._combine
-        for codeq, expected in ((twin, [1, 1]), (golden, [1] * 4 + [2])):
+        weight_words = analysis._weight_words
+        for codeq, expected in ((twin, [1]), (golden, [1, 2])):
             weights = []
 
-            def recording(letters, support, kinds):
-                weights.append(support.shape[1])
-                return combine(letters, support, kinds)
+            def recording(letters, w):
+                weights.append(w)
+                return weight_words(letters, w)
 
-            with mock.patch.object(frames, "_BLOCK", 4), mock.patch.object(
-                analysis, "_combine", recording
-            ):
+            with mock.patch.object(analysis, "_weight_words", recording):
                 assert not nondegenerate_distinct_syndromes(codeq, 3)
             assert weights == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), n=st.integers(1, 6), t=st.integers(0, 3))
+    def test_distinct_syndromes_iff_no_zero_syndrome_up_to_2t(self, code_seed, n, t):
+        # errors of weight <= t have distinct nonzero syndromes exactly when
+        # no nonidentity Pauli of weight <= 2t has a zero syndrome
+        rng = random.Random(code_seed)
+        codeq = build_code(random_classical_code(rng, n, rng.randint(0, n)))
+        zero = (0,) * len(codeq.generators)
+        undetected = any(
+            syndrome_of(codeq, p) == zero
+            for p in iter_paulis_up_to_weight(n, 2 * t)
+            if p.weight
+        )
+        assert nondegenerate_distinct_syndromes(codeq, t) == (not undetected)
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), size=st.integers(0, 12))

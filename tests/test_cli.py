@@ -102,6 +102,11 @@ class TestBuildCommand:
         assert out == ""
         assert "error" in err
 
+    def test_directory_output_is_clean_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "build", H4_PATH, "--output", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.code"
         bad.write_text("2 1\n1 q\n")
@@ -171,6 +176,12 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", H4_PATH)
         assert code == 0 and "degenerate=no" in out.splitlines()
         assert calls == [(4, 4)]
+
+    def test_directory_input_is_clean_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_weight_cap_lower_bound(self, capsys):
         code, out, _ = run(capsys, "analyze", H4_PATH, "--weight-cap", "1")

@@ -212,13 +212,13 @@ class TestSyndromeTable:
         reference = reference_syndrome_table(golden, 3)
         assert len(reference) == 2 ** len(golden.generators)
         weights = []
-        candidates = simulate._candidates
+        weight_words = simulate._weight_words
 
-        def recording(n, w):
+        def recording(letters, w):
             weights.append(w)
-            return candidates(n, w)
+            return weight_words(letters, w)
 
-        monkeypatch.setattr(simulate, "_candidates", recording)
+        monkeypatch.setattr(simulate, "_weight_words", recording)
         table = build_syndrome_table(golden, 3)
         assert weights == [0, 1, 2]
         assert table.entries == reference
@@ -262,13 +262,9 @@ class TestSyndromeTable:
         with mock.patch.object(frames, "_BLOCK", block):
             table = build_syndrome_table(codeq, depth)
             for w in range(min(depth, codeq.n) + 1):
-                chunks = list(frames._candidates(codeq.n, w))
-                assert all(len(support) <= block for support, _ in chunks)
-                rows = [
-                    sum([1, 1 | 1 << codeq.n, 1 << codeq.n][kind] << j for j, kind in zip(*pair))
-                    for support, kinds in chunks
-                    for pair in zip(support.tolist(), kinds.tolist())
-                ]
+                chunks = list(frames._weight_words(_xz_letters(codeq.n), w))
+                assert all(len(words) <= block for words in chunks)
+                rows = [_row(words) for chunk in chunks for words in chunk.tolist()]
                 assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
         assert list(table.entries.items()) == expected
 
