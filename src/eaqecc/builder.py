@@ -6,8 +6,10 @@ omega-bar*H, each mapped letter-wise through the GF(4)-Pauli
 correspondence.  The generators need not commute; decomposing them into c
 symplectic pairs plus s isotropic generators and handing one half of c
 maximally entangled pairs to the receiver makes the extended set abelian,
-giving an [[n, n-c-s; c]] code (k_enc = 2k - n + c when all rows are
-independent).
+giving an [[n, n-c-s; c]] code.  The 2(n-k) generators are always
+independent: the checks are GF(4)-independent, {omega, omega-bar} is a
+GF(2) basis of GF(4) and the letter map is GF(2)-linear and injective.
+So s = 2(n-k) - 2c and k_enc = 2k - n + c.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from typing import List, Optional
 
 from . import gf4
 from .pauli import PauliString, gf4_to_pauli
-from .symplectic import (
-    Decomposition,
-    GeneratorSet,
-    gram_schmidt_decompose,
-    reduce_independent,
-)
+from .symplectic import Decomposition, GeneratorSet, gram_schmidt_decompose
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,9 @@ def extend_generators(d: Decomposition, n: int) -> GeneratorSet:
 
 
 def build_code(code: ClassicalCode) -> EaqeccCode:
-    """Full pipeline: map to Paulis, drop dependent rows, decompose, extend."""
-    raw = quaternary_to_stabilizer(code)
-    independent = reduce_independent(raw)
-    decomp = gram_schmidt_decompose(independent)
+    """Full pipeline: map to Paulis (independent already), decompose, extend."""
+    generators = quaternary_to_stabilizer(code)
+    decomp = gram_schmidt_decompose(generators)
     extended = extend_generators(decomp, code.n)
     c, s = decomp.c, decomp.s
     return EaqeccCode(
@@ -111,7 +107,7 @@ def build_code(code: ClassicalCode) -> EaqeccCode:
         c=c,
         s=s,
         k_enc=code.n - c - s,
-        generators=independent,
+        generators=generators,
         extended=extended,
         decomposition=decomp,
         classical=code,

@@ -252,13 +252,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _f_list(text: str) -> List[float]:
-    values = []
-    for part in text.split(","):
-        value = float(part)
-        if not 0.0 <= value <= 1.0:
-            raise argparse.ArgumentTypeError(f"probability {part} outside [0, 1]")
-        values.append(value)
-    return values
+    return [_probability(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:

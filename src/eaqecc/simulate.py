@@ -15,13 +15,14 @@ against the 2n check rows of frames._check_rows, packed into uint64
 words.  The generators come first, so the low bits are the syndrome; the
 next rows check the normalizer, so a residual lies in the isotropic span
 exactly when those bits are zero too.  The sampler hashes one qubit column
-at a time, XORs the signature of each drawn letter into the trials that
-erred, and keeps only those trials (at p = 0.01 most draw the identity).
-The decoder finds each syndrome's table entry by its key words and
-compares the residual signature under two masks.  Every other trial drew
-the identity, whose outcome is decoded once per run and counted for each
-of them.  sample_error and decode_error are the per-trial references the
-block path must agree with.
+at a time and XORs the signature of each drawn letter into the trials that
+erred.  The check rows are a basis, so a trial's words are nonzero exactly
+when it drew a nonidentity error, and only those hit trials are kept (at
+p = 0.01 most draw the identity).  The decoder finds each syndrome's entry
+in the table's own key index and compares the residual signature under
+two masks.  Every other trial drew the identity, whose outcome is decoded
+once per run and counted for each of them.  sample_error and decode_error
+are the per-trial references the block path must agree with.
 
 The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
@@ -94,14 +95,10 @@ def _mix64_array(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndar
     return v
 
 
-def _seed_key(seed: int) -> np.ndarray:
-    """The mixed seed (taken mod 2**64) as a one-element uint64 array."""
-    return _mix64_array(np.array([seed & _MASK64], dtype=np.uint64))
-
-
-def _stream_key(seed: int, stream: int) -> int:
-    key = _seed_key(seed) + np.uint64((stream + 1) * _GOLDEN & _MASK64)
-    return int(_mix64_array(key)[0])
+def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
+    """The key of each stream of the uint64 array streams under seed (taken mod 2**64)."""
+    key = _mix64_array(np.array([seed & _MASK64], dtype=np.uint64))
+    return _mix64_array(key + (streams + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
 class CounterRng:
@@ -112,7 +109,8 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        self._key = _stream_key(seed, stream)
+        streams = np.array([stream & _MASK64], dtype=np.uint64)
+        self._key = int(_stream_keys(seed, streams)[0])
         self._pos = 0
 
     def random(self, size: Optional[int] = None):
@@ -292,17 +290,14 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     kept = np.zeros((0, letters.shape[2]), dtype=np.uint64)  # entries in insertion order
     for w in range(min(max_weight, n) + 1):
         known = _key_index(kept[:, :nkeys])[:2] if len(kept) else None
-        # later chunks' winners wait in pending until they outnumber best, so
-        # every merge at least doubles the rows it sorts
-        best, pending = None, []
+        # chunks wait in pending until they outnumber best, so every merge
+        # at least doubles the rows it sorts
+        best, pending = kept[:0], []
         for words in _weight_words(letters, w):
             if known is not None:
                 words = words[~_find(*known, words[:, :nkeys].T)[1]]
-            if best is None:
-                best = _fewest(words, nkeys)
-                continue
-            pending.append(_fewest(words, nkeys))
-            if sum(map(len, pending)) >= len(best):
+            pending.append(words)
+            if sum(map(len, pending)) > len(best):
                 best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
         if pending:
             best = _fewest(np.concatenate([best, *pending]), nkeys)
@@ -372,11 +367,13 @@ class TrialResult:
 def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int):
     """Errors of trials [t_lo, t_hi) as signature words, for trials that drew one.
 
-    letters is an (n, 3, W) uint64 table: the words of X, Y and Z on each
-    qubit.  Returns (hit, words): the trial numbers with at least one
-    nonidentity qubit, increasing, and the (W, len(hit)) XOR of the
-    letters each of them drew, word by word; every other trial drew the
-    identity.  With the (x|z) unit words as the table, column i is the
+    letters is an (n, 3, W) uint64 table of _letter_table: the words of X,
+    Y and Z on each qubit, from units that form a basis (the signature
+    units of _check_rows, or the (x|z) units), so the words of an error
+    are zero exactly when it is the identity.  Returns (hit, words): the
+    trials whose words are nonzero, increasing, and the (W, len(hit)) XOR
+    of the letters each of them drew, word by word; every other trial drew
+    the identity.  With the (x|z) unit words as the table, column i is the
     (x|z) row of sample_error with CounterRng(seed, hit[i]) exactly.
     """
     n, _, width = letters.shape
@@ -387,24 +384,21 @@ def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int
     if limit == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((width, 0), dtype=np.uint64)
     top = np.uint64((limit << 11) - 1)
-    t = np.arange(t_lo, t_hi, dtype=np.uint64)
-    keys = _mix64_array(_seed_key(seed) + (t + np.uint64(1)) * np.uint64(_GOLDEN))
+    keys = _stream_keys(seed, np.arange(t_lo, t_hi, dtype=np.uint64))
     draws = np.empty(b, dtype=np.uint64)
     scratch = np.empty(b, dtype=np.uint64)
     below = np.empty(b, dtype=bool)
-    mark = np.zeros(b, dtype=bool)  # trials with a hit so far
     words = np.zeros((width, b), dtype=np.uint64)
     for j in range(n):
         np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=draws)
         _mix64_array(draws, scratch)
         np.less_equal(draws, top, out=below)
         r = np.flatnonzero(below)
-        mark[r] = True
         u = (draws[r] >> np.uint64(11)) * (2.0 ** -53)
         kind = np.minimum((u * 3.0 / p).astype(np.int64), 2)
         for w, word in enumerate(words):
             word[r] ^= letters[j, kind, w]
-    hit = np.flatnonzero(mark)
+    hit = np.flatnonzero(words.any(axis=0))
     # take keeps the columns C-contiguous (words[:, hit] would not), which
     # the decoder's word-by-word operations need to run at full speed
     return hit + t_lo, np.take(words, hit, axis=1)
@@ -416,7 +410,8 @@ class _BlockDecoder:
 
     Errors are (W, b) signature words against the check rows of
     _check_rows.  A trial's syndrome is its low m bits; the table entry
-    for it is found one key word at a time, so one lookup serves any m.
+    for it is found in the table's own key index, one key word at a time,
+    so one lookup serves any m.
     The residual (error times correction) has signature error ^ correction:
     it lies in the isotropic span when its generator and normalizer bits
     are zero, and it is the identity when all of its bits are.
@@ -425,8 +420,7 @@ class _BlockDecoder:
     letters: np.ndarray  # (n, 3, W): signature of X, Y, Z on each qubit
     syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
     normalizer_mask: np.ndarray  # (W,): the normalizer bits
-    key_values: Tuple[np.ndarray, ...]  # sorted distinct table values of key word k
-    key_codes: Tuple[np.ndarray, ...]  # sorted distinct table ranks of key words 0..k, k >= 1
+    index: Tuple[tuple, tuple]  # the table's (values, codes) of _key_index
     corrections: np.ndarray  # (W, len(table)) correction signatures in key order
     mismatched: np.ndarray  # whether a correction's syndrome differs from its key
 
@@ -446,7 +440,7 @@ class _BlockDecoder:
             _letter_table(units),
             syndrome_mask,
             normalizer_mask,
-            *table._index,
+            table._index,
             np.ascontiguousarray(corrections.T),
             mismatched,
         )
@@ -454,21 +448,20 @@ class _BlockDecoder:
     def lookup(self, sig: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(entry, known): each trial's table entry, valid where known."""
         keys = sig[: len(self.syndrome_mask)] & self.syndrome_mask[:, None]
-        return _find(self.key_values, self.key_codes, keys)
+        return _find(*self.index, keys)
 
-    def decode(self, sig: np.ndarray) -> Tuple[int, int, int]:
-        """(failures, degenerate successes, residual-syndrome violations)."""
+    def decode(self, sig: np.ndarray) -> np.ndarray:
+        """The int64 counts [failures, degenerate successes, residual-syndrome violations]."""
         b = sig.shape[1]
         if not len(self.mismatched):  # a hand-built empty table knows no syndrome
-            return b, 0, 0
+            return np.array([b, 0, 0], dtype=np.int64)
         entry, known = self.lookup(sig)
         residual = sig ^ np.take(self.corrections, entry, axis=1)
         mismatched = self.mismatched[entry]
-        violations = int(np.count_nonzero(known & mismatched))
         success = known & ~mismatched & ~(residual & self.normalizer_mask[:, None]).any(axis=0)
-        failures = b - int(np.count_nonzero(success))
-        degenerate = int(np.count_nonzero(success & residual.any(axis=0)))
-        return failures, degenerate, violations
+        counts = [success, success & residual.any(axis=0), known & mismatched]
+        successes, degenerate, violations = map(np.count_nonzero, counts)
+        return np.array([b - successes, degenerate, violations], dtype=np.int64)
 
 
 def run_trials(
@@ -488,17 +481,13 @@ def run_trials(
     # every trial without a hit drew the identity: decode it once, count it often
     quiet = decoder.decode(np.zeros((decoder.letters.shape[2], 1), dtype=np.uint64))
 
-    def run_range(lo: int, hi: int) -> Tuple[int, int, int]:
-        failures = degenerate = violations = 0
+    def run_range(lo: int, hi: int) -> np.ndarray:
+        counts = np.zeros(3, dtype=np.int64)
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             hit, sig = _sample_block(ch.p, decoder.letters, seed, start, stop)
-            f, g, v = decoder.decode(sig)
-            misses = stop - start - len(hit)
-            failures += f + misses * quiet[0]
-            degenerate += g + misses * quiet[1]
-            violations += v + misses * quiet[2]
-        return failures, degenerate, violations
+            counts += decoder.decode(sig) + (stop - start - len(hit)) * quiet
+        return counts
 
     # one range per thread: a trial's outcome depends only on (seed, its
     # index), so the partition does not change the result
@@ -510,7 +499,7 @@ def run_trials(
     else:
         with ThreadPoolExecutor(max_workers=parts) as pool:
             results = list(pool.map(lambda c: run_range(*c), chunks))
-    failures, degenerate, violations = map(sum, zip(*results))
+    failures, degenerate, violations = sum(results).tolist()
     return TrialResult(trials, failures, degenerate, seed, violations)
 
 

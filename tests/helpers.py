@@ -79,6 +79,27 @@ def random_classical_code(
     raise RuntimeError(f"no independent [{n}, {k}] parity checks in {RANDOM_CODE_DRAWS} draws")
 
 
+def _splitmix64(z: int) -> int:
+    """The splitmix64 finalizer of a 64-bit word, in Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % (1 << 64)
+    return z ^ (z >> 31)
+
+
+def reference_uniforms(seed: int, stream: int, count: int) -> List[float]:
+    """The first count uniforms of CounterRng(seed, stream), one Python int at a time.
+
+    The seed is mixed, stream + 1 golden-ratio steps mix it into the
+    stream key, and uniform j is the top 53 bits of the key mixed with
+    j + 1 more steps, all mod 2**64.
+    """
+    golden = 0x9E3779B97F4A7C15
+    key = _splitmix64((_splitmix64(seed % (1 << 64)) + (stream + 1) * golden) % (1 << 64))
+    return [
+        (_splitmix64((key + (j + 1) * golden) % (1 << 64)) >> 11) * 2.0**-53 for j in range(count)
+    ]
+
+
 def symplectic_matrix_to_numpy(m: SymplecticMatrix) -> np.ndarray:
     size = 2 * m.n
     return np.array(

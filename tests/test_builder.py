@@ -25,6 +25,7 @@ from eaqecc.symplectic import (
     GeneratorSet,
     gram_schmidt_decompose,
     group_equal_up_to_phase,
+    reduce_independent,
 )
 
 from helpers import (
@@ -124,6 +125,16 @@ class TestBuildCode:
             built = build_code(code)
             assert len(built.generators) == 2 * (code.n - code.k)
             assert built.k_enc == 2 * code.k - code.n + built.c
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 1 << 32), n=st.integers(1, 10), data=st.data())
+    def test_generators_are_independent_as_built(self, seed, n, data):
+        # the reason build_code keeps every row of quaternary_to_stabilizer
+        k = data.draw(st.integers(0, n))
+        code = random_classical_code(random.Random(seed), n, k)
+        raw = quaternary_to_stabilizer(code)
+        assert reduce_independent(raw) == raw
+        assert len(build_code(code).generators) == 2 * (n - k)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 1 << 32))

@@ -36,7 +36,13 @@ from eaqecc.simulate import (
 from eaqecc.simulate import _BlockDecoder, _sample_block
 from eaqecc.symplectic import _swap_halves
 
-from helpers import BENCH_CORPUS, random_classical_code, random_pauli, reference_syndrome_table
+from helpers import (
+    BENCH_CORPUS,
+    random_classical_code,
+    random_pauli,
+    reference_syndrome_table,
+    reference_uniforms,
+)
 
 
 def _lex_key(p):
@@ -134,6 +140,14 @@ class TestSampleError:
         rng = CounterRng(9, 4)
         parts = np.concatenate([rng.random(2), rng.random(4)])
         assert np.array_equal(a, parts)
+
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1, 1 << 70, -1])
+    @pytest.mark.parametrize("stream", [0, 1, 1 << 63, (1 << 64) - 1])
+    def test_counter_rng_matches_reference_uniforms(self, seed, stream):
+        # a scalar splitmix64 in Python ints pins every uniform, not only reproducibility
+        rng = CounterRng(seed, stream)
+        drawn = [*rng.random(3).tolist(), rng.random(), *rng.random(4).tolist()]
+        assert drawn == reference_uniforms(seed, stream, 8)
 
     @settings(max_examples=80, deadline=None)
     @given(
