@@ -290,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-weight", type=_nonnegative_int, default=2, help="syndrome table depth"
     )
     p_sim.add_argument(
-        "--workers", type=_positive_int, default=1, help="internal worker count"
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="threads, at most one thread per CPU and per 65536 trials",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -8,9 +8,12 @@ unknown syndrome is always a failure).
 
 Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
-partitioning of trials across workers.
+partitioning of trials across workers.  A run is cut into one range of
+trials per thread, with at most one thread per CPU and per 65536 trials
+(_BLOCK); a run of one range, as every run of at most 65536 trials is,
+starts no thread pool.
 
-Trials run in blocks, and every error is carried as its signature
+Trials run in blocks of _BLOCK, and every error is carried as its signature
 against the 2n check rows of frames._check_rows, packed into uint64
 words.  The generators come first, so the low bits are the syndrome; the
 next rows check the normalizer, so a residual lies in the isotropic span
@@ -194,7 +197,8 @@ class SyndromeTable:
         values, codes, rank = _key_index(keys)
         order = np.argsort(rank)
         self._n, self._m, self._index = n, m, (values, codes)
-        self.keys, self.rows, self.inserted = keys[order], rows[order], rank
+        self.keys, self.rows = np.take(keys, order, axis=0), np.take(rows, order, axis=0)
+        self.inserted = rank
         for array in (self.keys, self.rows, self.inserted):
             array.flags.writeable = False
         self.max_weight_built = max_weight_built
@@ -239,7 +243,7 @@ def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
     """
     syndrome = _key_index(words[:, :nkeys])[2]
     tie = _key_index(words[:, nkeys:])[2]
-    words = words[np.argsort(syndrome * len(words) + tie)]
+    words = np.take(words, np.argsort(syndrome * len(words) + tie), axis=0)
     first = np.ones(len(words), dtype=bool)
     first[1:] = (words[1:, :nkeys] != words[:-1, :nkeys]).any(axis=1)
     return words[first]
@@ -301,7 +305,8 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
                 best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
         if pending:
             best = _fewest(np.concatenate([best, *pending]), nkeys)
-        kept = np.concatenate([kept, best[np.argsort(_key_index(best[:, nkeys:])[2])]])
+        order = np.argsort(_key_index(best[:, nkeys:])[2])
+        kept = np.concatenate([kept, np.take(best, order, axis=0)])
         if len(kept) == 1 << m:
             break
     return SyndromeTable._from_arrays(n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight)
@@ -489,12 +494,13 @@ def run_trials(
             counts += decoder.decode(sig) + (stop - start - len(hit)) * quiet
         return counts
 
-    # one range per thread: a trial's outcome depends only on (seed, its
-    # index), so the partition does not change the result
-    parts = min(workers, os.cpu_count() or 1)
+    # one range per thread, and no more threads than CPUs or blocks: a
+    # trial's outcome depends only on (seed, its index), so the partition
+    # does not change the result
+    parts = max(1, min(workers, os.cpu_count() or 1, -(-trials // _BLOCK)))
     bounds = [i * trials // parts for i in range(parts + 1)]
     chunks = list(zip(bounds, bounds[1:]))
-    if workers == 1:
+    if parts == 1:
         results = [run_range(*chunks[0])]
     else:
         with ThreadPoolExecutor(max_workers=parts) as pool:

@@ -588,18 +588,22 @@ class TestRunTrials:
         assert (outcome.success, outcome.known_syndrome) == (False, False)
 
     def test_pool_is_bounded_by_the_cpu_count(self, golden, monkeypatch):
-        # no pool is started: an inline fake records the size asked for
+        # no pool is started: an inline fake records the size asked for; small
+        # blocks make each run span more blocks than threads
         sizes, ranges = [], []
         table = build_syndrome_table(golden, 2)
         ch = DepolarizingChannel(0.05)
         base = run_trials(golden, ch, table, 300, seed=9)
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         assert run_trials(golden, ch, table, 300, seed=9, workers=100000) == base
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
+        assert sizes == ranges == [2, 2]
+        # one CPU is one range, run inline
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
-        assert sizes == ranges == [2, 2, 1]
+        assert sizes == ranges == [2, 2]
 
     def test_one_range_per_thread(self, golden, monkeypatch):
         # trials are cut into min(workers, cpu_count) ranges, never one per worker
@@ -607,11 +611,48 @@ class TestRunTrials:
         table = build_syndrome_table(golden, 1)
         ch = DepolarizingChannel(0.1)
         base = run_trials(golden, ch, table, 1000, seed=3)
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 7)
         for workers in (3, 7, 10**6):
             assert run_trials(golden, ch, table, 1000, seed=3, workers=workers) == base
         assert sizes == ranges == [3, 7, 7]
+
+    def test_one_block_starts_no_pool(self, golden, monkeypatch):
+        # a run of at most one block is one range, whatever the workers
+        sizes, ranges = [], []
+        table = build_syndrome_table(golden, 1)
+        ch = DepolarizingChannel(0.1)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 7)
+        for trials in (0, 1, 1000, simulate._BLOCK):
+            base = run_trials(golden, ch, table, trials, seed=3)
+            for workers in (2, 10**6):
+                assert run_trials(golden, ch, table, trials, seed=3, workers=workers) == base
+        assert sizes == ranges == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(1, 100),
+        trials=st.integers(0, 500),
+        seed=st.integers(0, 1 << 32),
+        cpus=st.integers(1, 4),
+    )
+    @example(block=1, trials=0, seed=0, cpus=4)
+    @example(block=100, trials=101, seed=1, cpus=4)  # two blocks, the last ragged
+    @example(block=7, trials=500, seed=2, cpus=4)
+    def test_partitions_agree(self, block, trials, seed, cpus):
+        # small blocks, ragged last blocks, and fewer blocks than workers
+        # change nothing
+        golden = build_code(load_code_file(str(BENCH_CORPUS / "h4.code")).code)
+        table = build_syndrome_table(golden, 1)
+        ch = DepolarizingChannel(0.2)
+        base = run_trials(golden, ch, table, trials, seed)
+        with mock.patch.object(simulate, "_BLOCK", block), mock.patch.object(
+            simulate.os, "cpu_count", lambda: cpus
+        ):
+            for workers in (1, 2, 3):
+                assert run_trials(golden, ch, table, trials, seed, workers) == base
 
     def test_million_workers_match_one(self, golden):
         table = build_syndrome_table(golden, 1)
