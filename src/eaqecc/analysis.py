@@ -10,16 +10,18 @@ The distance search and the correctable-set check carry errors as
 signature words against the check rows of frames._check_rows: an error
 with zero syndrome bits is an undetected logical when a normalizer bit is
 set and an isotropic-span element when none is, and a product's signature
-is the XOR of its factors'.  The distance search and the distinct-syndrome
-check share one walk over the weights, _halves: a weight-D Pauli is the
-product of a weight ceil(D/2) and a disjoint weight floor(D/2) half, so it
-has a zero syndrome exactly when the halves' syndromes are equal.  It is
-an undetected logical when their normalizer bits also differ, and an
-isotropic-span element when their signatures are equal.  So the distance
-search enumerates only weights up to ceil(d/2), holds their signatures in
-memory, and decides degeneracy by the same collisions; the
-distinct-syndrome check pairs syndrome words alone and fails at the first
-weight-<=2t collision.
+is the XOR of its factors'.  One walk over the weights, _lightest, answers
+the distance, degeneracy and distinct-syndrome questions: a weight-D Pauli
+is the product of a weight ceil(D/2) and a disjoint weight floor(D/2)
+half, so it has a zero syndrome exactly when the halves' syndromes are
+equal.  It is an undetected logical when their normalizer bits also
+differ, and an isotropic-span element when their signatures are equal.
+So the walk enumerates only weights up to ceil(d/2), holds their
+signatures in memory, and returns two numbers: the weight of the lightest
+undetected logical, which is the distance, and that of the lightest
+nonidentity isotropic-span element below it, which makes the code
+degenerate.  Errors of weight <= t have distinct nonzero syndromes exactly
+when neither weight is at most 2t.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .frames import (
     _words,
 )
 from .pauli import PauliString, symplectic_product
-from .symplectic import _swap_halves
 
 Syndrome = Tuple[int, ...]
 
@@ -142,38 +143,57 @@ class DistanceResult:
 def min_distance_bruteforce(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
     """Smallest weight of an undetected, non-isotropic Pauli, and whether the code is degenerate.
 
+    Both are read from _lightest: the distance is the weight of the
+    lightest undetected logical, and the code is degenerate when a
+    nonidentity isotropic-span element is lighter.  Exponential, intended
+    for small codes.  When nothing is found up to the cap the result only
+    certifies distance >= cap + 1.
+    """
+    if weight_cap < 1:
+        raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
+    logical, isotropic = _lightest(codeq, weight_cap)
+    degenerate = isotropic is not None if logical and codeq.s else None
+    return DistanceResult(logical, weight_cap, degenerate)
+
+
+def _lightest(codeq: EaqeccCode, weight_cap: int) -> Tuple[Optional[int], Optional[int]]:
+    """(logical, isotropic): the lightest undetected logical's weight, and a lighter isotropic one.
+
     Meet in the middle: split a weight-D Pauli by support into halves of
     weights a = ceil(D/2) and b = floor(D/2).  It is an undetected logical
     exactly when the halves have equal syndrome bits and different
     normalizer bits, and a nonidentity isotropic-span element exactly when
     they are two different Paulis with equal signatures.  Conversely, such
     a pair of a weight-a and a weight-b Pauli multiplies to a logical (an
-    isotropic-span element) of weight at most D.  So for D = 1, 2, ... the
-    first D at which the weight-a and weight-b signatures hold such a pair
-    is the distance, and the first D with an equal pair is the weight of
-    the lightest isotropic-span element.
+    isotropic-span element) of weight at most D.  So for D = 1 ...
+    min(weight_cap, n) the first D at which the weight-a and weight-b
+    signatures hold such a pair is the lightest logical's weight, and the
+    first D with an equal pair the lightest isotropic-span element's.  The
+    walk returns at the first logical, with the isotropic weight if it was
+    lighter; either is None when none was found.
 
     Each weight's signatures are enumerated once and kept, so memory holds
-    every weight up to ceil(d/2), or up to ceil(weight_cap/2) when nothing
-    is found; exponential, intended for small codes.  When nothing is found
-    up to the cap the result only certifies distance >= cap + 1.
+    every weight up to ceil(D/2) for the last D walked.
     """
-    if weight_cap < 1:
-        raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
     units, syndrome, _ = _logical_checks(codeq)
-    isotropic_met = False  # whether a lighter isotropic-span element came up
+    words = -(-len(codeq.generators) // 64)  # the signature words that hold syndrome bits
+    isotropic = None
     for weight, sig, split in _halves(_letter_table(units), weight_cap):
-        full = _key_index(sig)[2]
-        syn = _key_index(sig & syndrome)[2]
-        syn_of_full = np.empty(full.max() + 1, dtype=np.int64)
-        syn_of_full[full] = syn
-        normalizer_values = np.bincount(syn_of_full)  # distinct normalizer bits per syndrome
-        # a syndrome held by both halves with two normalizer values has a
+        syn = _key_index(sig[:, :words] & syndrome[:words])[2]
+        # only rows whose syndrome both halves hold can pair to a zero
+        # syndrome; searchsorted(rows, split) counts the kept weight-a rows,
+        # and keeps split = 0 (one weight paired with itself) at 0
+        rows = np.flatnonzero(_paired(syn, split)[syn])
+        if not len(rows):
+            continue
+        full = _key_index(np.take(sig, rows, axis=0))[2]
+        # full refines syn: a kept syndrome with two normalizer values has a
         # weight-a and a weight-b row whose normalizer bits differ
-        if (_paired(syn, split) & (normalizer_values >= 2)).any():
-            return DistanceResult(weight, weight_cap, isotropic_met if codeq.s else None)
-        isotropic_met = isotropic_met or bool(_paired(full, split).any())
-    return DistanceResult(None, weight_cap)
+        if full.max() + 1 > np.count_nonzero(np.bincount(syn[rows])):
+            return weight, isotropic
+        if isotropic is None and _paired(full, int(np.searchsorted(rows, split))).any():
+            isotropic = weight
+    return None, isotropic
 
 
 def _halves(letters: np.ndarray, weight_cap: int) -> Iterator[Tuple[int, np.ndarray, int]]:
@@ -215,18 +235,14 @@ def nondegenerate_distinct_syndromes(codeq: EaqeccCode, t: int) -> bool:
     They do exactly when no nonidentity error of weight <= 2t has a zero
     syndrome: two errors of weight <= t with equal syndromes (the identity
     included) multiply to one, and such an error splits by support into two
-    such halves.  So the check pairs the syndromes of weights ceil(D/2) and
-    floor(D/2) for D = 1 ... 2t, as the distance search does, and fails at
-    the first weight-<=2t collision; no weight above min(t, n) is
+    such halves.  A nonidentity Pauli with a zero syndrome is either an
+    undetected logical or an isotropic-span element, so the check is that
+    _lightest finds neither up to weight 2t; no weight above min(t, n) is
     enumerated.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    n = codeq.n
-    letters = _letter_table(_units([_swap_halves(g.row(), n) for g in codeq.generators], n))
-    return not any(
-        _paired(_key_index(sig)[2], split).any() for _, sig, split in _halves(letters, 2 * t)
-    )
+    return _lightest(codeq, 2 * t) == (None, None)
 
 
 @dataclass(frozen=True)

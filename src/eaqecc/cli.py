@@ -11,18 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import gf4
 from .builder import ClassicalCode, CodeParameters, build_code, parameters
-from .analysis import (
-    hashing_rates,
-    min_distance_bruteforce,
-    nondegenerate_distinct_syndromes,
-    singleton_report,
-)
+from .analysis import _lightest, hashing_rates, singleton_report
 from .pauli import format_pauli
 from .simulate import (
     DepolarizingChannel,
@@ -34,13 +29,13 @@ from .simulate import (
 
 
 # Most Paulis a command may enumerate: the syndrome table of `simulate
-# --max-weight`, and the distance search (`--weight-cap`) and distinct-syndrome
-# check (`--t`) of `analyze`, each counted by paulis_up_to.  An explicit value
-# above it is refused, since the work could run for hours (and a table that
-# never fills never stops early); analyze's default weight cap shrinks to fit.
-# The distance search enumerates only weights up to ceil(cap / 2), so the
-# count over all weights up to the cap over-states its work; it is kept so
-# that default caps and refusals stay as they were.
+# --max-weight`, and the walk of `analyze` through --weight-cap and 2 * --t,
+# each option counted by paulis_up_to.  An explicit value above it is refused,
+# since the work could run for hours (and a table that never fills never stops
+# early); analyze's default weight cap shrinks to fit.  The walk enumerates
+# only weights up to ceil(cap / 2) and t, so the count over all weights up to
+# the value over-states its work; it is kept so that default caps and
+# refusals stay as they were.
 TABLE_BUDGET = 10**7
 
 
@@ -164,35 +159,35 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.weight_cap is not None:
         _within_budget("--weight-cap", args.weight_cap, n, "distance search")
     _within_budget("--t", args.t, n, "distinct-syndrome check")
-    dist = None
-    if codeq.k_enc > 0:  # without logical operators a code has no distance
+    cap = 0  # without logical operators a code has no distance
+    if codeq.k_enc > 0:
         cap = args.weight_cap
         if cap is None:  # the largest weight up to min(n, 6) within the budget
             cap = min(n, 6)
             while cap > 1 and paulis_up_to(n, cap) > TABLE_BUDGET:
                 cap -= 1
-        dist = min_distance_bruteforce(codeq, cap)
-    report = parameters(codeq, None if dist is None else dist.distance)
-    if dist is not None:
-        report = replace(report, degenerate=dist.degenerate)
-    lines = _param_lines(report)
-    if dist is None:
+    # one walk for d, degeneracy and distinct syndromes: a nonidentity Pauli of
+    # weight <= 2t with a zero syndrome is a logical or an isotropic-span element
+    logical, isotropic = _lightest(codeq, max(cap, 2 * args.t))
+    d = logical if logical is not None and logical <= cap else None
+    lines = _param_lines(parameters(codeq, d))
+    if codeq.k_enc == 0:
         lines.append("d=undefined")
-    elif dist.exact:
-        lines.append(f"d={dist.distance}")
+    elif d is not None:
+        lines.append(f"d={d}")
     else:
-        lines.append(f"d_lower_bound={dist.lower_bound}")
+        lines.append(f"d_lower_bound={cap + 1}")
     lines.append(f"t={args.t}")
-    distinct = nondegenerate_distinct_syndromes(codeq, args.t)
+    distinct = all(w is None or w > 2 * args.t for w in (logical, isotropic))
     lines.append(f"distinct_syndromes={'yes' if distinct else 'no'}")
-    if dist is not None and dist.exact:
-        bounds = singleton_report(code.n, code.k, dist.distance, codeq.c)
+    if d is not None:
+        bounds = singleton_report(code.n, code.k, d, codeq.c)
         lines.append(f"singleton_classical_slack={bounds.singleton_classical_slack}")
         lines.append(f"singleton_quantum_slack={bounds.singleton_quantum_slack}")
         saturated = bounds.classical_saturated and bounds.quantum_saturated
         lines.append(f"singleton_saturated={'yes' if saturated else 'no'}")
-        if report.degenerate is not None:
-            lines.append(f"degenerate={'yes' if report.degenerate else 'no'}")
+        if codeq.s:  # isotropic is lighter than d when it is not None
+            lines.append(f"degenerate={'yes' if isotropic is not None else 'no'}")
     print("\n".join(lines))
     return 0
 
@@ -325,6 +320,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:  # InfeasibleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -14,9 +14,8 @@ too.  The rest complete a basis.
 
 _weight_words enumerates the errors of one weight as their words, in
 chunks of at most _BLOCK errors.  The syndrome table keeps the lightest
-error per syndrome; the distance search and the distinct-syndrome check
-pair the words of two weights and stop at the first collision (for the
-check, the first weight-<=2t collision).  Sets of key words are searched
+error per syndrome; the analysis walk pairs the words of two weights and
+stops at the first undetected logical.  Sets of key words are searched
 one word at a time through _key_index and _find, so one search serves any
 number of words.
 

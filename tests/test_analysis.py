@@ -41,6 +41,7 @@ from helpers import (
     reference_correctable_set,
     reference_distinct_syndromes,
     reference_min_distance,
+    reference_min_isotropic_weight,
 )
 
 
@@ -270,6 +271,26 @@ class TestSearchesMatchOracles:
             result = min_distance_bruteforce(codeq, cap)
             assert result == reference_chunked_distance(codeq, cap)
         assert result == reference_min_distance(codeq, cap)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32),
+        n=st.integers(1, 7),
+        cap=st.integers(1, 7),
+        block=st.integers(1, 100),
+    )
+    def test_lightest(self, code_seed, n, cap, block):
+        # the two numbers every analyze answer reads: the lightest logical's
+        # weight, and the lightest isotropic-span weight when it is lighter
+        rng = random.Random(code_seed)
+        codeq = build_code(random_classical_code(rng, n, rng.randint(0, n)))
+        cap = min(cap, n)
+        logical = reference_min_distance(codeq, cap).distance
+        isotropic = reference_min_isotropic_weight(codeq)
+        if isotropic is not None and isotropic >= (logical or cap + 1):
+            isotropic = None
+        with mock.patch.object(frames, "_BLOCK", block):
+            assert analysis._lightest(codeq, cap) == (logical, isotropic)
 
     @pytest.mark.parametrize(
         "name, top",

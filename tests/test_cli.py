@@ -1,17 +1,26 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eaqecc import cli, example_code_path, gf4
-from eaqecc.analysis import DistanceResult
+from eaqecc import analysis, cli, example_code_path, gf4
+from eaqecc.builder import build_code
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
 
-from helpers import BENCH_CORPUS, random_classical_code
+from helpers import (
+    BENCH_CORPUS,
+    random_classical_code,
+    reference_distinct_syndromes,
+    reference_min_distance,
+)
 
 H4_PATH = example_code_path("h4.code")
 
@@ -22,13 +31,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_code(path, code) -> str:
+    """Write a classical code in the file format; returns the path as a string."""
+    rows = [" ".join(gf4.format_symbol(a) for a in code.h.row(i)) for i in range(code.n - code.k)]
+    path.write_text("\n".join([f"{code.n} {code.k}", *rows]) + "\n", encoding="ascii")
+    return str(path)
+
+
 def write_n40_code(tmp_path) -> str:
     """A [40, 38] code file: about 3e9 Paulis up to weight 6, 7.5e6 up to weight 4."""
-    code = random_classical_code(random.Random(0), 40, 38)
-    rows = [" ".join(gf4.format_symbol(a) for a in code.h.row(i)) for i in range(2)]
-    path = tmp_path / "n40.code"
-    path.write_text("\n".join(["40 38", *rows]) + "\n", encoding="ascii")
-    return str(path)
+    return write_code(tmp_path / "n40.code", random_classical_code(random.Random(0), 40, 38))
 
 
 class TestCodeFileParsing:
@@ -164,18 +176,70 @@ class TestAnalyzeCommand:
             assert expected in lines
 
     def test_distance_search_runs_once(self, capsys, monkeypatch):
-        # the one distance search also decides degeneracy
+        # the one walk also decides degeneracy and distinct syndromes
         calls = []
-        search = cli.min_distance_bruteforce
+        search = cli._lightest
 
         def counting(codeq, cap):
             calls.append((codeq.n, cap))
             return search(codeq, cap)
 
-        monkeypatch.setattr(cli, "min_distance_bruteforce", counting)
+        monkeypatch.setattr(cli, "_lightest", counting)
         code, out, _ = run(capsys, "analyze", H4_PATH)
         assert code == 0 and "degenerate=no" in out.splitlines()
         assert calls == [(4, 4)]
+
+    @pytest.mark.parametrize("extra", [[], ["--t", "2"]])
+    def test_each_weight_enumerated_once(self, capsys, monkeypatch, extra):
+        # d = 3 needs weights 1 and 2; the distinct-syndrome answer at t = 1
+        # or 2 comes from the same walk, which enumerates no weight twice
+        weights = []
+        weight_words = analysis._weight_words
+
+        def recording(letters, w):
+            weights.append(w)
+            return weight_words(letters, w)
+
+        monkeypatch.setattr(analysis, "_weight_words", recording)
+        code, _, _ = run(capsys, "analyze", H4_PATH, *extra)
+        assert (code, weights) == (0, [1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32),
+        n=st.integers(1, 7),
+        k=st.integers(0, 7),
+        cap=st.integers(1, 7),
+        t=st.integers(0, 3),
+    )
+    @example(code_seed=6, n=6, k=2, cap=1, t=2)  # cap < 2t, s = 2
+    @example(code_seed=6, n=6, k=2, cap=6, t=0)  # cap > 2t, degenerate
+    @example(code_seed=0, n=4, k=0, cap=2, t=1)  # k_enc = 0
+    @example(code_seed=0, n=4, k=1, cap=4, t=1)  # s = 0, k_enc = 1
+    def test_report_matches_oracles(self, tmp_path_factory, code_seed, n, k, cap, t):
+        k, cap = min(k, n), min(cap, n)
+        classical = random_classical_code(random.Random(code_seed), n, k)
+        codeq = build_code(classical)
+        path = write_code(tmp_path_factory.mktemp("oracle") / "c.code", classical)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["analyze", path, "--weight-cap", str(cap), "--t", str(t)])
+        report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+        dist = reference_min_distance(codeq, cap)
+        distinct = reference_distinct_syndromes(codeq, t)
+        expected = {"t": str(t), "distinct_syndromes": "yes" if distinct else "no"}
+        if codeq.k_enc == 0:
+            expected["d"] = "undefined"
+        elif dist.exact:
+            expected["d"] = str(dist.distance)
+            expected["singleton_saturated"] = "yes" if n - k == dist.distance - 1 else "no"
+        else:
+            expected["d_lower_bound"] = str(cap + 1)
+        if dist.degenerate is not None:
+            expected["degenerate"] = "yes" if dist.degenerate else "no"
+        keys = ("d", "d_lower_bound", "t", "distinct_syndromes", "singleton_saturated", "degenerate")
+        assert status == 0
+        assert {key: report[key] for key in keys if key in report} == expected
 
     def test_directory_input_is_clean_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", str(tmp_path))
@@ -197,8 +261,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("option", ["--weight-cap", "--t"])
     def test_explicit_weight_over_budget_is_refused(self, capsys, monkeypatch, tmp_path, option):
         searched = []
-        monkeypatch.setattr(cli, "min_distance_bruteforce", lambda *a: searched.append(a))
-        monkeypatch.setattr(cli, "nondegenerate_distinct_syndromes", lambda *a: searched.append(a))
+        monkeypatch.setattr(cli, "_lightest", lambda *a: searched.append(a))
         code, out, err = run(capsys, "analyze", write_n40_code(tmp_path), option, "5")
         assert (code, out, searched) == (1, "", [])
         count = sum(math.comb(40, w) * 3**w for w in range(6))
@@ -208,19 +271,19 @@ class TestAnalyzeCommand:
     def test_default_weight_cap_shrinks_to_budget(self, capsys, monkeypatch, tmp_path):
         # n = 40: weight 4 takes 7.5e6 Paulis, weight 5 would take 1.7e8
         caps = []
-        search = cli.min_distance_bruteforce
+        search = cli._lightest
 
         def recording(codeq, cap):
             caps.append(cap)
-            return DistanceResult(None, cap)
+            return None, None
 
-        monkeypatch.setattr(cli, "min_distance_bruteforce", recording)
+        monkeypatch.setattr(cli, "_lightest", recording)
         code, out, _ = run(capsys, "analyze", write_n40_code(tmp_path))
         assert (code, caps) == (0, [4])
         assert "d_lower_bound=5" in out.splitlines()
         # the golden code's weight 3 is over a budget of 100 Paulis: the
         # search stops at weight 2 and reports a lower bound
-        monkeypatch.setattr(cli, "min_distance_bruteforce", search)
+        monkeypatch.setattr(cli, "_lightest", search)
         monkeypatch.setattr(cli, "TABLE_BUDGET", 100)
         code, out, _ = run(capsys, "analyze", H4_PATH)
         assert code == 0
@@ -256,6 +319,24 @@ class TestAnalyzeCommand:
             "t=1",
             "distinct_syndromes=yes",
         ]
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", [["analyze", H4_PATH], ["catalytic", H4_PATH]])
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (MemoryError("Unable to allocate 8 GiB"), "error: out of memory: Unable to allocate 8 GiB\n"),
+        ],
+        ids=["bare", "numpy"],
+    )
+    def test_clean_error(self, capsys, monkeypatch, command, exc, message):
+        def exhausted(code):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_code", exhausted)
+        assert run(capsys, *command) == (1, "", message)
 
 
 class TestSimulateCommand:
