@@ -172,8 +172,8 @@ def _lightest(codeq: EaqeccCode, weight_cap: int) -> Tuple[Optional[int], Option
     walk returns at the first logical, with the isotropic weight if it was
     lighter; either is None when none was found.
 
-    Each weight's signatures are enumerated once and kept, so memory holds
-    every weight up to ceil(D/2) for the last D walked.
+    Each weight's signatures are enumerated once, so memory holds the
+    weights ceil(D/2) and ceil(D/2) - 1 for the last D walked.
     """
     units, syndrome, _ = _logical_checks(codeq)
     words = -(-len(codeq.generators) // 64)  # the signature words that hold syndrome bits
@@ -202,17 +202,31 @@ def _halves(letters: np.ndarray, weight_cap: int) -> Iterator[Tuple[int, np.ndar
     words holds the words of every Pauli of weight ceil(D/2) and, from row
     split on, of every Pauli of weight floor(D/2); split = 0 stands for one
     weight paired with itself.  Each weight is enumerated once, when first
-    needed, and kept; weight 0 is the identity's zero words.
+    needed, into one array that also holds the weight below it, so an odd
+    D yields the array and the next D its first rows; weight 0 is the
+    identity's zero words.
     """
-    levels = [np.zeros((1, letters.shape[2]), dtype=np.uint64)]  # levels[w]: weight-w words
-    for weight in range(1, min(weight_cap, len(letters)) + 1):
-        a, b = -(-weight // 2), weight // 2
-        if a == len(levels):
-            levels.append(np.concatenate(list(_weight_words(letters, a))))
-        if a == b:
-            yield weight, levels[a], 0
+    n, _, width = letters.shape
+    held, split = np.zeros((1, width), dtype=np.uint64), 1  # weight a's rows, then a - 1's
+    for weight in range(1, min(weight_cap, n) + 1):
+        a = -(-weight // 2)
+        if weight % 2:  # a new weight a, and a - 1 after it
+            held, split = _level(letters, a, held[:split]), math.comb(n, a) * 3**a
+            yield weight, held, split
         else:
-            yield weight, np.concatenate([levels[a], levels[b]]), len(levels[a])
+            yield weight, held[:split], 0
+
+
+def _level(letters: np.ndarray, w: int, below: np.ndarray) -> np.ndarray:
+    """The words of every Pauli of weight w, in _weight_words order, and then below's rows."""
+    size = math.comb(len(letters), w) * 3**w
+    words = np.empty((size + len(below), letters.shape[2]), dtype=np.uint64)
+    at = 0
+    for chunk in _weight_words(letters, w):
+        words[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    words[size:] = below
+    return words
 
 
 def _paired(rank: np.ndarray, split: int) -> np.ndarray:

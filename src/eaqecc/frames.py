@@ -161,8 +161,11 @@ def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.nda
     searches' branches predictable: about 3x faster on 65536 random keys.
     """
     order = np.argsort(queries)
+    ranked = np.searchsorted(values, queries[order])
+    np.minimum(ranked, len(values) - 1, out=ranked)
     pos = np.empty(len(queries), dtype=np.int64)
-    pos[order] = np.minimum(np.searchsorted(values, queries[order]), len(values) - 1)
+    pos[order] = ranked
+    del order, ranked  # freed before the compare's temporaries, which lowers the peak
     return pos, values[pos] == queries
 
 
@@ -188,13 +191,13 @@ def _key_index(keys: np.ndarray) -> Tuple[tuple, tuple, np.ndarray]:
 
 def _find(values, codes, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(rank, found) of each column of the (K, b) query words among the keys of _key_index."""
-    found = np.ones(queries.shape[1], dtype=bool)
-    rank = np.zeros(queries.shape[1], dtype=np.int64)
-    for k, word_values in enumerate(values):
-        pos, hit = _search(word_values, queries[k])
+    rank, found = _search(values[0], queries[0])
+    for k in range(1, len(values)):
+        pos, hit = _search(values[k], queries[k])
         found &= hit
-        rank = rank * len(word_values) + pos
-        if k:  # keep ranks below len(keys): rank the words so far among the keys'
-            rank, hit = _search(codes[k - 1], rank)
-            found &= hit
+        rank *= len(values[k])
+        rank += pos
+        # keep ranks below len(keys): rank the words so far among the keys'
+        rank, hit = _search(codes[k - 1], rank)
+        found &= hit
     return rank, found

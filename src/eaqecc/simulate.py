@@ -19,13 +19,24 @@ words.  The generators come first, so the low bits are the syndrome; the
 next rows check the normalizer, so a residual lies in the isotropic span
 exactly when those bits are zero too.  The sampler hashes one qubit column
 at a time and XORs the signature of each drawn letter into the trials that
-erred.  The check rows are a basis, so a trial's words are nonzero exactly
-when it drew a nonidentity error, and only those hit trials are kept (at
-p = 0.01 most draw the identity).  The decoder finds each syndrome's entry
-in the table's own key index and compares the residual signature under
-two masks.  Every other trial drew the identity, whose outcome is decoded
+erred.  A draw is a hit when its finalized hash is at most a threshold;
+the finalizer's last step leaves the top 31 bits as they are, so one
+compare before that step picks an exact superset of the hits, and the
+step and the exact compare run on those candidates only.  The check rows
+are a basis, so a trial's words are nonzero exactly when it drew a
+nonidentity error, and only those hit trials are kept (at p = 0.01 most
+draw the identity).  The decoder finds each syndrome's entry in the
+table's own key index and compares the residual signature under two
+masks.  Every other trial drew the identity, whose outcome is decoded
 once per run and counted for each of them.  sample_error and decode_error
 are the per-trial references the block path must agree with.
+
+Each range allocates its block buffers once (_Buffers: the hash rows, the
+hit mask and the signature words, sized to min(_BLOCK, range)) and every
+block reuses them: the sampler overwrites them, and the decoder writes
+its keys and residuals into the words the sampler is done with.  So a run
+allocates no block-sized array per block, and a thread touches only its
+own range's buffers.
 
 The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
@@ -40,7 +51,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +77,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_LAST = np.uint64(31)  # the finalizer's last step, w = v ^ (v >> 31)
+_LOW33 = (1 << 33) - 1  # the bits of v that the last step changes
 
 
 class InfeasibleError(ValueError):
@@ -83,25 +97,52 @@ class DepolarizingChannel:
             raise ValueError(f"error probability {self.p} outside [0, 1]")
 
 
+def _mix64_rounds(v: np.ndarray, tmp: np.ndarray) -> None:
+    """The splitmix64 finalizer's two multiply rounds on the uint64 array v, in place.
+
+    tmp is a uint64 buffer of v's shape that is overwritten.
+    """
+    for shift, mult in _ROUNDS:
+        np.right_shift(v, shift, out=tmp)
+        np.bitwise_xor(v, tmp, out=v)
+        np.multiply(v, mult, out=v)
+
+
 def _mix64_array(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """The splitmix64 finalizer of every word of the uint64 array v, in place.
 
     scratch, when given, is a uint64 buffer of v's shape that is overwritten.
     """
     tmp = np.empty_like(v) if scratch is None else scratch
-    for shift, mult in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(v, np.uint64(shift), out=tmp)
-        np.bitwise_xor(v, tmp, out=v)
-        np.multiply(v, np.uint64(mult), out=v)
-    np.right_shift(v, np.uint64(31), out=tmp)
+    _mix64_rounds(v, tmp)
+    np.right_shift(v, _LAST, out=tmp)
     np.bitwise_xor(v, tmp, out=v)
     return v
 
 
-def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """The key of each stream of the uint64 array streams under seed (taken mod 2**64)."""
-    key = _mix64_array(np.array([seed & _MASK64], dtype=np.uint64))
-    return _mix64_array(key + (streams + np.uint64(1)) * np.uint64(_GOLDEN))
+def _stream_keys(
+    seed: int,
+    first: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The keys of streams first, first + 1, ... (mod 2**64) under seed, one per word of out.
+
+    out is a uint64 array that is overwritten and returned; without it the
+    one key of stream first is.  scratch is as for _mix64_array.  Stream
+    first + i is keyed by the seed's key plus (first + i + 1) * _GOLDEN,
+    mixed; those sums are filled in by doubling, as words [k, 2k) are
+    words [0, k) plus k * _GOLDEN, with no arange held or allocated.
+    """
+    out = np.empty(1, dtype=np.uint64) if out is None else out
+    key = int(_mix64_array(np.array([seed & _MASK64], dtype=np.uint64))[0])
+    out[:1] = (key + (first + 1) * _GOLDEN) & _MASK64
+    k = 1
+    while k < len(out):
+        dest = out[k : 2 * k]
+        np.add(out[: len(dest)], np.uint64(k * _GOLDEN & _MASK64), out=dest)
+        k *= 2
+    return _mix64_array(out, scratch)
 
 
 class CounterRng:
@@ -112,8 +153,7 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        streams = np.array([stream & _MASK64], dtype=np.uint64)
-        self._key = int(_stream_keys(seed, streams)[0])
+        self._key = int(_stream_keys(seed, stream & _MASK64)[0])
         self._pos = 0
 
     def random(self, size: Optional[int] = None):
@@ -369,7 +409,64 @@ class TrialResult:
         return self.logical_failures / self.trials if self.trials else 0.0
 
 
-def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int):
+class _Buffers(NamedTuple):
+    """One range's block buffers, for blocks of up to b trials, reused by every block.
+
+    hashes and words are flat, so a block of b' <= b trials works in the
+    C-contiguous views _rows(buffer, rows, b') of their starts.  The
+    sampler hashes in three rows of hashes (the keys, one qubit's draws,
+    the finalizer's scratch), XORs the letters into words and gathers the
+    hit trials' words into hashes; words is then the decoder's scratch.
+    """
+
+    hashes: np.ndarray  # (max(3, W) * b,) uint64: the hash rows, then the hits' words
+    below: np.ndarray  # (b,) bool: the trials that drew below the threshold
+    words: np.ndarray  # (W * b,) uint64: the trials' signature words
+
+    @classmethod
+    def of(cls, b: int, width: int) -> "_Buffers":
+        hashes = np.empty(max(3, width) * b, dtype=np.uint64)
+        return cls(hashes, np.empty(b, dtype=bool), np.empty(width * b, dtype=np.uint64))
+
+
+def _rows(flat: Optional[np.ndarray], rows: int, cols: int) -> Optional[np.ndarray]:
+    """The (rows, cols) C-contiguous view of the start of the flat buffer, or None without one."""
+    return None if flat is None else flat[: rows * cols].reshape(rows, cols)
+
+
+def _threshold(p: float) -> int:
+    """top: a draw w gives u = (w >> 11) * 2**-53 below p exactly when w <= top.
+
+    That is when w >> 11 < ceil(p * 2**53); p * 2**53 is exact, top fits
+    64 bits for p = 1, and it is -1 for p = 0, when no draw is below.
+    """
+    return (math.ceil(p * 2.0**53) << 11) - 1
+
+
+def _below(v: np.ndarray, top: int, below: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(r, w): the positions of the pre-final words v whose draws are <= top, and those draws.
+
+    v is hashed up to the finalizer's last step w = v ^ (v >> 31), which
+    leaves bits 33-63 as they are, so w <= top only where v <= top | (2**33 - 1).
+    That prefilter runs on every word (below is a bool buffer of v's shape);
+    the last step and the exact compare run on its candidates only.  top >= 0.
+    """
+    np.less_equal(v, np.uint64(top | _LOW33), out=below)
+    r = np.flatnonzero(below)
+    w = np.take(v, r)
+    w ^= w >> _LAST
+    keep = w <= np.uint64(top)
+    return r[keep], w[keep]
+
+
+def _sample_block(
+    p: float,
+    letters: np.ndarray,
+    seed: int,
+    t_lo: int,
+    t_hi: int,
+    buffers: Optional[_Buffers] = None,
+):
     """Errors of trials [t_lo, t_hi) as signature words, for trials that drew one.
 
     letters is an (n, 3, W) uint64 table of _letter_table: the words of X,
@@ -380,33 +477,39 @@ def _sample_block(p: float, letters: np.ndarray, seed: int, t_lo: int, t_hi: int
     of the letters each of them drew, word by word; every other trial drew
     the identity.  With the (x|z) unit words as the table, column i is the
     (x|z) row of sample_error with CounterRng(seed, hit[i]) exactly.
+
+    The block works in buffers, a range's _Buffers for at least t_hi - t_lo
+    trials, which it overwrites; without them it allocates its own.  The
+    returned words are a view into buffers.hashes, valid until the next
+    block.  Each qubit's draws are hashed in place, nine passes over the
+    block: the key add, the finalizer's two multiply rounds and _below's
+    prefilter and flatnonzero.
     """
     n, _, width = letters.shape
     b = t_hi - t_lo
-    # u = (w >> 11) * 2**-53 is below p exactly when w >> 11 < ceil(p * 2**53),
-    # that is when w <= top; p * 2**53 is exact, and top fits 64 bits for p = 1
-    limit = math.ceil(p * 2.0 ** 53)
-    if limit == 0:
+    top = _threshold(p)
+    if top < 0:
         return np.zeros(0, dtype=np.int64), np.zeros((width, 0), dtype=np.uint64)
-    top = np.uint64((limit << 11) - 1)
-    keys = _stream_keys(seed, np.arange(t_lo, t_hi, dtype=np.uint64))
-    draws = np.empty(b, dtype=np.uint64)
-    scratch = np.empty(b, dtype=np.uint64)
-    below = np.empty(b, dtype=bool)
-    words = np.zeros((width, b), dtype=np.uint64)
+    buffers = _Buffers.of(b, width) if buffers is None else buffers
+    keys, draws, scratch = _rows(buffers.hashes, 3, b)
+    below, words = buffers.below[:b], _rows(buffers.words, width, b)
+    words.fill(0)
+    _stream_keys(seed, t_lo, keys, scratch)
     for j in range(n):
         np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=draws)
-        _mix64_array(draws, scratch)
-        np.less_equal(draws, top, out=below)
-        r = np.flatnonzero(below)
-        u = (draws[r] >> np.uint64(11)) * (2.0 ** -53)
+        _mix64_rounds(draws, scratch)
+        r, w = _below(draws, top, below)
+        u = (w >> np.uint64(11)) * (2.0 ** -53)
         kind = np.minimum((u * 3.0 / p).astype(np.int64), 2)
-        for w, word in enumerate(words):
-            word[r] ^= letters[j, kind, w]
-    hit = np.flatnonzero(words.any(axis=0))
+        for i, word in enumerate(words):
+            word[r] ^= letters[j, kind, i]
+    np.any(words, axis=0, out=below)
+    hit = np.flatnonzero(below)
     # take keeps the columns C-contiguous (words[:, hit] would not), which
-    # the decoder's word-by-word operations need to run at full speed
-    return hit + t_lo, np.take(words, hit, axis=1)
+    # the decoder's word-by-word operations need to run at full speed; clip
+    # never clips these indices, and unlike the default mode writes to out
+    sig = np.take(words, hit, axis=1, out=_rows(buffers.hashes, width, len(hit)), mode="clip")
+    return hit + t_lo, sig
 
 
 @dataclass(frozen=True)
@@ -450,21 +553,36 @@ class _BlockDecoder:
             mismatched,
         )
 
-    def lookup(self, sig: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(entry, known): each trial's table entry, valid where known."""
-        keys = sig[: len(self.syndrome_mask)] & self.syndrome_mask[:, None]
+    def lookup(
+        self, sig: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(entry, known): each trial's table entry, valid where known.
+
+        out, when given, is a flat uint64 buffer of at least sig.size words
+        that holds the masked keys.
+        """
+        k, b = len(self.syndrome_mask), sig.shape[1]
+        keys = np.bitwise_and(sig[:k], self.syndrome_mask[:, None], out=_rows(out, k, b))
         return _find(*self.index, keys)
 
-    def decode(self, sig: np.ndarray) -> np.ndarray:
-        """The int64 counts [failures, degenerate successes, residual-syndrome violations]."""
+    def decode(self, sig: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The int64 counts [failures, degenerate successes, residual-syndrome violations].
+
+        out is as for lookup, and holds the keys and then the residual.
+        """
         b = sig.shape[1]
         if not len(self.mismatched):  # a hand-built empty table knows no syndrome
             return np.array([b, 0, 0], dtype=np.int64)
-        entry, known = self.lookup(sig)
-        residual = sig ^ np.take(self.corrections, entry, axis=1)
+        entry, known = self.lookup(sig, out)
+        # entries are ranks below len(table), so clip never clips (see _sample_block)
+        residual = _rows(out, *sig.shape)
+        residual = np.take(self.corrections, entry, axis=1, out=residual, mode="clip")
+        residual ^= sig
+        nonidentity = residual.any(axis=0)
+        residual &= self.normalizer_mask[:, None]
         mismatched = self.mismatched[entry]
-        success = known & ~mismatched & ~(residual & self.normalizer_mask[:, None]).any(axis=0)
-        counts = [success, success & residual.any(axis=0), known & mismatched]
+        success = known & ~mismatched & ~residual.any(axis=0)
+        counts = [success, success & nonidentity, known & mismatched]
         successes, degenerate, violations = map(np.count_nonzero, counts)
         return np.array([b - successes, degenerate, violations], dtype=np.int64)
 
@@ -488,10 +606,12 @@ def run_trials(
 
     def run_range(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(3, dtype=np.int64)
+        # each range's thread allocates its buffers once, for all its blocks
+        buffers = _Buffers.of(min(_BLOCK, hi - lo), decoder.letters.shape[2])
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            hit, sig = _sample_block(ch.p, decoder.letters, seed, start, stop)
-            counts += decoder.decode(sig) + (stop - start - len(hit)) * quiet
+            hit, sig = _sample_block(ch.p, decoder.letters, seed, start, stop, buffers)
+            counts += decoder.decode(sig, buffers.words) + (stop - start - len(hit)) * quiet
         return counts
 
     # one range per thread, and no more threads than CPUs or blocks: a

@@ -38,6 +38,7 @@ from eaqecc.symplectic import _swap_halves
 
 from helpers import (
     BENCH_CORPUS,
+    _splitmix64,
     random_classical_code,
     random_pauli,
     reference_syndrome_table,
@@ -76,6 +77,16 @@ def _signature(letters, p):
         if letter != "I":
             sig ^= letters[j, "XYZ".index(letter)]
     return sig
+
+
+def _before_rounds(v):
+    """The 64-bit word whose splitmix64 finalizer gives v after its two multiply rounds."""
+    for shift, mult in ((27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
+        y = v * pow(mult, -1, 1 << 64) % (1 << 64)
+        v = y
+        for _ in range(64 // shift + 1):  # undo v ^ (v >> shift) a shift at a time
+            v = y ^ (v >> shift)
+    return v
 
 
 def _decode_one_by_one(codeq, table, ch, trials, seed):
@@ -175,6 +186,44 @@ class TestSampleError:
                 assert scalar.is_identity()
                 continue
             assert scalar.row() == drawn[t] and not scalar.is_identity()
+
+
+    # just above 1/2, top has bit 63 set and bit 32 clear: only there does a
+    # prefilter on 32 low bits instead of 33 miss a hit
+    @pytest.mark.parametrize("p", [1e-12, 0.01, 0.1, 1 / 3, 0.5 + 1e-12, 1.0])
+    def test_prefilter_boundary_band(self, p):
+        # the prefilter passes every pre-final word v <= top | (2**33 - 1); a
+        # random v shares top's bits 33-63 (the band) with probability 2**-31,
+        # so build words in the band and at +-1 around each of its edges
+        top = simulate._threshold(p)
+        band = top >> 33 << 33
+        low = (1 << 33) - 1
+        rng = random.Random(p)
+        edges = [band, top, band | low, band + (1 << 33)]
+        words = {e + d for e in edges for d in (-1, 0, 1)}
+        words |= {band | rng.getrandbits(33) for _ in range(200)}
+        words = sorted(v for v in words if 0 <= v < 1 << 64)
+        v = np.array(words, dtype=np.uint64)
+        inputs = np.array([_before_rounds(x) for x in words], dtype=np.uint64)
+        rounds = inputs.copy()
+        simulate._mix64_rounds(rounds, np.empty_like(rounds))
+        assert rounds.tolist() == words
+        # the full finalizer of each word's input, then the exact compare
+        final = [_splitmix64(int(x)) for x in inputs]
+        assert simulate._mix64_array(inputs).tolist() == final
+        expected = [i for i, w in enumerate(final) if w <= top]
+        r, w = simulate._below(v, top, np.empty(len(v), dtype=bool))
+        assert r.tolist() == expected
+        assert w.tolist() == [final[i] for i in expected]
+        in_band = [i for i, x in enumerate(words) if x >> 33 == top >> 33]
+        if p < 1:  # the band holds words on both sides of top
+            assert 0 < len(set(in_band) & set(expected)) < len(in_band)
+
+    def test_p_zero_threshold_is_negative(self):
+        # top is negative, so no draw is below it and no word is hashed
+        assert simulate._threshold(0.0) == -1
+        hit, words = _sample_block(0.0, _xz_letters(3), 5, 0, 100)
+        assert len(hit) == 0 and words.shape == (1, 0)
 
 
 class TestSyndromeTable:
@@ -533,6 +582,28 @@ class TestRunTrials:
             assert expected.residual_syndrome_nonzero > 0
         for workers in (1, 3):
             assert run_trials(golden, ch, table, 3000, 7, workers) == expected
+
+    @pytest.mark.parametrize("trials", [0, 1, 10 * 64 + 17])
+    def test_reused_buffers_match_scalar_decode(self, golden, trials, monkeypatch):
+        # 64-trial blocks: every range runs its blocks in one set of buffers
+        # and ends with a shorter block
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        cases = []
+        for code_seed in range(3):
+            codeq = build_code(random_classical_code(random.Random(code_seed)))
+            cases.append((codeq, build_syndrome_table(codeq, code_seed % 3)))
+        entries = dict(build_syndrome_table(golden, 1).entries)
+        s1, s2 = list(entries)[1:3]
+        entries[s1] = entries[s2]  # a correction that does not have its syndrome
+        del entries[(0,) * len(golden.generators)]  # the identity's syndrome unknown
+        cases.append((golden, SyndromeTable(entries, 1)))
+        for codeq, table in cases:
+            for p in (0.05, 0.3):
+                ch = DepolarizingChannel(p)
+                expected = _decode_one_by_one(codeq, table, ch, trials, 11)
+                for workers in (1, 2, 3):
+                    assert run_trials(codeq, ch, table, trials, 11, workers) == expected
 
     def test_residual_syndromes_always_zero(self, golden):
         table = build_syndrome_table(golden, 2)
