@@ -7,10 +7,11 @@ product is either detected (nonzero syndrome) or harmless (inside the
 isotropic span).
 
 The distance search and the correctable-set check carry errors as
-signature words against the check rows of frames._check_rows: an error
-with zero syndrome bits is an undetected logical when a normalizer bit is
-set and an isotropic-span element when none is, and a product's signature
-is the XOR of its factors'.  One walk over the weights, _lightest, answers
+signature words in frames._checks' frame of the check rows up to the
+normalizer's: an error with zero syndrome bits (the syndrome mask's key
+words) is an undetected logical when a normalizer bit is set and an
+isotropic-span element when none is, and a product's signature is the
+XOR of its factors'.  One walk over the weights, _lightest, answers
 the distance, degeneracy and distinct-syndrome questions: a weight-D Pauli
 is the product of a weight ceil(D/2) and a disjoint weight floor(D/2)
 half, so it has a zero syndrome exactly when the halves' syndromes are
@@ -34,16 +35,7 @@ import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
-from .frames import (
-    _check_masks,
-    _check_rows,
-    _key_index,
-    _letter_table,
-    _signatures,
-    _units,
-    _weight_words,
-    _words,
-)
+from .frames import _checks, _key_index, _letter_table, _signatures, _weight_words, _words
 from .pauli import PauliString, symplectic_product
 
 Syndrome = Tuple[int, ...]
@@ -74,22 +66,11 @@ class CorrectabilityReport:
         return self.correctable
 
 
-def _logical_checks(codeq: EaqeccCode) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(units, syndrome mask, normalizer mask) of the check rows up to the normalizer's.
-
-    units[c] is the signature of the (x|z) row with only bit c set.
-    """
-    rows, isotropy = _check_rows(codeq)
-    return (_units(rows[:isotropy], codeq.n),) + _check_masks(
-        len(codeq.generators), isotropy, isotropy
-    )
-
-
 def _undetected_logical(
     sig: np.ndarray, syndrome: np.ndarray, normalizer: np.ndarray
 ) -> np.ndarray:
     """Which (N, W) signatures have zero syndrome bits and a nonzero normalizer bit."""
-    return ~(sig & syndrome).any(axis=1) & (sig & normalizer).any(axis=1)
+    return ~(sig[:, : len(syndrome)] & syndrome).any(axis=1) & (sig & normalizer).any(axis=1)
 
 
 def check_correctable_set(
@@ -104,7 +85,7 @@ def check_correctable_set(
     for e in errors:
         if e.n != codeq.n:
             raise ValueError(f"error acts on {e.n} qubits, code has {codeq.n}")
-    units, syndrome, normalizer = _logical_checks(codeq)
+    units, syndrome, normalizer = _checks(codeq, basis=False)
     sig = _signatures(_words([e.row() for e in errors], 2 * codeq.n), units)
     for i in range(len(errors)):
         bad = np.flatnonzero(_undetected_logical(sig[i:] ^ sig[i], syndrome, normalizer))
@@ -175,11 +156,10 @@ def _lightest(codeq: EaqeccCode, weight_cap: int) -> Tuple[Optional[int], Option
     Each weight's signatures are enumerated once, so memory holds the
     weights ceil(D/2) and ceil(D/2) - 1 for the last D walked.
     """
-    units, syndrome, _ = _logical_checks(codeq)
-    words = -(-len(codeq.generators) // 64)  # the signature words that hold syndrome bits
+    units, syndrome, _ = _checks(codeq, basis=False)
     isotropic = None
     for weight, sig, split in _halves(_letter_table(units), weight_cap):
-        syn = _key_index(sig[:, :words] & syndrome[:words])[2]
+        syn = _key_index(sig[:, : len(syndrome)] & syndrome)[2]
         # only rows whose syndrome both halves hold can pair to a zero
         # syndrome; searchsorted(rows, split) counts the kept weight-a rows,
         # and keeps split = 0 (one weight paired with itself) at 0

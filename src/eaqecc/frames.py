@@ -10,7 +10,10 @@ letter table.
 _check_rows gives the check rows: the generators first, so a signature's
 low m bits are the syndrome, then the normalizer checks, so an error with
 zero syndrome lies in the isotropic span exactly when those bits are zero
-too.  The rest complete a basis.
+too.  The rest complete a basis.  _checks is the one frame that decoding
+and analysis read from them: the units, the syndrome mask on the key words
+of a syndrome, and the normalizer mask, over the full basis for the
+decoder or over the rows up to the normalizer's for the analysis.
 
 _weight_words enumerates the errors of one weight as their words, in
 chunks of at most _BLOCK errors.  The syndrome table keeps the lightest
@@ -99,14 +102,24 @@ def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     return rows + [1 << col for col in range(width) if col not in taken], len(rows)
 
 
-def _check_masks(m: int, isotropy: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(syndrome, normalizer): the words of signature bits [0, m) and [m, isotropy).
+def _checks(codeq: EaqeccCode, basis: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, syndrome, normalizer): the signature frame of the check rows of _check_rows.
 
-    An error is undetected when its syndrome bits are zero, and then it
-    lies outside the isotropic span exactly when a normalizer bit is set.
+    The signature is taken against all 2n rows when basis is set (the
+    decoder's, zero only for the identity), and against the rows up to the
+    normalizer's otherwise (the analysis').  units[c] is the signature of
+    the (x|z) row with only bit c set.  syndrome holds signature bits
+    [0, m) on the max(1, ceil(m / 64)) words that key a syndrome, and
+    normalizer bits [m, isotropy) on every signature word.  An error is
+    undetected when its syndrome bits are zero, and then it lies outside
+    the isotropic span exactly when a normalizer bit is set.
     """
-    masks = _words([(1 << m) - 1, (1 << isotropy) - (1 << m)], width)
-    return masks[0], masks[1]
+    rows, isotropy = _check_rows(codeq)
+    rows = rows if basis else rows[:isotropy]
+    m = len(codeq.generators)
+    syndrome = _words([(1 << m) - 1], m)[0]
+    normalizer = _words([(1 << isotropy) - (1 << m)], len(rows))[0]
+    return _units(rows, codeq.n), syndrome, normalizer
 
 
 def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:

@@ -8,13 +8,14 @@ unknown syndrome is always a failure).
 
 Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
-partitioning of trials across workers.  A run is cut into one range of
-trials per thread, with at most one thread per CPU and per 65536 trials
-(_BLOCK); a run of one range, as every run of at most 65536 trials is,
-starts no thread pool.
+partitioning of trials across workers.  One counter hash, _counter, keys
+the streams and draws the uniforms, for the sampler and CounterRng alike.
+A run is cut into one range of trials per thread, with at most one thread
+per CPU and per 65536 trials (_BLOCK); a run of one range, as every run
+of at most 65536 trials is, starts no thread pool.
 
 Trials run in blocks of _BLOCK, and every error is carried as its signature
-against the 2n check rows of frames._check_rows, packed into uint64
+in the frame of frames._checks over all 2n check rows, packed into uint64
 words.  The generators come first, so the low bits are the syndrome; the
 next rows check the normalizer, so a residual lies in the isotropic span
 exactly when those bits are zero too.  The sampler hashes one qubit column
@@ -36,7 +37,8 @@ hit mask and the signature words, sized to min(_BLOCK, range)) and every
 block reuses them: the sampler overwrites them, and the decoder writes
 its keys and residuals into the words the sampler is done with.  So a run
 allocates no block-sized array per block, and a thread touches only its
-own range's buffers.
+own range's buffers.  The kernels take these buffers as required
+arguments and allocate none of their own.
 
 The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
@@ -58,8 +60,7 @@ import numpy as np
 from .builder import EaqeccCode
 from .frames import (
     _BLOCK,
-    _check_masks,
-    _check_rows,
+    _checks,
     _find,
     _key_index,
     _letter_table,
@@ -108,34 +109,33 @@ def _mix64_rounds(v: np.ndarray, tmp: np.ndarray) -> None:
         np.multiply(v, mult, out=v)
 
 
-def _mix64_array(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def _mix64_array(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer of every word of the uint64 array v, in place.
 
-    scratch, when given, is a uint64 buffer of v's shape that is overwritten.
+    scratch is a uint64 buffer of v's shape that is overwritten.
     """
-    tmp = np.empty_like(v) if scratch is None else scratch
-    _mix64_rounds(v, tmp)
-    np.right_shift(v, _LAST, out=tmp)
-    np.bitwise_xor(v, tmp, out=v)
+    _mix64_rounds(v, scratch)
+    np.right_shift(v, _LAST, out=scratch)
+    np.bitwise_xor(v, scratch, out=v)
     return v
 
 
-def _stream_keys(
-    seed: int,
-    first: int,
-    out: Optional[np.ndarray] = None,
-    scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The keys of streams first, first + 1, ... (mod 2**64) under seed, one per word of out.
+def _seed_key(seed: int) -> int:
+    """The key of seed: the finalizer of seed mod 2**64."""
+    word = np.array([seed & _MASK64], dtype=np.uint64)
+    return int(_mix64_array(word, np.empty_like(word))[0])
 
-    out is a uint64 array that is overwritten and returned; without it the
-    one key of stream first is.  scratch is as for _mix64_array.  Stream
-    first + i is keyed by the seed's key plus (first + i + 1) * _GOLDEN,
-    mixed; those sums are filled in by doubling, as words [k, 2k) are
-    words [0, k) plus k * _GOLDEN, with no arange held or allocated.
+
+def _counter(key: int, first: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sets word i of out to the finalizer of key + (first + i + 1) * _GOLDEN (mod 2**64).
+
+    out is a uint64 array that is overwritten and returned; scratch is as
+    for _mix64_array.  The sums are filled in by doubling, as words
+    [k, 2k) are words [0, k) plus k * _GOLDEN, with no arange held or
+    allocated.  This one hash keys the sampler's streams (under
+    _seed_key(seed), one word per trial), keys a CounterRng's stream and
+    draws that stream's uniforms.
     """
-    out = np.empty(1, dtype=np.uint64) if out is None else out
-    key = int(_mix64_array(np.array([seed & _MASK64], dtype=np.uint64))[0])
     out[:1] = (key + (first + 1) * _GOLDEN) & _MASK64
     k = 1
     while k < len(out):
@@ -153,16 +153,18 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        self._key = int(_stream_keys(seed, stream & _MASK64)[0])
+        key = np.empty(1, dtype=np.uint64)
+        self._key = int(_counter(_seed_key(seed), stream, key, np.empty_like(key))[0])
         self._pos = 0
 
     def random(self, size: Optional[int] = None):
         if size is None:
-            out = self.random(1)
-            return float(out[0])
-        idx = np.arange(self._pos, self._pos + size, dtype=np.uint64)
+            return float(self.random(1)[0])
+        if size < 0:
+            raise ValueError(f"size must be >= 0, got {size}")
+        words = np.empty(size, dtype=np.uint64)
+        _counter(self._key, self._pos, words, np.empty_like(words))
         self._pos += size
-        words = _mix64_array(np.uint64(self._key) + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
         return (words >> np.uint64(11)) * (2.0 ** -53)
 
 
@@ -429,9 +431,9 @@ class _Buffers(NamedTuple):
         return cls(hashes, np.empty(b, dtype=bool), np.empty(width * b, dtype=np.uint64))
 
 
-def _rows(flat: Optional[np.ndarray], rows: int, cols: int) -> Optional[np.ndarray]:
-    """The (rows, cols) C-contiguous view of the start of the flat buffer, or None without one."""
-    return None if flat is None else flat[: rows * cols].reshape(rows, cols)
+def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) C-contiguous view of the start of the flat buffer."""
+    return flat[: rows * cols].reshape(rows, cols)
 
 
 def _threshold(p: float) -> int:
@@ -465,13 +467,13 @@ def _sample_block(
     seed: int,
     t_lo: int,
     t_hi: int,
-    buffers: Optional[_Buffers] = None,
+    buffers: _Buffers,
 ):
     """Errors of trials [t_lo, t_hi) as signature words, for trials that drew one.
 
     letters is an (n, 3, W) uint64 table of _letter_table: the words of X,
     Y and Z on each qubit, from units that form a basis (the signature
-    units of _check_rows, or the (x|z) units), so the words of an error
+    units of frames._checks, or the (x|z) units), so the words of an error
     are zero exactly when it is the identity.  Returns (hit, words): the
     trials whose words are nonzero, increasing, and the (W, len(hit)) XOR
     of the letters each of them drew, word by word; every other trial drew
@@ -479,22 +481,20 @@ def _sample_block(
     (x|z) row of sample_error with CounterRng(seed, hit[i]) exactly.
 
     The block works in buffers, a range's _Buffers for at least t_hi - t_lo
-    trials, which it overwrites; without them it allocates its own.  The
-    returned words are a view into buffers.hashes, valid until the next
-    block.  Each qubit's draws are hashed in place, nine passes over the
-    block: the key add, the finalizer's two multiply rounds and _below's
-    prefilter and flatnonzero.
+    trials, which it overwrites.  The returned words are a view into
+    buffers.hashes, valid until the next block.  Each qubit's draws are
+    hashed in place, nine passes over the block: the key add, the
+    finalizer's two multiply rounds and _below's prefilter and flatnonzero.
     """
     n, _, width = letters.shape
     b = t_hi - t_lo
     top = _threshold(p)
     if top < 0:
         return np.zeros(0, dtype=np.int64), np.zeros((width, 0), dtype=np.uint64)
-    buffers = _Buffers.of(b, width) if buffers is None else buffers
     keys, draws, scratch = _rows(buffers.hashes, 3, b)
     below, words = buffers.below[:b], _rows(buffers.words, width, b)
     words.fill(0)
-    _stream_keys(seed, t_lo, keys, scratch)
+    _counter(_seed_key(seed), t_lo, keys, scratch)
     for j in range(n):
         np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=draws)
         _mix64_rounds(draws, scratch)
@@ -516,10 +516,10 @@ def _sample_block(
 class _BlockDecoder:
     """A code and its syndrome table as signature words, for decoding blocks.
 
-    Errors are (W, b) signature words against the check rows of
-    _check_rows.  A trial's syndrome is its low m bits; the table entry
-    for it is found in the table's own key index, one key word at a time,
-    so one lookup serves any m.
+    Errors are (W, b) signature words in the frame of frames._checks over
+    the full basis of check rows.  A trial's syndrome is its low m bits;
+    the table entry for it is found in the table's own key index, one key
+    word at a time, so one lookup serves any m.
     The residual (error times correction) has signature error ^ correction:
     it lies in the isotropic span when its generator and normalizer bits
     are zero, and it is the identity when all of its bits are.
@@ -535,14 +535,10 @@ class _BlockDecoder:
     @classmethod
     def build(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
         _require_fit(codeq, table)
-        n, m = codeq.n, len(codeq.generators)
-        rows, isotropy = _check_rows(codeq)
-        units = _units(rows, n)  # units[c]: the signature of the row with only bit c set
-        nkeys = max(1, -(-m // 64))
-        syndrome_mask, normalizer_mask = _check_masks(m, isotropy, 2 * n)
-        syndrome_mask = syndrome_mask[:nkeys]
+        units, syndrome_mask, normalizer_mask = _checks(codeq, basis=True)
         corrections = _signatures(table.rows, units)
-        mismatched = ((corrections[:, :nkeys] & syndrome_mask) != table.keys).any(axis=1)
+        keys = corrections[:, : len(syndrome_mask)] & syndrome_mask
+        mismatched = (keys != table.keys).any(axis=1)
         # the table's keys are in lookup order, so entry i has rank i
         return cls(
             _letter_table(units),
@@ -553,19 +549,17 @@ class _BlockDecoder:
             mismatched,
         )
 
-    def lookup(
-        self, sig: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def lookup(self, sig: np.ndarray, out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(entry, known): each trial's table entry, valid where known.
 
-        out, when given, is a flat uint64 buffer of at least sig.size words
-        that holds the masked keys.
+        out is a flat uint64 buffer of at least sig.size words that is
+        overwritten with the masked keys.
         """
         k, b = len(self.syndrome_mask), sig.shape[1]
         keys = np.bitwise_and(sig[:k], self.syndrome_mask[:, None], out=_rows(out, k, b))
         return _find(*self.index, keys)
 
-    def decode(self, sig: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def decode(self, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The int64 counts [failures, degenerate successes, residual-syndrome violations].
 
         out is as for lookup, and holds the keys and then the residual.
@@ -601,13 +595,14 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     decoder = _BlockDecoder.build(codeq, table)
+    width = decoder.letters.shape[2]
     # every trial without a hit drew the identity: decode it once, count it often
-    quiet = decoder.decode(np.zeros((decoder.letters.shape[2], 1), dtype=np.uint64))
+    quiet = decoder.decode(np.zeros((width, 1), dtype=np.uint64), np.empty(width, dtype=np.uint64))
 
     def run_range(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(3, dtype=np.int64)
         # each range's thread allocates its buffers once, for all its blocks
-        buffers = _Buffers.of(min(_BLOCK, hi - lo), decoder.letters.shape[2])
+        buffers = _Buffers.of(min(_BLOCK, hi - lo), width)
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             hit, sig = _sample_block(ch.p, decoder.letters, seed, start, stop, buffers)

@@ -9,9 +9,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from eaqecc import gf2, gf4
-from eaqecc.analysis import CorrectabilityReport, DistanceResult, _logical_checks, syndrome_of
+from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
-from eaqecc.frames import _letter_table, _weight_words
+from eaqecc.frames import _checks, _letter_table, _weight_words
 from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
 from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
 
@@ -211,12 +211,12 @@ def reference_chunked_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceRe
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    units, syndrome, normalizer = _logical_checks(codeq)
+    units, syndrome, normalizer = _checks(codeq, basis=False)
     letters = _letter_table(units)
     lightest = codeq.n + 1  # weight of the lightest isotropic-span element met so far
     for w in range(1, min(weight_cap, codeq.n) + 1):
         for sig in _weight_words(letters, w):
-            undetected = ~(sig & syndrome).any(axis=1)
+            undetected = ~(sig[:, : len(syndrome)] & syndrome).any(axis=1)
             logical = (sig & normalizer).any(axis=1)
             if lightest > w and (undetected & ~logical).any():  # an isotropic-span element
                 lightest = w

@@ -136,6 +136,17 @@ class TestMinDistance:
         result = min_distance_bruteforce(built, 1)
         assert result.distance == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_generators_matches_oracles(self, n):
+        # m = 0: the syndrome mask is one all-zero key word, so every
+        # nonidentity Pauli is an undetected logical
+        built = build_code(ClassicalCode.from_rows(n, n, []))
+        assert not built.generators
+        for cap in range(1, n + 1):
+            result = min_distance_bruteforce(built, cap)
+            assert result == reference_min_distance(built, cap)
+            assert result == reference_chunked_distance(built, cap)
+
     def test_cap_gives_lower_bound(self, golden):
         result = min_distance_bruteforce(golden, 1)
         assert not result.exact

@@ -258,6 +258,19 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "distinct_syndromes=no" in out
 
+    # w64 has m = 64 generators, so its syndrome fills exactly one key word.
+    # Cap 4 is the largest distance search the Pauli budget allows on the
+    # corpus, and t = 2 its largest distinct-syndrome check that answers
+    # yes: the one walk covers every D up to 2t = 4 with no early exit.
+    @pytest.mark.parametrize(
+        "flags, line",
+        [(("--weight-cap", "4"), "d_lower_bound=5"), (("--t", "2"), "distinct_syndromes=yes")],
+    )
+    def test_w64_full_key_word(self, capsys, flags, line):
+        code, out, _ = run(capsys, "analyze", str(BENCH_CORPUS / "w64.code"), *flags)
+        assert code == 0
+        assert line in out.splitlines()
+
     @pytest.mark.parametrize("option", ["--weight-cap", "--t"])
     def test_explicit_weight_over_budget_is_refused(self, capsys, monkeypatch, tmp_path, option):
         searched = []

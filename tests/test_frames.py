@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from eaqecc import gf2
 from eaqecc.analysis import in_isotropic
-from eaqecc.builder import build_code
+from eaqecc.builder import ClassicalCode, build_code
 from eaqecc.cli import load_code_file
-from eaqecc.frames import _check_rows, _signatures, _units, _words
+from eaqecc.frames import _check_rows, _checks, _signatures, _units, _words
 from eaqecc.pauli import PauliString
 from eaqecc.symplectic import _swap_halves
 
@@ -49,6 +49,33 @@ class TestCheckRows:
     def test_corpus_codes(self, name):
         codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
         _check_check_rows(codeq, random.Random(name), 30)
+
+
+def _value(words) -> int:
+    """The int whose little-endian uint64 words are words."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+class TestChecks:
+    # m = 0 keys on one always-zero word; 64 fills one key word, 66 needs two
+    @pytest.mark.parametrize("m", [0, 2, 62, 64, 66])
+    @pytest.mark.parametrize("basis", [True, False])
+    def test_key_width_and_masks(self, m, basis):
+        if m:
+            codeq = build_code(random_classical_code(random.Random(m), m // 2 + 2, 2))
+        else:
+            codeq = build_code(ClassicalCode.from_rows(3, 3, []))
+        assert len(codeq.generators) == m
+        rows, isotropy = _check_rows(codeq)
+        rows = rows if basis else rows[:isotropy]
+        units, syndrome, normalizer = _checks(codeq, basis)
+        words = max(1, -(-len(rows) // 64))
+        assert units.shape == (2 * codeq.n, words) and normalizer.shape == (words,)
+        assert syndrome.shape == (max(1, -(-m // 64)),)
+        assert _value(syndrome) == (1 << m) - 1
+        assert _value(normalizer) == (1 << isotropy) - (1 << m)
+        for c, unit in enumerate(units):
+            assert _value(unit) == sum((row >> c & 1) << i for i, row in enumerate(rows))
 
 
 class TestSignatures:

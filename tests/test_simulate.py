@@ -33,7 +33,7 @@ from eaqecc.simulate import (
     sample_error,
     trial_report,
 )
-from eaqecc.simulate import _BlockDecoder, _sample_block
+from eaqecc.simulate import _BlockDecoder, _Buffers, _sample_block
 from eaqecc.symplectic import _swap_halves
 
 from helpers import (
@@ -130,7 +130,7 @@ class TestSampleError:
         # p = 0.3, 1e5 single-qubit samples: each letter frequency 0.1 +- 0.005;
         # the block sampler draws exactly what sample_error would (tested below)
         trials = 100000
-        _, words = _sample_block(0.3, _xz_letters(1), 123, 0, trials)
+        _, words = _sample_block(0.3, _xz_letters(1), 123, 0, trials, _Buffers.of(trials, 1))
         x, z = (words[0] & 1) == 1, (words[0] >> 1) == 1
         counts = {"X": x & ~z, "Y": x & z, "Z": ~x & z}
         for letter in "XYZ":
@@ -160,6 +160,23 @@ class TestSampleError:
         drawn = [*rng.random(3).tolist(), rng.random(), *rng.random(4).tolist()]
         assert drawn == reference_uniforms(seed, stream, 8)
 
+    def test_counter_rng_refuses_negative_size(self):
+        # as numpy's Generator.random does, and the stream does not move
+        rng = CounterRng(1)
+        first = rng.random(3)
+        with pytest.raises(ValueError, match="size"):
+            rng.random(-2)
+        assert [*first.tolist(), *rng.random(2).tolist()] == reference_uniforms(1, 0, 5)
+
+    def test_counter_wraps_mod_two_to_the_64(self):
+        # 13 words from first = 2**64 - 5: the counter first + i + 1 reaches
+        # 2**64 at word 4, the first word the doubling fills from k = 4
+        golden, key, first = 0x9E3779B97F4A7C15, 0x0123456789ABCDEF, (1 << 64) - 5
+        out = np.empty(13, dtype=np.uint64)
+        simulate._counter(key, first, out, np.empty_like(out))
+        expected = [_splitmix64((key + (first + i + 1) * golden) % (1 << 64)) for i in range(13)]
+        assert out.tolist() == expected
+
     @settings(max_examples=80, deadline=None)
     @given(
         p=st.floats(0.0, 1.0),
@@ -176,7 +193,9 @@ class TestSampleError:
     @example(p=0.1, n=40, seed=4, t_lo=7, b=40)  # two signature words
     def test_block_sampler_matches_per_trial_sampler(self, p, n, seed, t_lo, b):
         ch = DepolarizingChannel(p)
-        hit, words = _sample_block(p, _xz_letters(n), seed, t_lo, t_lo + b)
+        letters = _xz_letters(n)
+        buffers = _Buffers.of(b, letters.shape[2])
+        hit, words = _sample_block(p, letters, seed, t_lo, t_lo + b, buffers)
         assert words.shape == (-(-2 * n // 64), len(hit))
         drawn = {int(t): _row(words[:, i]) for i, t in enumerate(hit)}
         assert list(drawn) == sorted(drawn)
@@ -210,7 +229,7 @@ class TestSampleError:
         assert rounds.tolist() == words
         # the full finalizer of each word's input, then the exact compare
         final = [_splitmix64(int(x)) for x in inputs]
-        assert simulate._mix64_array(inputs).tolist() == final
+        assert simulate._mix64_array(inputs, np.empty_like(inputs)).tolist() == final
         expected = [i for i, w in enumerate(final) if w <= top]
         r, w = simulate._below(v, top, np.empty(len(v), dtype=bool))
         assert r.tolist() == expected
@@ -222,7 +241,7 @@ class TestSampleError:
     def test_p_zero_threshold_is_negative(self):
         # top is negative, so no draw is below it and no word is hashed
         assert simulate._threshold(0.0) == -1
-        hit, words = _sample_block(0.0, _xz_letters(3), 5, 0, 100)
+        hit, words = _sample_block(0.0, _xz_letters(3), 5, 0, 100, _Buffers.of(100, 1))
         assert len(hit) == 0 and words.shape == (1, 0)
 
 
@@ -484,7 +503,8 @@ class TestSignatures:
         e = PauliString.from_row(n, r.row() ^ correction.row())
         decoder = _BlockDecoder.build(codeq, SyndromeTable({syndrome_of(codeq, e): correction}, 0))
         assert (not _signature(decoder.letters, r).any()) == r.is_identity()
-        failures, degenerate, violations = decoder.decode(_signature(decoder.letters, e)[:, None])
+        sig = _signature(decoder.letters, e)[:, None]
+        failures, degenerate, violations = decoder.decode(sig, np.empty(sig.size, dtype=np.uint64))
         isotropic = in_isotropic(codeq, r)
         assert failures == (0 if isotropic else 1)
         assert degenerate == (1 if isotropic and not r.is_identity() else 0)
@@ -636,6 +656,17 @@ class TestRunTrials:
         )
         assert result.logical_failures == failures
 
+    def test_no_generators_matches_scalar_decode(self, monkeypatch):
+        # m = 0: one all-zero key word, over several 64-trial blocks and ranges
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        built = build_code(ClassicalCode.from_rows(3, 3, []))
+        table = build_syndrome_table(built, 2)
+        ch = DepolarizingChannel(0.3)
+        expected = _decode_one_by_one(built, table, ch, 5 * 64 + 9, 4)
+        for workers in (1, 3):
+            assert run_trials(built, ch, table, 5 * 64 + 9, 4, workers) == expected
+
     def test_empty_table_fails_every_trial(self, golden):
         result = run_trials(golden, DepolarizingChannel(0.0), SyndromeTable({}, 0), 100, seed=1)
         assert (result.logical_failures, result.residual_in_isotropic) == (100, 0)
@@ -776,7 +807,8 @@ class TestRunTrials:
         queries += [(3, 0), (1 << 63, 3)]
         expected = [(a, b & 3) for a, b in queries]
         assert 0 < sum(q in keys for q in expected) < len(expected)
-        entry, known = decoder.lookup(np.array(queries, dtype=np.uint64).T)
+        sig = np.array(queries, dtype=np.uint64).T
+        entry, known = decoder.lookup(sig, np.empty(sig.size, dtype=np.uint64))
         for q, i, found in zip(expected, entry, known):
             assert found == (q in keys)
             if found:
