@@ -23,14 +23,19 @@ at a time and XORs the signature of each drawn letter into the trials that
 erred.  A draw is a hit when its finalized hash is at most a threshold;
 the finalizer's last step leaves the top 31 bits as they are, so one
 compare before that step picks an exact superset of the hits, and the
-step and the exact compare run on those candidates only.  The check rows
-are a basis, so a trial's words are nonzero exactly when it drew a
+step and the exact compare run on those candidates only.  A hit's letter
+is two integer compares against edges found once per run by bisection
+on sample_error's float formula, so it is the same letter.  The seed's
+key, the threshold and the edges are computed once per run.  The check
+rows are a basis, so a trial's words are nonzero exactly when it drew a
 nonidentity error, and only those hit trials are kept (at p = 0.01 most
-draw the identity).  The decoder finds each syndrome's entry in the
-table's own key index and compares the residual signature under two
-masks.  Every other trial drew the identity, whose outcome is decoded
-once per run and counted for each of them.  sample_error and decode_error
-are the per-trial references the block path must agree with.
+draw the identity).  The decoder finds each syndrome's table entry, by
+one gather from a direct index of all 2**m syndromes when that fits one
+block (m <= 16) and in the table's own key index otherwise, and compares
+the residual signature under two masks.  Every other trial drew the
+identity, whose outcome is decoded once per run and counted for each of
+them.  sample_error and decode_error are the per-trial references the
+block path must agree with.
 
 Each range allocates its block buffers once (_Buffers: the hash rows, the
 hit mask and the signature words, sized to min(_BLOCK, range)) and every
@@ -49,6 +54,7 @@ converts nothing but the corrections' signatures.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -461,48 +467,71 @@ def _below(v: np.ndarray, top: int, below: np.ndarray) -> Tuple[np.ndarray, np.n
     return r[keep], w[keep]
 
 
+def _letter_edges(p: float) -> Tuple[np.uint64, np.uint64]:
+    """(a1, a2): a hit draw w takes letter X, Y or Z (0, 1, 2) as (w >= a1) + (w >= a2).
+
+    sample_error's letter is min(int(u * 3 / p), 2) for u = (w >> 11) * 2**-53,
+    a float formula that is monotone in w >> 11.  Edge k is the least w >> 11
+    of a hit (those below ceil(p * 2**53)) whose letter is at least k, found
+    by bisection on that same formula and shifted back up 11 bits; an edge
+    that no hit reaches is top + 1.  So every hit takes the formula's letter,
+    for any p.  At p = 0 there is no hit, and both edges are 0.
+    """
+    def letter(a: int) -> int:
+        return min(int(a * 2.0**-53 * 3.0 / p), 2)
+
+    hits = range(math.ceil(p * 2.0**53))
+    a1, a2 = (bisect.bisect_left(hits, k, key=letter) << 11 for k in (1, 2))
+    return np.uint64(a1), np.uint64(a2)
+
+
 def _sample_block(
-    p: float,
+    top: int,
+    edges: Tuple[np.uint64, np.uint64],
     letters: np.ndarray,
-    seed: int,
+    key: int,
     t_lo: int,
     t_hi: int,
     buffers: _Buffers,
 ):
     """Errors of trials [t_lo, t_hi) as signature words, for trials that drew one.
 
-    letters is an (n, 3, W) uint64 table of _letter_table: the words of X,
-    Y and Z on each qubit, from units that form a basis (the signature
-    units of frames._checks, or the (x|z) units), so the words of an error
-    are zero exactly when it is the identity.  Returns (hit, words): the
-    trials whose words are nonzero, increasing, and the (W, len(hit)) XOR
-    of the letters each of them drew, word by word; every other trial drew
-    the identity.  With the (x|z) unit words as the table, column i is the
-    (x|z) row of sample_error with CounterRng(seed, hit[i]) exactly.
+    top, edges and key are the run's constants: _threshold(p),
+    _letter_edges(p) and _seed_key(seed).  letters is an (n, 3, W) uint64
+    table of _letter_table: the words of X, Y and Z on each qubit, from
+    units that form a basis (the signature units of frames._checks, or the
+    (x|z) units), so the words of an error are zero exactly when it is the
+    identity.  Returns (hit, words): the trials whose words are nonzero,
+    increasing, and the (W, len(hit)) XOR of the letters each of them drew,
+    word by word; every other trial drew the identity.  With the (x|z) unit
+    words as the table, column i is the (x|z) row of sample_error with
+    CounterRng(seed, hit[i]) exactly.
 
     The block works in buffers, a range's _Buffers for at least t_hi - t_lo
     trials, which it overwrites.  The returned words are a view into
     buffers.hashes, valid until the next block.  Each qubit's draws are
     hashed in place, nine passes over the block: the key add, the
     finalizer's two multiply rounds and _below's prefilter and flatnonzero.
+    The hits' letters are two integer compares against edges, gathered
+    from each word's contiguous (n, 3) table.
     """
     n, _, width = letters.shape
     b = t_hi - t_lo
-    top = _threshold(p)
     if top < 0:
         return np.zeros(0, dtype=np.int64), np.zeros((width, 0), dtype=np.uint64)
     keys, draws, scratch = _rows(buffers.hashes, 3, b)
     below, words = buffers.below[:b], _rows(buffers.words, width, b)
     words.fill(0)
-    _counter(_seed_key(seed), t_lo, keys, scratch)
+    _counter(key, t_lo, keys, scratch)
+    a1, a2 = edges
+    tables = np.ascontiguousarray(letters.transpose(2, 0, 1))  # (W, n, 3)
     for j in range(n):
         np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=draws)
         _mix64_rounds(draws, scratch)
         r, w = _below(draws, top, below)
-        u = (w >> np.uint64(11)) * (2.0 ** -53)
-        kind = np.minimum((u * 3.0 / p).astype(np.int64), 2)
-        for i, word in enumerate(words):
-            word[r] ^= letters[j, kind, i]
+        kind = np.add(w >= a1, w >= a2, dtype=np.intp)
+        for word, table in zip(words, tables):
+            word[r] ^= np.take(table[j], kind)
     np.any(words, axis=0, out=below)
     hit = np.flatnonzero(below)
     # take keeps the columns C-contiguous (words[:, hit] would not), which
@@ -512,14 +541,29 @@ def _sample_block(
     return hit + t_lo, sig
 
 
+def _direct_index(keys: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """The (2**m,) intp entry of each m-bit syndrome in a table's sorted keys, or -1.
+
+    None when 2**m slots exceed one block's words (m > 16), so the index
+    holds at most 512 KB per run; at m = 20 it would take 8 MB.
+    """
+    if 1 << m > _BLOCK:
+        return None
+    index = np.full(1 << m, -1, dtype=np.intp)
+    index[keys[:, 0].view(np.intp)] = np.arange(len(keys))
+    return index
+
+
 @dataclass(frozen=True)
 class _BlockDecoder:
     """A code and its syndrome table as signature words, for decoding blocks.
 
     Errors are (W, b) signature words in the frame of frames._checks over
-    the full basis of check rows.  A trial's syndrome is its low m bits;
-    the table entry for it is found in the table's own key index, one key
-    word at a time, so one lookup serves any m.
+    the full basis of check rows.  A trial's syndrome is its low m bits.
+    When 2**m slots fit one block (m <= 16), direct holds each syndrome's
+    table entry and a lookup is one gather from it; otherwise the entry is
+    found in the table's own key index, one key word at a time, so that
+    lookup serves any m.
     The residual (error times correction) has signature error ^ correction:
     it lies in the isotropic span when its generator and normalizer bits
     are zero, and it is the identity when all of its bits are.
@@ -529,6 +573,7 @@ class _BlockDecoder:
     syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
     normalizer_mask: np.ndarray  # (W,): the normalizer bits
     index: Tuple[tuple, tuple]  # the table's (values, codes) of _key_index
+    direct: Optional[np.ndarray]  # (2**m,) of _direct_index, or None for m > 16
     corrections: np.ndarray  # (W, len(table)) correction signatures in key order
     mismatched: np.ndarray  # whether a correction's syndrome differs from its key
 
@@ -545,6 +590,7 @@ class _BlockDecoder:
             syndrome_mask,
             normalizer_mask,
             table._index,
+            _direct_index(table.keys, len(codeq.generators)),
             np.ascontiguousarray(corrections.T),
             mismatched,
         )
@@ -553,11 +599,15 @@ class _BlockDecoder:
         """(entry, known): each trial's table entry, valid where known.
 
         out is a flat uint64 buffer of at least sig.size words that is
-        overwritten with the masked keys.
+        overwritten with the masked keys.  On the direct path an unknown
+        syndrome's entry is -1.
         """
         k, b = len(self.syndrome_mask), sig.shape[1]
         keys = np.bitwise_and(sig[:k], self.syndrome_mask[:, None], out=_rows(out, k, b))
-        return _find(*self.index, keys)
+        if self.direct is None:
+            return _find(*self.index, keys)
+        entry = np.take(self.direct, keys[0].view(np.intp))  # keys below 2**m
+        return entry, entry >= 0
 
     def decode(self, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The int64 counts [failures, degenerate successes, residual-syndrome violations].
@@ -568,7 +618,8 @@ class _BlockDecoder:
         if not len(self.mismatched):  # a hand-built empty table knows no syndrome
             return np.array([b, 0, 0], dtype=np.int64)
         entry, known = self.lookup(sig, out)
-        # entries are ranks below len(table), so clip never clips (see _sample_block)
+        # clip only maps an unknown syndrome's -1 to 0, which known masks out;
+        # unlike the default mode it writes to out (see _sample_block)
         residual = _rows(out, *sig.shape)
         residual = np.take(self.corrections, entry, axis=1, out=residual, mode="clip")
         residual ^= sig
@@ -598,6 +649,8 @@ def run_trials(
     width = decoder.letters.shape[2]
     # every trial without a hit drew the identity: decode it once, count it often
     quiet = decoder.decode(np.zeros((width, 1), dtype=np.uint64), np.empty(width, dtype=np.uint64))
+    # the sampler's constants are the same for every block of the run
+    top, edges, key = _threshold(ch.p), _letter_edges(ch.p), _seed_key(seed)
 
     def run_range(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(3, dtype=np.int64)
@@ -605,7 +658,7 @@ def run_trials(
         buffers = _Buffers.of(min(_BLOCK, hi - lo), width)
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            hit, sig = _sample_block(ch.p, decoder.letters, seed, start, stop, buffers)
+            hit, sig = _sample_block(top, edges, decoder.letters, key, start, stop, buffers)
             counts += decoder.decode(sig, buffers.words) + (stop - start - len(hit)) * quiet
         return counts
 

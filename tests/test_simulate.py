@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eaqecc import frames, gf2, gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
-from eaqecc.builder import ClassicalCode, build_code
+from eaqecc.builder import ClassicalCode, EaqeccCode, build_code, extend_generators
 from eaqecc.cli import load_code_file
 from eaqecc.pauli import (
     PauliString,
@@ -34,7 +34,7 @@ from eaqecc.simulate import (
     trial_report,
 )
 from eaqecc.simulate import _BlockDecoder, _Buffers, _sample_block
-from eaqecc.symplectic import _swap_halves
+from eaqecc.symplectic import GeneratorSet, _swap_halves, gram_schmidt_decompose
 
 from helpers import (
     BENCH_CORPUS,
@@ -79,6 +79,29 @@ def _signature(letters, p):
     return sig
 
 
+def _sample(p, letters, seed, t_lo, t_hi, buffers):
+    """_sample_block with the run constants that run_trials derives from p and seed."""
+    top, edges, key = simulate._threshold(p), simulate._letter_edges(p), simulate._seed_key(seed)
+    return _sample_block(top, edges, letters, key, t_lo, t_hi, buffers)
+
+
+def _random_code(rng, n, m):
+    """A code on n qubits from m random independent generators, m odd or even.
+
+    build_code makes 2(n - k) generators; this is the same pipeline from a
+    generator set drawn directly.
+    """
+    rows = []
+    while len(rows) < m:
+        row = rng.getrandbits(2 * n)
+        if gf2.rank(rows + [row], 2 * n) > len(rows):
+            rows.append(row)
+    generators = GeneratorSet(n, tuple(PauliString.from_row(n, row) for row in rows))
+    decomp = gram_schmidt_decompose(generators)
+    extended = extend_generators(decomp, n)
+    return EaqeccCode(n, decomp.c, decomp.s, n - decomp.c - decomp.s, generators, extended, decomp)
+
+
 def _before_rounds(v):
     """The 64-bit word whose splitmix64 finalizer gives v after its two multiply rounds."""
     for shift, mult in ((27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
@@ -102,6 +125,53 @@ def _decode_one_by_one(codeq, table, ch, trials, seed):
         if outcome.known_syndrome and syndrome_of(codeq, outcome.residual) != zero:
             violations += 1
     return simulate.TrialResult(trials, failures, degenerate, seed, violations)
+
+
+def _unmix(w):
+    """The 64-bit word whose splitmix64 finalizer is w."""
+    v = w
+    for _ in range(3):  # undo w = v ^ (v >> 31) a shift at a time
+        v = w ^ (v >> 31)
+    return _before_rounds(v)
+
+
+def _seed_drawing(w):
+    """A seed whose trial 0 draws the word w on qubit 0.
+
+    That draw is the finalizer of k + golden, for k the finalizer of
+    _seed_key(seed) + golden, and _seed_key is the finalizer of the seed.
+    """
+    golden = 0x9E3779B97F4A7C15
+    k = (_unmix(w) - golden) % (1 << 64)
+    return _unmix((_unmix(k) - golden) % (1 << 64))
+
+
+def _check_letter_edges(p):
+    """_letter_edges(p) against sample_error's float letter on each side of each edge.
+
+    Each edge is checked at draws w >> 11 = a - 1 and a, with the low 11
+    bits all clear and all set, wherever those draws are hits: on the
+    edges alone, and through the block sampler on a trial that draws w.
+    """
+    top = simulate._threshold(p)
+    a1, a2 = simulate._letter_edges(p)
+    assert 0 <= a1 <= a2 <= top + 1
+    words = set()
+    for edge in (int(a1), int(a2)):
+        for a in ((edge >> 11) - 1, edge >> 11):
+            words |= {a << 11, a << 11 | 0x7FF}
+    w = np.array(sorted(x for x in words if 0 <= x <= top), dtype=np.uint64)
+    assert len(w)  # the draw below each edge is a hit
+    u = (w >> np.uint64(11)) * (2.0**-53)
+    letter = np.minimum((u * 3.0 / p).astype(np.int64), 2)
+    assert np.add(w >= a1, w >= a2, dtype=np.intp).tolist() == letter.tolist()
+    ch, letters, buffers = DepolarizingChannel(p), _xz_letters(1), _Buffers.of(1, 1)
+    for x in w.tolist():
+        seed = _seed_drawing(x)
+        assert CounterRng(seed).random() == (x >> 11) * 2.0**-53
+        hit, words = _sample(p, letters, seed, 0, 1, buffers)
+        assert hit.tolist() == [0]
+        assert _row(words[:, 0]) == sample_error(ch, 1, CounterRng(seed)).row()
 
 
 class TestDepolarizingChannel:
@@ -130,7 +200,7 @@ class TestSampleError:
         # p = 0.3, 1e5 single-qubit samples: each letter frequency 0.1 +- 0.005;
         # the block sampler draws exactly what sample_error would (tested below)
         trials = 100000
-        _, words = _sample_block(0.3, _xz_letters(1), 123, 0, trials, _Buffers.of(trials, 1))
+        _, words = _sample(0.3, _xz_letters(1), 123, 0, trials, _Buffers.of(trials, 1))
         x, z = (words[0] & 1) == 1, (words[0] >> 1) == 1
         counts = {"X": x & ~z, "Y": x & z, "Z": ~x & z}
         for letter in "XYZ":
@@ -195,7 +265,7 @@ class TestSampleError:
         ch = DepolarizingChannel(p)
         letters = _xz_letters(n)
         buffers = _Buffers.of(b, letters.shape[2])
-        hit, words = _sample_block(p, letters, seed, t_lo, t_lo + b, buffers)
+        hit, words = _sample(p, letters, seed, t_lo, t_lo + b, buffers)
         assert words.shape == (-(-2 * n // 64), len(hit))
         drawn = {int(t): _row(words[:, i]) for i, t in enumerate(hit)}
         assert list(drawn) == sorted(drawn)
@@ -239,10 +309,27 @@ class TestSampleError:
             assert 0 < len(set(in_band) & set(expected)) < len(in_band)
 
     def test_p_zero_threshold_is_negative(self):
-        # top is negative, so no draw is below it and no word is hashed
+        # top is negative, so no draw is below it and no word is hashed: the
+        # buffers keep what they held
         assert simulate._threshold(0.0) == -1
-        hit, words = _sample_block(0.0, _xz_letters(3), 5, 0, 100, _Buffers.of(100, 1))
+        buffers = _Buffers.of(100, 1)
+        buffers.hashes.fill(7)
+        buffers.words.fill(7)
+        hit, words = _sample(0.0, _xz_letters(3), 5, 0, 100, buffers)
         assert len(hit) == 0 and words.shape == (1, 0)
+        assert (buffers.hashes == 7).all() and (buffers.words == 7).all()
+
+    # at p = 2**-53 the only hit is w >> 11 = 0, so both edges are top + 1
+    @pytest.mark.parametrize(
+        "p", [2.0**-53, 1e-12, 1e-3, 0.01, 0.1, 0.25, 1 / 3, 0.5 + 1e-12, 2 / 3, 1.0]
+    )
+    def test_letter_edges(self, p):
+        _check_letter_edges(p)
+
+    def test_letter_edges_random_p(self):
+        rng = random.Random(19)
+        for i in range(500):
+            _check_letter_edges(rng.random() if i % 2 else 10 ** rng.uniform(-16, 0))
 
 
 class TestSyndromeTable:
@@ -511,6 +598,38 @@ class TestSignatures:
         assert violations == (1 if any(syndrome_of(codeq, r)) else 0)
 
 
+def _check_hand_built_table(golden, edit, direct):
+    """run_trials on golden's weight-1 table with one edit, against the scalar decode.
+
+    direct says which lookup path the decoder must take.
+    """
+    entries = dict(build_syndrome_table(golden, 1).entries)
+    zero = (0,) * len(golden.generators)
+    if edit == "no_zero":  # a trial without an error has an unknown syndrome
+        del entries[zero]
+        quiet = (1, 0, 0)
+    elif edit == "zero_isotropic":  # ... or a degenerate success
+        entries[zero] = golden.decomposition.isotropic[0]
+        quiet = (0, 1, 0)
+    else:  # one entry whose correction does not have its syndrome
+        s1, s2 = [s for s in entries if s != zero][:2]
+        if edit == "corrupt_zero":
+            s1 = zero
+        entries[s1] = entries[s2]
+        quiet = (1, 0, 1) if s1 == zero else (0, 0, 0)
+    table = SyndromeTable(entries, 1)
+    assert (_BlockDecoder.build(golden, table).direct is not None) == direct
+    idle = run_trials(golden, DepolarizingChannel(0.0), table, 500, seed=2)
+    counts = (idle.logical_failures, idle.residual_in_isotropic, idle.residual_syndrome_nonzero)
+    assert counts == tuple(500 * q for q in quiet)
+    ch = DepolarizingChannel(0.1)
+    expected = _decode_one_by_one(golden, table, ch, 3000, 7)
+    if edit == "corrupt":
+        assert expected.residual_syndrome_nonzero > 0
+    for workers in (1, 3):
+        assert run_trials(golden, ch, table, 3000, 7, workers) == expected
+
+
 def inline_pool(sizes: list, ranges: list):
     """A ThreadPoolExecutor stand-in that starts no thread.
 
@@ -578,30 +697,50 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("edit", ["no_zero", "zero_isotropic", "corrupt", "corrupt_zero"])
     def test_hand_built_tables_match_scalar_decode(self, golden, edit):
-        entries = dict(build_syndrome_table(golden, 1).entries)
-        zero = (0,) * len(golden.generators)
-        if edit == "no_zero":  # a trial without an error has an unknown syndrome
-            del entries[zero]
-            quiet = (1, 0, 0)
-        elif edit == "zero_isotropic":  # ... or a degenerate success
-            entries[zero] = golden.decomposition.isotropic[0]
-            quiet = (0, 1, 0)
-        else:  # one entry whose correction does not have its syndrome
-            s1, s2 = [s for s in entries if s != zero][:2]
-            if edit == "corrupt_zero":
-                s1 = zero
-            entries[s1] = entries[s2]
-            quiet = (1, 0, 1) if s1 == zero else (0, 0, 0)
-        table = SyndromeTable(entries, 1)
-        idle = run_trials(golden, DepolarizingChannel(0.0), table, 500, seed=2)
-        counts = (idle.logical_failures, idle.residual_in_isotropic, idle.residual_syndrome_nonzero)
-        assert counts == tuple(500 * q for q in quiet)
-        ch = DepolarizingChannel(0.1)
-        expected = _decode_one_by_one(golden, table, ch, 3000, 7)
-        if edit == "corrupt":
-            assert expected.residual_syndrome_nonzero > 0
-        for workers in (1, 3):
-            assert run_trials(golden, ch, table, 3000, 7, workers) == expected
+        _check_hand_built_table(golden, edit, direct=True)
+
+    @pytest.mark.parametrize("edit", ["no_zero", "zero_isotropic", "corrupt", "corrupt_zero"])
+    def test_hand_built_tables_on_the_sorted_path(self, golden, edit, monkeypatch):
+        monkeypatch.setattr(simulate, "_direct_index", lambda keys, m: None)
+        _check_hand_built_table(golden, edit, direct=False)
+
+    @pytest.mark.parametrize("m", [0, 1, 12, 16])
+    def test_direct_index_matches_sorted_search(self, m, monkeypatch):
+        # three ranges of whole and ragged blocks, with the direct index on
+        # (2**m slots fit a block) and forced off
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        codeq = _random_code(random.Random(m), max(m, 2), m)
+        assert len(codeq.generators) == m
+        table = build_syndrome_table(codeq, 2)
+        assert _BlockDecoder.build(codeq, table).direct is not None
+        ch, trials = DepolarizingChannel(0.1), 2 * simulate._BLOCK + 3
+        direct = [run_trials(codeq, ch, table, trials, 8, workers) for workers in (1, 3)]
+        monkeypatch.setattr(simulate, "_direct_index", lambda keys, m: None)
+        assert _BlockDecoder.build(codeq, table).direct is None
+        for workers, result in zip((1, 3), direct):
+            assert run_trials(codeq, ch, table, trials, 8, workers) == result
+        assert 0 < direct[0].logical_failures < trials
+
+    def test_seventeen_generators_take_the_sorted_path(self):
+        # 2**17 slots would outgrow one block's words
+        codeq = _random_code(random.Random(17), 17, 17)
+        table = build_syndrome_table(codeq, 1)
+        assert _BlockDecoder.build(codeq, table).direct is None
+        ch = DepolarizingChannel(0.05)
+        assert run_trials(codeq, ch, table, 300, 4) == _decode_one_by_one(codeq, table, ch, 300, 4)
+
+    @pytest.mark.parametrize("m", [0, 2, 62, 64, 66])
+    def test_table_keys_match_the_decoder_frame(self, m):
+        # build_syndrome_table derives its syndrome words from the generator
+        # rows; every key must equal the decoder's syndrome of its correction
+        if m:
+            codeq = build_code(random_classical_code(random.Random(m), m // 2 + 2, 2))
+        else:
+            codeq = build_code(ClassicalCode.from_rows(3, 3, []))
+        assert len(codeq.generators) == m
+        table = build_syndrome_table(codeq, 1)
+        mismatched = _BlockDecoder.build(codeq, table).mismatched
+        assert len(mismatched) == len(table) > 0 and not mismatched.any()
 
     @pytest.mark.parametrize("trials", [0, 1, 10 * 64 + 17])
     def test_reused_buffers_match_scalar_decode(self, golden, trials, monkeypatch):
@@ -813,6 +952,30 @@ class TestRunTrials:
             assert found == (q in keys)
             if found:
                 assert (decoder.corrections[:, i] == _signature(decoder.letters, keys[q])).all()
+
+    def test_direct_lookup_reads_only_the_syndrome(self, monkeypatch):
+        # m = 12 on 40 qubits: the normalizer and basis bits fill word 0
+        # above the syndrome and word 1, and are set at random here; every
+        # syndrome is queried once, most of them unknown at depth 1
+        codeq = _random_code(random.Random(5), 40, 12)
+        table = build_syndrome_table(codeq, 1)
+        decoder = _BlockDecoder.build(codeq, table)
+        assert decoder.direct is not None and decoder.letters.shape[2] == 2
+        keys = {sum(b << i for i, b in enumerate(s)): c for s, c in table.entries.items()}
+        assert 0 < len(keys) < 1 << 12
+        rng = np.random.default_rng(5)
+        sig = rng.integers(0, 1 << 64, (2, 1 << 12), dtype=np.uint64)
+        sig[0] = sig[0] >> np.uint64(12) << np.uint64(12) | np.arange(1 << 12, dtype=np.uint64)
+        entry, known = decoder.lookup(sig, np.empty(sig.size, dtype=np.uint64))
+        assert known.tolist() == [s in keys for s in range(1 << 12)]
+        for s in np.flatnonzero(known).tolist():
+            assert (decoder.corrections[:, entry[s]] == _signature(decoder.letters, keys[s])).all()
+        # the sorted search finds the same entries
+        monkeypatch.setattr(simulate, "_direct_index", lambda keys, m: None)
+        sorted_entry, sorted_known = _BlockDecoder.build(codeq, table).lookup(
+            sig, np.empty(sig.size, dtype=np.uint64)
+        )
+        assert (sorted_known == known).all() and (sorted_entry[known] == entry[known]).all()
 
     def test_report_lines(self, golden):
         table = build_syndrome_table(golden, 1)
