@@ -47,9 +47,15 @@ arguments and allocate none of their own.
 
 The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
-the XOR of its letters' syndrome and tie-break words.  The table stays in
-array form, its keys sorted in the decoder's lookup order, so a run
-converts nothing but the corrections' signatures.
+the XOR of its letters' syndrome and tie-break words.  Each syndrome keeps
+its candidate with the least tie-break key.  When 2**m syndromes fit one
+block (m <= 16, the decoder's direct-index bound), the key is one word
+(n <= 32) and a weight has at least 2**m / 64 candidates, that least key
+is held in a slot per syndrome, merged by np.minimum.at, and only the
+weight's new entries are sorted; every other weight merges its chunks of
+candidates by sorting.  The table stays in array form, its keys sorted in
+the decoder's lookup order, so a run converts nothing but the
+corrections' signatures.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -282,6 +288,27 @@ class SyndromeTable:
         return PauliString.from_row(self._n, row)
 
 
+def _fits_direct(m: int) -> bool:
+    """Whether an array over all 2**m syndromes fits one block's words (m <= 16).
+
+    There the decoder finds entries, and the table build may merge
+    candidates, by syndrome slot instead of by sorted search.
+    """
+    return 1 << m <= _BLOCK
+
+
+def _slots_pay(m: int, n: int, candidates: int) -> bool:
+    """Whether one weight's candidates merge in 2**m syndrome slots (_direct_entries).
+
+    The slots must fit one block, the tie-break key must be one word
+    (n <= 32), and the weight must hold at least 2**m / 64 candidates.  A
+    few candidates sort in microseconds, while the slots' first use in a
+    process page-faults about 600 KB at m = 16 (d5@1's 36 candidates took
+    0.4 ms longer that way).
+    """
+    return _fits_direct(m) and n <= 32 and candidates << 6 >= 1 << m
+
+
 def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
     """The rows of words with the smallest tie-break key of each syndrome, by syndrome.
 
@@ -295,6 +322,55 @@ def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
     first = np.ones(len(words), dtype=bool)
     first[1:] = (words[1:, :nkeys] != words[:-1, :nkeys]).any(axis=1)
     return words[first]
+
+
+def _sorted_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, nkeys: int) -> np.ndarray:
+    """One weight's new entries in tie-break order, merged by sorting; serves any m.
+
+    chunks are the weight's candidate rows (nkeys syndrome words, then the
+    tie-break key's words) and kept the table's rows so far.  Candidates
+    whose syndrome kept holds are dropped, found in kept's key index;
+    the rest are merged with _fewest.
+    """
+    known = _key_index(kept[:, :nkeys])[:2] if len(kept) else None
+    # chunks wait in pending until they outnumber best, so every merge
+    # at least doubles the rows it sorts
+    best, pending = kept[:0], []
+    for words in chunks:
+        if known is not None:
+            words = words[~_find(*known, words[:, :nkeys].T)[1]]
+        pending.append(words)
+        if sum(map(len, pending)) > len(best):
+            best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
+    if pending:
+        best = _fewest(np.concatenate([best, *pending]), nkeys)
+    return np.take(best, np.argsort(_key_index(best[:, nkeys:])[2]), axis=0)
+
+
+def _direct_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
+    """One weight's new entries in tie-break order, merged in syndrome slots.
+
+    chunks and kept are as for _sorted_entries, with one syndrome word and
+    one tie-break word (m <= 16, n <= 32).  best holds each syndrome's least
+    tie-break key of the weight so far, merged by np.minimum.at, and filled
+    whether it has one.  Candidates of syndromes that kept holds are merged
+    too and their slots are left out at the end, which costs less than
+    dropping them from every chunk.
+    """
+    best = np.full(1 << m, _MASK64, dtype=np.uint64)
+    filled = np.zeros(1 << m, dtype=bool)
+    for words in chunks:
+        syndrome = words[:, 0].view(np.intp)  # syndromes below 2**m
+        np.minimum.at(best, syndrome, words[:, 1])
+        filled[syndrome] = True
+    filled[kept[:, 0].view(np.intp)] = False
+    new = np.flatnonzero(filled)
+    ties = np.take(best, new)
+    order = np.argsort(ties)  # the tie-break keys are distinct
+    entries = np.empty((len(new), 2), dtype=np.uint64)
+    entries[:, 0] = np.take(new, order)
+    entries[:, 1] = np.take(ties, order)
+    return entries
 
 
 # (shift, mask) rounds that reverse the bits of each byte: nibbles, pairs, bits
@@ -327,6 +403,12 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     entries follow in key order.  Enumeration stops after the weight in
     which every syndrome has an entry; the rows are recovered from the
     kept keys.
+
+    A weight whose candidates are many for 2**m slots that fit one block
+    (m <= 16), with a one-word tie-break key (n <= 32, see _slots_pay),
+    merges them in arrays indexed by syndrome (_direct_entries) and sorts
+    only its new entries; any other weight merges chunks by sorting
+    (_sorted_entries).  Both give the same entries.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -341,20 +423,12 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     nkeys = syndromes.shape[1]
     kept = np.zeros((0, letters.shape[2]), dtype=np.uint64)  # entries in insertion order
     for w in range(min(max_weight, n) + 1):
-        known = _key_index(kept[:, :nkeys])[:2] if len(kept) else None
-        # chunks wait in pending until they outnumber best, so every merge
-        # at least doubles the rows it sorts
-        best, pending = kept[:0], []
-        for words in _weight_words(letters, w):
-            if known is not None:
-                words = words[~_find(*known, words[:, :nkeys].T)[1]]
-            pending.append(words)
-            if sum(map(len, pending)) > len(best):
-                best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
-        if pending:
-            best = _fewest(np.concatenate([best, *pending]), nkeys)
-        order = np.argsort(_key_index(best[:, nkeys:])[2])
-        kept = np.concatenate([kept, np.take(best, order, axis=0)])
+        chunks = _weight_words(letters, w)
+        if _slots_pay(m, n, math.comb(n, w) * 3**w):
+            entries = _direct_entries(chunks, kept, m)
+        else:
+            entries = _sorted_entries(chunks, kept, nkeys)
+        kept = np.concatenate([kept, entries])
         if len(kept) == 1 << m:
             break
     return SyndromeTable._from_arrays(n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight)
@@ -458,12 +532,16 @@ def _below(v: np.ndarray, top: int, below: np.ndarray) -> Tuple[np.ndarray, np.n
     leaves bits 33-63 as they are, so w <= top only where v <= top | (2**33 - 1).
     That prefilter runs on every word (below is a bool buffer of v's shape);
     the last step and the exact compare run on its candidates only.  top >= 0.
+    A candidate misses only when its v shares top's bits 33-63, about 2**-31
+    of the draws at p >= 0.01, so the candidates are compacted only then.
     """
     np.less_equal(v, np.uint64(top | _LOW33), out=below)
     r = np.flatnonzero(below)
     w = np.take(v, r)
     w ^= w >> _LAST
     keep = w <= np.uint64(top)
+    if keep.all():
+        return r, w
     return r[keep], w[keep]
 
 
@@ -547,7 +625,7 @@ def _direct_index(keys: np.ndarray, m: int) -> Optional[np.ndarray]:
     None when 2**m slots exceed one block's words (m > 16), so the index
     holds at most 512 KB per run; at m = 20 it would take 8 MB.
     """
-    if 1 << m > _BLOCK:
+    if not _fits_direct(m):
         return None
     index = np.full(1 << m, -1, dtype=np.intp)
     index[keys[:, 0].view(np.intp)] = np.arange(len(keys))

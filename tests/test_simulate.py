@@ -1,5 +1,6 @@
 """Tests for the depolarizing-channel Monte Carlo and syndrome-table decoder."""
 
+import hashlib
 import random
 from unittest import mock
 
@@ -83,6 +84,23 @@ def _sample(p, letters, seed, t_lo, t_hi, buffers):
     """_sample_block with the run constants that run_trials derives from p and seed."""
     top, edges, key = simulate._threshold(p), simulate._letter_edges(p), simulate._seed_key(seed)
     return _sample_block(top, edges, letters, key, t_lo, t_hi, buffers)
+
+
+def _build_on_path(codeq, depth, direct):
+    """build_syndrome_table with every weight on one path: the syndrome slots, or the sort."""
+    pay = mock.patch.object(simulate, "_slots_pay", lambda m, n, candidates: direct)
+    with pay, mock.patch.object(
+        simulate, "_direct_entries", wraps=simulate._direct_entries
+    ) as on_direct:
+        table = build_syndrome_table(codeq, depth)
+    assert on_direct.called is direct
+    return table
+
+
+def _arrays(table):
+    """A table's keys, rows and inserted as (shape, dtype, bytes), and its depth."""
+    arrays = (table.keys, table.rows, table.inserted)
+    return [(a.shape, a.dtype.str, a.tobytes()) for a in arrays], table.max_weight_built
 
 
 def _random_code(rng, n, m):
@@ -308,6 +326,27 @@ class TestSampleError:
         if p < 1:  # the band holds words on both sides of top
             assert 0 < len(set(in_band) & set(expected)) < len(in_band)
 
+    @pytest.mark.parametrize("p", [1e-12, 0.01, 0.1, 1.0])
+    def test_every_candidate_a_hit(self, p):
+        # the usual case: the prefilter's candidates are all hits, and words
+        # above top | (2**33 - 1) are no candidates
+        top = simulate._threshold(p)
+        rng = random.Random(p)
+        finals = [0, top] + [rng.randint(0, top) for _ in range(100)]
+        # the last step w = v ^ (v >> 31) undone: v = w ^ (w >> 31) ^ (w >> 62)
+        words = [w ^ (w >> 31) ^ (w >> 62) for w in finals]
+        if p < 1:
+            words += [rng.randint(top | ((1 << 33) - 1), (1 << 64) - 1) + 1 for _ in range(100)]
+            words = [v for v in words if v < 1 << 64]
+        rng.shuffle(words)
+        v = np.array(words, dtype=np.uint64)
+        final = [x ^ (x >> 31) for x in words]
+        expected = [i for i, w in enumerate(final) if w <= top]
+        assert len(expected) == len(finals)
+        r, w = simulate._below(v, top, np.empty(len(v), dtype=bool))
+        assert r.tolist() == expected
+        assert w.tolist() == [final[i] for i in expected]
+
     def test_p_zero_threshold_is_negative(self):
         # top is negative, so no draw is below it and no word is hashed: the
         # buffers keep what they held
@@ -398,9 +437,11 @@ class TestSyndromeTable:
     @given(code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3))
     def test_matches_reference_enumeration(self, code_seed, depth):
         codeq = build_code(random_classical_code(random.Random(code_seed)))
-        table = build_syndrome_table(codeq, depth)
-        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
-        assert table.max_weight_built == depth
+        expected = list(reference_syndrome_table(codeq, depth).items())
+        for direct in (True, False):
+            table = _build_on_path(codeq, depth, direct)
+            assert list(table.entries.items()) == expected
+            assert table.max_weight_built == depth
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_wide_code_matches_reference_enumeration(self, depth):
@@ -414,10 +455,14 @@ class TestSyndromeTable:
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("n", [32, 33])
     def test_row_word_edge_matches_reference_enumeration(self, n, depth):
-        # 2n = 64 fills one (x|z) word exactly; 2n = 66 leaves 62 padding bits
+        # 2n = 64 fills one (x|z) word exactly; 2n = 66 leaves 62 padding bits.
+        # Two tie-break words (n = 33) take the sorted path only
         codeq = build_code(random_classical_code(random.Random(n), n, n - 6))
-        table = build_syndrome_table(codeq, depth)
-        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
+        expected = list(reference_syndrome_table(codeq, depth).items())
+        assert simulate._slots_pay(len(codeq.generators), n, 1 << 40) is (n <= 32)
+        for direct in (True, False) if n <= 32 else (False,):
+            table = _build_on_path(codeq, depth, direct)
+            assert list(table.entries.items()) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -425,17 +470,95 @@ class TestSyndromeTable:
     )
     def test_small_chunks_build_the_same_table(self, code_seed, depth, block):
         # many chunks per weight, and for block < 3**w one support split over
-        # several chunks: winners of later chunks must merge with earlier ones
+        # several chunks: winners of later chunks must merge with earlier ones,
+        # on either path
         codeq = build_code(random_classical_code(random.Random(code_seed)))
         expected = list(reference_syndrome_table(codeq, depth).items())
         with mock.patch.object(frames, "_BLOCK", block):
-            table = build_syndrome_table(codeq, depth)
+            tables = [_build_on_path(codeq, depth, direct) for direct in (True, False)]
             for w in range(min(depth, codeq.n) + 1):
                 chunks = list(frames._weight_words(_xz_letters(codeq.n), w))
                 assert all(len(words) <= block for words in chunks)
                 rows = [_row(words) for chunk in chunks for words in chunk.tolist()]
                 assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
-        assert list(table.entries.items()) == expected
+        for table in tables:
+            assert list(table.entries.items()) == expected
+
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_two_tie_words_merge_across_chunks(self, block):
+        # n = 64: tie-break word 0 holds the x bits and word 1 the z bits, so
+        # pure-Z candidates tie on word 0, and a later chunk's often wins on
+        # word 1 against the running best (sorted path: two tie-break words)
+        codeq = build_code(random_classical_code(random.Random(64), 64, 58))
+        expected = _arrays(build_syndrome_table(codeq, 2))
+        with mock.patch.object(frames, "_BLOCK", block):
+            assert _arrays(_build_on_path(codeq, 2, False)) == expected
+
+    # m = 0 fills its one slot at weight 0; at m = 16, n = 11 only weight 3's
+    # C(11, 3) * 27 = 4455 candidates reach 2**16 / 64 = 1024; m = 17 has no slots
+    @pytest.mark.parametrize("m, weights_in_slots", [(0, 1), (16, 1), (17, 0)])
+    def test_path_by_generator_count(self, m, weights_in_slots):
+        codeq = _random_code(random.Random(m), m // 2 + 3, m)
+        assert simulate._fits_direct(m) is (m <= 16)
+        with mock.patch.object(
+            simulate, "_direct_entries", wraps=simulate._direct_entries
+        ) as on_direct:
+            table = build_syndrome_table(codeq, 3)
+        assert on_direct.call_count == weights_in_slots
+        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, 3).items())
+        # either path alone builds the same arrays
+        for direct in (True, False):
+            assert _arrays(_build_on_path(codeq, 3, direct)) == _arrays(table)
+
+    def test_slots_pay_from_a_64th_of_the_slots(self):
+        assert simulate._slots_pay(0, 1, 1)
+        assert simulate._slots_pay(12, 32, 64) and not simulate._slots_pay(12, 32, 63)
+        assert simulate._slots_pay(16, 20, 1024) and not simulate._slots_pay(16, 20, 1023)
+        assert not simulate._slots_pay(17, 20, 1 << 40)
+        assert not simulate._slots_pay(12, 33, 1 << 40)  # two tie-break words
+
+    # sha256 of keys, rows and inserted, from the tables built before the
+    # direct path existed: r20@4 and r24@3 take the direct path, w64@2 (m = 64)
+    # the sorted one
+    @pytest.mark.parametrize(
+        "name, depth, digests",
+        [
+            (
+                "r20",
+                4,
+                (
+                    "b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3",
+                    "4f1b786cda18eee58947fbb1ad6949a0ac40dd9eeadd71a2646275707bd41eca",
+                    "e3830a5381ba3df524ca6148f9b48b6c55efd94f2f0b2e215d864a3d8817474f",
+                ),
+            ),
+            (
+                "r24",
+                3,
+                (
+                    "474e2909015b8e523d75baa463a58d74be201e3df0b17d4ccbac9045bdf3e48c",
+                    "ef5289406d089aed55e614e2e2232e4b168005299ab79050c02f81cc152d1d49",
+                    "c72c2651888676ec0b829c7769b1991d870098fc67a198fa1716376a910e880b",
+                ),
+            ),
+            (
+                "w64",
+                2,
+                (
+                    "2f24f5d6daec216262e9d9d035318d1181242ec1e3d9dbb2f0639864adba45b7",
+                    "447801bc080d8fdf22c82b72fb9a1e6f13835ccda12a34a557629a4058ddd3a9",
+                    "d171a57ad6c09d3756fea71de1d9d19682d09e1ca901b0ced9e514fcf67959cf",
+                ),
+            ),
+        ],
+        ids=["r20@4", "r24@3", "w64@2"],
+    )
+    def test_corpus_tables_are_pinned(self, name, depth, digests):
+        codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
+        table = build_syndrome_table(codeq, depth)
+        arrays = (table.keys, table.rows, table.inserted)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+        assert table.max_weight_built == depth
 
     @settings(max_examples=60, deadline=None)
     @given(width=st.integers(1, 3), data=st.data())
