@@ -13,7 +13,9 @@ zero syndrome lies in the isotropic span exactly when those bits are zero
 too.  The rest complete a basis.  _checks is the one frame that decoding
 and analysis read from them: the units, the syndrome mask on the key words
 of a syndrome, and the normalizer mask, over the full basis for the
-decoder or over the rows up to the normalizer's for the analysis.
+decoder or over the rows up to the normalizer's for the analysis.  The
+syndrome table's units come from the generator rows alone
+(_generator_rows), the frame's first rows, with no normalizer work.
 
 _weight_words enumerates the errors of one weight as their words, in
 chunks of at most _BLOCK errors.  The syndrome table keeps the lightest
@@ -72,6 +74,14 @@ def _letter_table(units: np.ndarray) -> np.ndarray:
     return np.stack([units[:n], units[:n] ^ units[n:], units[n:]], axis=1)
 
 
+def _generator_rows(codeq: EaqeccCode) -> List[int]:
+    """The generators' check rows, halves swapped: signature bit i is generator i's syndrome bit.
+
+    They are the first rows of _check_rows, and the syndrome table's units.
+    """
+    return [_swap_halves(g.row(), codeq.n) for g in codeq.generators]
+
+
 def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     """A basis of 2n check rows, and how many of them test isotropy.
 
@@ -87,7 +97,7 @@ def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     identity.  One reduced basis grows through all three steps.
     """
     n, width = codeq.n, 2 * codeq.n
-    rows = [_swap_halves(g.row(), n) for g in codeq.generators]
+    rows = _generator_rows(codeq)
     basis: List[int] = []
     pivots: List[int] = []
     for row in rows:

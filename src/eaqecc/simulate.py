@@ -29,13 +29,11 @@ on sample_error's float formula, so it is the same letter.  The seed's
 key, the threshold and the edges are computed once per run.  The check
 rows are a basis, so a trial's words are nonzero exactly when it drew a
 nonidentity error, and only those hit trials are kept (at p = 0.01 most
-draw the identity).  The decoder finds each syndrome's table entry, by
-one gather from a direct index of all 2**m syndromes when that fits one
-block (m <= 16) and in the table's own key index otherwise, and compares
-the residual signature under two masks.  Every other trial drew the
-identity, whose outcome is decoded once per run and counted for each of
-them.  sample_error and decode_error are the per-trial references the
-block path must agree with.
+draw the identity).  The decoder finds each entry in the table's own
+index (SyndromeTable._locate, as lookup does) and compares the residual
+signature under two masks.  Every other trial drew the identity, whose
+outcome is decoded once per run and counted for each of them.  The block
+path must agree with the per-trial sample_error and decode_error.
 
 Each range allocates its block buffers once (_Buffers: the hash rows, the
 hit mask and the signature words, sized to min(_BLOCK, range)) and every
@@ -49,13 +47,13 @@ The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
 the XOR of its letters' syndrome and tie-break words.  Each syndrome keeps
 its candidate with the least tie-break key.  When 2**m syndromes fit one
-block (m <= 16, the decoder's direct-index bound), the key is one word
-(n <= 32) and a weight has at least 2**m / 64 candidates, that least key
-is held in a slot per syndrome, merged by np.minimum.at, and only the
-weight's new entries are sorted; every other weight merges its chunks of
-candidates by sorting.  The table stays in array form, its keys sorted in
-the decoder's lookup order, so a run converts nothing but the
-corrections' signatures.
+block (m <= 16, _fits_direct), the key is one word (n <= 32) and a weight
+has at least 2**m / 64 candidates, that least key is held in a slot per
+syndrome, merged by np.minimum.at, and only the weight's new entries are
+sorted; every other weight merges its chunks of candidates by sorting.
+The table stays in array form, its keys sorted, and builds its syndrome
+index once: a slot per syndrome for m <= 16, the sorted key words
+otherwise.  So a run converts nothing but the corrections' signatures.
 """
 
 from __future__ import annotations
@@ -74,6 +72,7 @@ from .frames import (
     _BLOCK,
     _checks,
     _find,
+    _generator_rows,
     _key_index,
     _letter_table,
     _pack,
@@ -84,7 +83,6 @@ from .frames import (
 )
 from .pauli import PauliString
 from .analysis import Syndrome, syndrome_of, in_isotropic
-from .symplectic import _swap_halves
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -214,11 +212,15 @@ class SyndromeTable:
     - inserted: the key-order index of each entry in insertion order
       (by weight, then by tie-break).
 
-    lookup searches the keys, and entries, the same table as a dict in
-    insertion order, is derived from the arrays on first use.  A table
-    built by hand from such a dict is converted to the arrays and keeps no
-    dict, so its corrections come back with phase 0.  Its keys must be
-    0/1 tuples of one length and its corrections act on one qubit count.
+    The syndrome index is built with the arrays, once: a (2**m,) array of
+    each syndrome's entry (-1 for none) when 2**m slots fit one block
+    (m <= 16, _fits_direct), and the keys' _key_index otherwise.  _locate
+    searches it for lookup and for the block decoder alike.  entries, the
+    same table as a dict in insertion order, is derived from the arrays on
+    first use.  A table built by hand from such a dict is converted to the
+    arrays and keeps no dict, so its corrections come back with phase 0.
+    Its keys must be 0/1 tuples of one length and its corrections act on
+    one qubit count.
     """
 
     def __init__(self, entries: Dict[Syndrome, PauliString], max_weight_built: int) -> None:
@@ -248,10 +250,19 @@ class SyndromeTable:
     def _init(
         self, n: int, m: int, keys: np.ndarray, rows: np.ndarray, max_weight_built: int
     ) -> None:
-        values, codes, rank = _key_index(keys)
-        order = np.argsort(rank)
-        self._n, self._m, self._index = n, m, (values, codes)
-        self.keys, self.rows = np.take(keys, order, axis=0), np.take(rows, order, axis=0)
+        if _fits_direct(m):  # distinct one-word keys below 2**m, ranked by slot
+            slot = keys[:, 0].view(np.intp)
+            filled = np.zeros(1 << m, dtype=bool)
+            filled[slot] = True
+            index = np.full(1 << m, -1, dtype=np.intp)
+            index[np.flatnonzero(filled)] = np.arange(len(keys))
+            rank = np.take(index, slot)
+        else:
+            values, codes, rank = _key_index(keys)
+            index = (values, codes)
+        self._n, self._m, self._index = n, m, index
+        self.keys, self.rows = np.empty(keys.shape, np.uint64), np.empty(rows.shape, np.uint64)
+        self.keys[rank], self.rows[rank] = keys, rows
         self.inserted = rank
         for array in (self.keys, self.rows, self.inserted):
             array.flags.writeable = False
@@ -276,23 +287,33 @@ class SyndromeTable:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def _locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(entry, known): the entry of each column of the (K, b) syndrome keys, valid where known.
+
+        An unknown syndrome's entry is -1 on the slot index.  The table is not empty.
+        """
+        if isinstance(self._index, tuple):
+            return _find(*self._index, keys)
+        entry = np.take(self._index, keys[0].view(np.intp))  # keys below 2**m
+        return entry, entry >= 0
+
     def lookup(self, syndrome: Syndrome) -> Optional[PauliString]:
-        # an empty table has no keys for _find to search
+        # an empty table knows no syndrome, and has no keys to search
         if not len(self) or len(syndrome) != self._m or any(b not in (0, 1) for b in syndrome):
             return None
         key = _words([sum(int(b) << i for i, b in enumerate(syndrome))], self._m)
-        rank, found = _find(*self._index, key.T)
-        if not found[0]:
+        entry, known = self._locate(key.T)
+        if not known[0]:
             return None
-        row = int.from_bytes(self.rows[rank[0]].tobytes(), "little")
+        row = int.from_bytes(self.rows[entry[0]].tobytes(), "little")
         return PauliString.from_row(self._n, row)
 
 
 def _fits_direct(m: int) -> bool:
     """Whether an array over all 2**m syndromes fits one block's words (m <= 16).
 
-    There the decoder finds entries, and the table build may merge
-    candidates, by syndrome slot instead of by sorted search.
+    There a table indexes its entries, and its build may merge candidates,
+    by syndrome slot instead of by sorted search.
     """
     return 1 << m <= _BLOCK
 
@@ -413,7 +434,7 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     n, m = codeq.n, len(codeq.generators)
-    syndromes = _units([_swap_halves(g.row(), n) for g in codeq.generators], n)
+    syndromes = _units(_generator_rows(codeq), n)
     # the tie-break key is the (x|z) row with each word bit-reversed, so bit c
     # of the row is bit 63 - c % 64 of key word c // 64 (the padding bits are
     # low zeros): ordering the keys by word 0, then word 1, ... orders the
@@ -619,29 +640,13 @@ def _sample_block(
     return hit + t_lo, sig
 
 
-def _direct_index(keys: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """The (2**m,) intp entry of each m-bit syndrome in a table's sorted keys, or -1.
-
-    None when 2**m slots exceed one block's words (m > 16), so the index
-    holds at most 512 KB per run; at m = 20 it would take 8 MB.
-    """
-    if not _fits_direct(m):
-        return None
-    index = np.full(1 << m, -1, dtype=np.intp)
-    index[keys[:, 0].view(np.intp)] = np.arange(len(keys))
-    return index
-
-
 @dataclass(frozen=True)
 class _BlockDecoder:
     """A code and its syndrome table as signature words, for decoding blocks.
 
     Errors are (W, b) signature words in the frame of frames._checks over
-    the full basis of check rows.  A trial's syndrome is its low m bits.
-    When 2**m slots fit one block (m <= 16), direct holds each syndrome's
-    table entry and a lookup is one gather from it; otherwise the entry is
-    found in the table's own key index, one key word at a time, so that
-    lookup serves any m.
+    the full basis of check rows.  A trial's syndrome is its low m bits,
+    and the table's own index (SyndromeTable._locate) finds its entry.
     The residual (error times correction) has signature error ^ correction:
     it lies in the isotropic span when its generator and normalizer bits
     are zero, and it is the identity when all of its bits are.
@@ -650,8 +655,7 @@ class _BlockDecoder:
     letters: np.ndarray  # (n, 3, W): signature of X, Y, Z on each qubit
     syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
     normalizer_mask: np.ndarray  # (W,): the normalizer bits
-    index: Tuple[tuple, tuple]  # the table's (values, codes) of _key_index
-    direct: Optional[np.ndarray]  # (2**m,) of _direct_index, or None for m > 16
+    table: SyndromeTable  # the table, whose index finds a syndrome's entry
     corrections: np.ndarray  # (W, len(table)) correction signatures in key order
     mismatched: np.ndarray  # whether a correction's syndrome differs from its key
 
@@ -667,8 +671,7 @@ class _BlockDecoder:
             _letter_table(units),
             syndrome_mask,
             normalizer_mask,
-            table._index,
-            _direct_index(table.keys, len(codeq.generators)),
+            table,
             np.ascontiguousarray(corrections.T),
             mismatched,
         )
@@ -677,15 +680,11 @@ class _BlockDecoder:
         """(entry, known): each trial's table entry, valid where known.
 
         out is a flat uint64 buffer of at least sig.size words that is
-        overwritten with the masked keys.  On the direct path an unknown
-        syndrome's entry is -1.
+        overwritten with the masked keys.  The table must not be empty.
         """
         k, b = len(self.syndrome_mask), sig.shape[1]
         keys = np.bitwise_and(sig[:k], self.syndrome_mask[:, None], out=_rows(out, k, b))
-        if self.direct is None:
-            return _find(*self.index, keys)
-        entry = np.take(self.direct, keys[0].view(np.intp))  # keys below 2**m
-        return entry, entry >= 0
+        return self.table._locate(keys)
 
     def decode(self, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The int64 counts [failures, degenerate successes, residual-syndrome violations].

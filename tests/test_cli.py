@@ -352,6 +352,26 @@ class TestOutOfMemory:
         assert run(capsys, *command) == (1, "", message)
 
 
+class TestQubitBound:
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--p", "0.01"]])
+    def test_huge_code_refused_before_it_is_built(self, capsys, monkeypatch, tmp_path, command):
+        # 100000 qubits and no generators: the check frame alone would hold
+        # 2n rows of 2n bits, so the size is refused before build_code runs
+        monkeypatch.setattr(cli, "build_code", lambda code: pytest.fail("build_code ran"))
+        path = tmp_path / "huge.code"
+        path.write_text("100000 100000\n", encoding="ascii")
+        message = "error: n=100000 is over the bound of 4096 qubits for the check frame\n"
+        assert run(capsys, command[0], str(path), *command[1:]) == (1, "", message)
+
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--p", "0.01"]])
+    def test_bound_is_inclusive(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "MAX_QUBITS", 4)
+        assert run(capsys, command[0], H4_PATH, *command[1:])[0] == 0
+        monkeypatch.setattr(cli, "MAX_QUBITS", 3)
+        code, out, err = run(capsys, command[0], H4_PATH, *command[1:])
+        assert (code, out, err) == (1, "", "error: n=4 is over the bound of 3 qubits for the check frame\n")
+
+
 class TestSimulateCommand:
     def test_p_zero(self, capsys):
         code, out, _ = run(

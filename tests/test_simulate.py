@@ -1,6 +1,7 @@
 """Tests for the depolarizing-channel Monte Carlo and syndrome-table decoder."""
 
 import hashlib
+import itertools
 import random
 from unittest import mock
 
@@ -95,6 +96,11 @@ def _build_on_path(codeq, depth, direct):
         table = build_syndrome_table(codeq, depth)
     assert on_direct.called is direct
     return table
+
+
+def _slot_indexed(table):
+    """Whether the table's syndrome index has a slot per syndrome (else sorted key words)."""
+    return not isinstance(table._index, tuple)
 
 
 def _arrays(table):
@@ -635,6 +641,45 @@ class TestSyndromeTable:
         assert len(table) == 0 and table.entries == {}
         assert table.lookup(()) is None and table.lookup((0, 1)) is None
 
+    @pytest.mark.parametrize("m", [0, 16, 17])
+    def test_slot_index_ranks_without_key_index(self, m):
+        # a table of m <= 16 ranks its keys by slot; only m > 16 sorts them
+        codeq = _random_code(random.Random(m), m // 2 + 3, m)
+        entries = build_syndrome_table(codeq, 1).entries
+        with mock.patch.object(simulate, "_key_index", wraps=simulate._key_index) as ranked:
+            table = SyndromeTable(dict(entries), 1)
+        assert ranked.called is (m > 16) and _slot_indexed(table) is (m <= 16)
+        assert list(table.entries.items()) == list(entries.items())
+
+    # m = 0, 5 and 12 on either index kind (the sorted one forced by the
+    # decision point, _fits_direct), m = 17 on its own sorted kind
+    @pytest.mark.parametrize(
+        "m, slots", [(m, slots) for m in (0, 5, 12) for slots in (True, False)] + [(17, False)]
+    )
+    def test_lookup_matches_the_reference_dict(self, m, slots, monkeypatch):
+        # lookup and the block decoder read one index, so check lookup, and
+        # decode_error through it, against the pure-Python enumeration
+        if not slots:
+            monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+        codeq = _random_code(random.Random(m), max(m, 2), m)
+        reference = reference_syndrome_table(codeq, 1)
+        table = build_syndrome_table(codeq, 1)
+        assert _slot_indexed(table) is slots
+        rng = random.Random(m)
+        absent = [tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(200)]
+        queries = list(reference) + absent if m > 12 else list(itertools.product((0, 1), repeat=m))
+        assert any(s not in reference for s in queries) or m == 0
+        assert [table.lookup(s) for s in queries] == [reference.get(s) for s in queries]
+        assert table.lookup((0,) * (m + 1)) is None
+        e = random_pauli(rng, codeq.n)
+        known = decode_error(codeq, table, e).known_syndrome
+        assert known == (syndrome_of(codeq, e) in reference)
+        # an empty hand-built table (m = 0) knows no syndrome on either kind
+        empty = SyndromeTable({}, 0)
+        assert _slot_indexed(empty) is slots
+        assert empty.lookup(()) is None and empty.lookup((0,) * m) is None
+        assert not decode_error(codeq, empty, e).known_syndrome
+
     @pytest.mark.parametrize(
         "entries, message",
         [
@@ -741,7 +786,7 @@ def _check_hand_built_table(golden, edit, direct):
         entries[s1] = entries[s2]
         quiet = (1, 0, 1) if s1 == zero else (0, 0, 0)
     table = SyndromeTable(entries, 1)
-    assert (_BlockDecoder.build(golden, table).direct is not None) == direct
+    assert _slot_indexed(table) is direct
     idle = run_trials(golden, DepolarizingChannel(0.0), table, 500, seed=2)
     counts = (idle.logical_failures, idle.residual_in_isotropic, idle.residual_syndrome_nonzero)
     assert counts == tuple(500 * q for q in quiet)
@@ -824,22 +869,23 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("edit", ["no_zero", "zero_isotropic", "corrupt", "corrupt_zero"])
     def test_hand_built_tables_on_the_sorted_path(self, golden, edit, monkeypatch):
-        monkeypatch.setattr(simulate, "_direct_index", lambda keys, m: None)
+        monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
         _check_hand_built_table(golden, edit, direct=False)
 
     @pytest.mark.parametrize("m", [0, 1, 12, 16])
     def test_direct_index_matches_sorted_search(self, m, monkeypatch):
-        # three ranges of whole and ragged blocks, with the direct index on
-        # (2**m slots fit a block) and forced off
+        # three ranges of whole and ragged blocks, on a table with the slot
+        # index (2**m slots fit a block) and on one built with it forced off
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
         codeq = _random_code(random.Random(m), max(m, 2), m)
         assert len(codeq.generators) == m
         table = build_syndrome_table(codeq, 2)
-        assert _BlockDecoder.build(codeq, table).direct is not None
+        assert _slot_indexed(table)
         ch, trials = DepolarizingChannel(0.1), 2 * simulate._BLOCK + 3
         direct = [run_trials(codeq, ch, table, trials, 8, workers) for workers in (1, 3)]
-        monkeypatch.setattr(simulate, "_direct_index", lambda keys, m: None)
-        assert _BlockDecoder.build(codeq, table).direct is None
+        monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+        table = build_syndrome_table(codeq, 2)
+        assert not _slot_indexed(table)
         for workers, result in zip((1, 3), direct):
             assert run_trials(codeq, ch, table, trials, 8, workers) == result
         assert 0 < direct[0].logical_failures < trials
@@ -848,14 +894,15 @@ class TestRunTrials:
         # 2**17 slots would outgrow one block's words
         codeq = _random_code(random.Random(17), 17, 17)
         table = build_syndrome_table(codeq, 1)
-        assert _BlockDecoder.build(codeq, table).direct is None
+        assert not _slot_indexed(table)
         ch = DepolarizingChannel(0.05)
         assert run_trials(codeq, ch, table, 300, 4) == _decode_one_by_one(codeq, table, ch, 300, 4)
 
     @pytest.mark.parametrize("m", [0, 2, 62, 64, 66])
     def test_table_keys_match_the_decoder_frame(self, m):
-        # build_syndrome_table derives its syndrome words from the generator
-        # rows; every key must equal the decoder's syndrome of its correction
+        # build_syndrome_table takes its syndrome words from the generator
+        # rows alone (frames._generator_rows), with no normalizer rows; every
+        # key must equal the decoder's syndrome of its correction
         if m:
             codeq = build_code(random_classical_code(random.Random(m), m // 2 + 2, 2))
         else:
@@ -1083,7 +1130,7 @@ class TestRunTrials:
         codeq = _random_code(random.Random(5), 40, 12)
         table = build_syndrome_table(codeq, 1)
         decoder = _BlockDecoder.build(codeq, table)
-        assert decoder.direct is not None and decoder.letters.shape[2] == 2
+        assert _slot_indexed(table) and decoder.letters.shape[2] == 2
         keys = {sum(b << i for i, b in enumerate(s)): c for s, c in table.entries.items()}
         assert 0 < len(keys) < 1 << 12
         rng = np.random.default_rng(5)
@@ -1093,8 +1140,10 @@ class TestRunTrials:
         assert known.tolist() == [s in keys for s in range(1 << 12)]
         for s in np.flatnonzero(known).tolist():
             assert (decoder.corrections[:, entry[s]] == _signature(decoder.letters, keys[s])).all()
-        # the sorted search finds the same entries
-        monkeypatch.setattr(simulate, "_direct_index", lambda keys, m: None)
+        # the sorted search of a table built without slots finds the same entries
+        monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+        table = build_syndrome_table(codeq, 1)
+        assert not _slot_indexed(table)
         sorted_entry, sorted_known = _BlockDecoder.build(codeq, table).lookup(
             sig, np.empty(sig.size, dtype=np.uint64)
         )
