@@ -30,7 +30,6 @@ class ClassicalCode:
     n: int
     k: int
     h: gf4.GfFourMatrix
-    d_claimed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -47,8 +46,8 @@ class ClassicalCode:
             raise ValueError("parity-check rows are GF(4)-dependent")
 
     @classmethod
-    def from_rows(cls, n: int, k: int, rows, d_claimed: Optional[int] = None) -> "ClassicalCode":
-        return cls(n, k, gf4.GfFourMatrix.from_rows(rows, ncols=n), d_claimed)
+    def from_rows(cls, n: int, k: int, rows) -> "ClassicalCode":
+        return cls(n, k, gf4.GfFourMatrix.from_rows(rows, ncols=n))
 
 
 @dataclass(frozen=True)

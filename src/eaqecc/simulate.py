@@ -45,13 +45,14 @@ arguments and allocate none of their own.
 
 The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
-the XOR of its letters' syndrome and tie-break words.  Each syndrome keeps
-its candidate with the least tie-break key.  When 2**m syndromes fit one
-block (m <= 16, _fits_direct), the key is one word (n <= 32) and a weight
-has at least 2**m / 64 candidates, that least key is held in a slot per
-syndrome, merged by np.minimum.at, and only the weight's new entries are
-sorted; every other weight merges its chunks of candidates by sorting.
-The table stays in array form, its keys sorted, and builds its syndrome
+the XOR of its letters' syndrome and tie-break words.  The build starts
+from the identity, the entry of weight 0, and each syndrome keeps its
+candidate with the least tie-break key.  The merge is the table's, chosen
+once: when 2**m syndromes fit one block (m <= 16, _fits_direct) and the
+key is one word (n <= 32), each weight's least keys are held in a slot
+per syndrome, merged by np.minimum.at, and only its new entries are
+sorted; any other table merges each weight's chunks by sorting.  The
+table stays in array form, its keys sorted, and builds its syndrome
 index once: a slot per syndrome for m <= 16, the sorted key words
 otherwise.  So a run converts nothing but the corrections' signatures.
 """
@@ -312,22 +313,11 @@ class SyndromeTable:
 def _fits_direct(m: int) -> bool:
     """Whether an array over all 2**m syndromes fits one block's words (m <= 16).
 
-    There a table indexes its entries, and its build may merge candidates,
-    by syndrome slot instead of by sorted search.
+    There a table indexes its entries by syndrome slot instead of by
+    sorted search, and its build merges candidates in slots when the
+    tie-break key is one word (see build_syndrome_table).
     """
     return 1 << m <= _BLOCK
-
-
-def _slots_pay(m: int, n: int, candidates: int) -> bool:
-    """Whether one weight's candidates merge in 2**m syndrome slots (_direct_entries).
-
-    The slots must fit one block, the tie-break key must be one word
-    (n <= 32), and the weight must hold at least 2**m / 64 candidates.  A
-    few candidates sort in microseconds, while the slots' first use in a
-    process page-faults about 600 KB at m = 16 (d5@1's 36 candidates took
-    0.4 ms longer that way).
-    """
-    return _fits_direct(m) and n <= 32 and candidates << 6 >= 1 << m
 
 
 def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
@@ -345,22 +335,22 @@ def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
     return words[first]
 
 
-def _sorted_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, nkeys: int) -> np.ndarray:
+def _sorted_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
     """One weight's new entries in tie-break order, merged by sorting; serves any m.
 
-    chunks are the weight's candidate rows (nkeys syndrome words, then the
-    tie-break key's words) and kept the table's rows so far.  Candidates
-    whose syndrome kept holds are dropped, found in kept's key index;
-    the rest are merged with _fewest.
+    chunks are the weight's candidate rows (the max(1, ceil(m / 64))
+    syndrome words of _units, then the tie-break key's words) and kept
+    the table's rows so far, the identity's first.  Candidates whose
+    syndrome kept holds are dropped, found in kept's key index; the rest
+    are merged with _fewest.
     """
-    known = _key_index(kept[:, :nkeys])[:2] if len(kept) else None
+    nkeys = max(1, -(-m // 64))
+    known = _key_index(kept[:, :nkeys])[:2]
     # chunks wait in pending until they outnumber best, so every merge
     # at least doubles the rows it sorts
     best, pending = kept[:0], []
     for words in chunks:
-        if known is not None:
-            words = words[~_find(*known, words[:, :nkeys].T)[1]]
-        pending.append(words)
+        pending.append(words[~_find(*known, words[:, :nkeys].T)[1]])
         if sum(map(len, pending)) > len(best):
             best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
     if pending:
@@ -416,20 +406,21 @@ def _reverse(words: np.ndarray) -> np.ndarray:
 def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     """Enumerate errors by increasing weight, keeping first-seen syndromes.
 
-    Each weight is enumerated in chunks of at most _BLOCK candidates.  A
-    candidate is carried as its syndrome words and its tie-break key (its
-    (x|z) row words, each bit-reversed), both the XOR of its letters'
+    The table starts from the identity, the one error of weight 0.  Each
+    weight from 1 on is enumerated in chunks of at most _BLOCK candidates.
+    A candidate is carried as its syndrome words and its tie-break key
+    (its (x|z) row words, each bit-reversed), both the XOR of its letters'
     words.  Of the candidates with a syndrome no lighter error has, each
     syndrome keeps the one with the smallest tie-break key, and the new
-    entries follow in key order.  Enumeration stops after the weight in
-    which every syndrome has an entry; the rows are recovered from the
-    kept keys.
+    entries follow in key order.  Enumeration stops once every syndrome
+    has an entry; the rows are recovered from the kept keys.
 
-    A weight whose candidates are many for 2**m slots that fit one block
-    (m <= 16), with a one-word tie-break key (n <= 32, see _slots_pay),
-    merges them in arrays indexed by syndrome (_direct_entries) and sorts
-    only its new entries; any other weight merges chunks by sorting
-    (_sorted_entries).  Both give the same entries.
+    The merge is chosen once per table, as its index is: when 2**m slots
+    fit one block (m <= 16, _fits_direct) and the tie-break key is one
+    word (n <= 32), every weight merges its candidates in arrays indexed
+    by syndrome (_direct_entries) and sorts only its new entries;
+    otherwise every weight merges its chunks by sorting (_sorted_entries).
+    Both give the same entries.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -441,17 +432,14 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     # rows lexicographically from qubit 0's x bit on
     ties = _reverse(_pack(np.eye(2 * n, dtype=np.uint8)))
     letters = _letter_table(np.concatenate([syndromes, ties], axis=1))
-    nkeys = syndromes.shape[1]
-    kept = np.zeros((0, letters.shape[2]), dtype=np.uint64)  # entries in insertion order
-    for w in range(min(max_weight, n) + 1):
-        chunks = _weight_words(letters, w)
-        if _slots_pay(m, n, math.comb(n, w) * 3**w):
-            entries = _direct_entries(chunks, kept, m)
-        else:
-            entries = _sorted_entries(chunks, kept, nkeys)
-        kept = np.concatenate([kept, entries])
+    merge = _direct_entries if _fits_direct(m) and ties.shape[1] == 1 else _sorted_entries
+    # entries in insertion order, from the identity's: syndrome 0, tie-break key 0
+    kept = np.zeros((1, letters.shape[2]), dtype=np.uint64)
+    for w in range(1, min(max_weight, n) + 1):
         if len(kept) == 1 << m:
             break
+        kept = np.concatenate([kept, merge(_weight_words(letters, w), kept, m)])
+    nkeys = syndromes.shape[1]
     return SyndromeTable._from_arrays(n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight)
 
 

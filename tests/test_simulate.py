@@ -1,5 +1,6 @@
 """Tests for the depolarizing-channel Monte Carlo and syndrome-table decoder."""
 
+import contextlib
 import hashlib
 import itertools
 import random
@@ -87,14 +88,32 @@ def _sample(p, letters, seed, t_lo, t_hi, buffers):
     return _sample_block(top, edges, letters, key, t_lo, t_hi, buffers)
 
 
+@contextlib.contextmanager
+def _merges(*names):
+    """Mocks that record the calls of simulate's two merges, its weight enumeration, then names."""
+    with contextlib.ExitStack() as stack:
+        yield [
+            stack.enter_context(mock.patch.object(simulate, name, wraps=getattr(simulate, name)))
+            for name in ("_direct_entries", "_sorted_entries", "_weight_words", *names)
+        ]
+
+
+def _assert_one_merge(on_direct, on_sorted, weights, direct):
+    """Every weight the build enumerated merged on one path: the slots if direct, else the sort."""
+    chosen, other = (on_direct, on_sorted) if direct else (on_sorted, on_direct)
+    assert chosen.call_count == weights.call_count and not other.called
+
+
 def _build_on_path(codeq, depth, direct):
-    """build_syndrome_table with every weight on one path: the syndrome slots, or the sort."""
-    pay = mock.patch.object(simulate, "_slots_pay", lambda m, n, candidates: direct)
-    with pay, mock.patch.object(
-        simulate, "_direct_entries", wraps=simulate._direct_entries
-    ) as on_direct:
+    """build_syndrome_table on one path, forced at _fits_direct: the syndrome slots, or the sort.
+
+    The patch holds for the whole build, so the table's index follows it
+    too.  The slots need a one-word tie-break key (n <= 32).
+    """
+    fits = mock.patch.object(simulate, "_fits_direct", lambda m: direct)
+    with fits, _merges() as (on_direct, on_sorted, weights):
         table = build_syndrome_table(codeq, depth)
-    assert on_direct.called is direct
+    _assert_one_merge(on_direct, on_sorted, weights, direct)
     return table
 
 
@@ -434,7 +453,7 @@ class TestSyndromeTable:
 
         monkeypatch.setattr(simulate, "_weight_words", recording)
         table = build_syndrome_table(golden, 3)
-        assert weights == [0, 1, 2]
+        assert weights == [1, 2]  # weight 0 is the identity, never enumerated
         assert table.entries == reference
         assert list(table.entries) == list(reference)
         assert table.max_weight_built == 3
@@ -465,7 +484,9 @@ class TestSyndromeTable:
         # Two tie-break words (n = 33) take the sorted path only
         codeq = build_code(random_classical_code(random.Random(n), n, n - 6))
         expected = list(reference_syndrome_table(codeq, depth).items())
-        assert simulate._slots_pay(len(codeq.generators), n, 1 << 40) is (n <= 32)
+        with _merges() as (on_direct, on_sorted, weights):
+            build_syndrome_table(codeq, depth)
+        _assert_one_merge(on_direct, on_sorted, weights, n <= 32)
         for direct in (True, False) if n <= 32 else (False,):
             table = _build_on_path(codeq, depth, direct)
             assert list(table.entries.items()) == expected
@@ -500,28 +521,45 @@ class TestSyndromeTable:
         with mock.patch.object(frames, "_BLOCK", block):
             assert _arrays(_build_on_path(codeq, 2, False)) == expected
 
-    # m = 0 fills its one slot at weight 0; at m = 16, n = 11 only weight 3's
-    # C(11, 3) * 27 = 4455 candidates reach 2**16 / 64 = 1024; m = 17 has no slots
-    @pytest.mark.parametrize("m, weights_in_slots", [(0, 1), (16, 1), (17, 0)])
-    def test_path_by_generator_count(self, m, weights_in_slots):
+    # slots is 1 where the table merges in syndrome slots: m = 0 fills its one
+    # slot with the identity and enumerates no weight, m = 16 (n = 11) merges
+    # weights 1-3 in slots, and m = 17 has no slots
+    @pytest.mark.parametrize("m, slots", [(0, 1), (16, 1), (17, 0)])
+    def test_path_by_generator_count(self, m, slots):
         codeq = _random_code(random.Random(m), m // 2 + 3, m)
-        assert simulate._fits_direct(m) is (m <= 16)
-        with mock.patch.object(
-            simulate, "_direct_entries", wraps=simulate._direct_entries
-        ) as on_direct:
+        assert simulate._fits_direct(m) is (m <= 16) is bool(slots)
+        with _merges() as (on_direct, on_sorted, weights):
             table = build_syndrome_table(codeq, 3)
-        assert on_direct.call_count == weights_in_slots
+        assert weights.call_count == (3 if m else 0)
+        _assert_one_merge(on_direct, on_sorted, weights, slots)
         assert list(table.entries.items()) == list(reference_syndrome_table(codeq, 3).items())
         # either path alone builds the same arrays
         for direct in (True, False):
             assert _arrays(_build_on_path(codeq, 3, direct)) == _arrays(table)
 
-    def test_slots_pay_from_a_64th_of_the_slots(self):
-        assert simulate._slots_pay(0, 1, 1)
-        assert simulate._slots_pay(12, 32, 64) and not simulate._slots_pay(12, 32, 63)
-        assert simulate._slots_pay(16, 20, 1024) and not simulate._slots_pay(16, 20, 1023)
-        assert not simulate._slots_pay(17, 20, 1 << 40)
-        assert not simulate._slots_pay(12, 33, 1 << 40)  # two tie-break words
+    # the merge is the table's: the slots wherever 2**m fit one block and the
+    # tie-break key is one word (n <= 32), the sort for m = 17 or n = 33
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize(
+        "m, n, slots",
+        [(0, 3, True), (12, 16, True), (16, 11, True), (16, 32, True)]
+        + [(17, 11, False), (12, 33, False), (16, 33, False)],
+    )
+    def test_one_merge_per_table(self, m, n, slots, depth):
+        codeq = _random_code(random.Random(100 * m + n), n, m)
+        with _merges("_key_index") as (on_direct, on_sorted, weights, ranked):
+            table = build_syndrome_table(codeq, depth)
+        # weight 0 is the identity, never enumerated, and fills m = 0's one syndrome
+        assert weights.call_count == (depth if m else 0)
+        _assert_one_merge(on_direct, on_sorted, weights, slots)
+        if slots:  # no merge and no index sorts keys
+            assert not ranked.called
+        entries = list(table.entries.items())
+        assert entries == list(reference_syndrome_table(codeq, depth).items())
+        assert entries[0] == ((0,) * m, identity(n))
+        if not depth:  # the identity alone, with no merge called
+            assert len(entries) == 1
+        assert table.max_weight_built == depth
 
     # sha256 of keys, rows and inserted, from the tables built before the
     # direct path existed: r20@4 and r24@3 take the direct path, w64@2 (m = 64)
