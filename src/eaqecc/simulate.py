@@ -19,29 +19,32 @@ in the frame of frames._checks over all 2n check rows, packed into uint64
 words.  The generators come first, so the low bits are the syndrome; the
 next rows check the normalizer, so a residual lies in the isotropic span
 exactly when those bits are zero too.  The sampler hashes one qubit column
-at a time and XORs the signature of each drawn letter into the trials that
-erred.  A draw is a hit when its finalized hash is at most a threshold;
-the finalizer's last step leaves the top 31 bits as they are, so one
-compare before that step picks an exact superset of the hits, and the
-step and the exact compare run on those candidates only.  A hit's letter
-is two integer compares against edges found once per run by bisection
-on sample_error's float formula, so it is the same letter.  The seed's
-key, the threshold and the edges are computed once per run.  The check
-rows are a basis, so a trial's words are nonzero exactly when it drew a
-nonidentity error, and only those hit trials are kept (at p = 0.01 most
-draw the identity).  The decoder finds each entry in the table's own
-index (SyndromeTable._locate, as lookup does) and compares the residual
-signature under two masks.  Every other trial drew the identity, whose
-outcome is decoded once per run and counted for each of them.  The block
-path must agree with the per-trial sample_error and decode_error.
+per pass over a full block, and a group of qubit columns per pass over a
+shorter one (about _BLOCK // 2 draws, _group), and XORs the signature of
+each drawn letter into the trials that erred.  A draw is a hit when its
+finalized hash is at most a threshold; the finalizer's last step leaves
+the top 31 bits as they are, so one compare before that step picks an
+exact superset of the hits, and the step and the exact compare run on
+those candidates only.  A hit's letter is two integer compares against
+edges found once per run by bisection on sample_error's float formula, so
+it is the same letter.  The seed's key, the threshold and the edges are
+computed once per run.  The check rows are a basis, so a trial's words
+are nonzero exactly when it drew a nonidentity error, and only those hit
+trials are kept (at p = 0.01 most draw the identity).  The decoder finds
+each entry in the table's own index (_locate, as lookup does) and
+compares the residual signature under two masks.  Every other trial drew
+the identity, whose outcome the decoder holds, decoded once, and counts
+for each of them.  The table keeps the decoder of the last code it ran
+on, so a run on the same table and code object builds no decoder.  The
+block path must agree with the per-trial sample_error and decode_error.
 
 Each range allocates its block buffers once (_Buffers: the hash rows, the
-hit mask and the signature words, sized to min(_BLOCK, range)) and every
-block reuses them: the sampler overwrites them, and the decoder writes
-its keys and residuals into the words the sampler is done with.  So a run
-allocates no block-sized array per block, and a thread touches only its
-own range's buffers.  The kernels take these buffers as required
-arguments and allocate none of their own.
+hit mask and the signature words, sized to min(_BLOCK, range) trials and
+their groups) and every block reuses them: the sampler overwrites them,
+and the decoder writes its keys and residuals into the words the sampler
+is done with.  So a run allocates no block-sized array per block, and a
+thread touches only its own range's buffers.  The kernels take these
+buffers as required arguments and allocate none of their own.
 
 The syndrome table is built with the same kind of letter table: each
 weight's candidate errors come from frames._weight_words, each carried as
@@ -54,7 +57,8 @@ per syndrome, merged by np.minimum.at, and only its new entries are
 sorted; any other table merges each weight's chunks by sorting.  The
 table stays in array form, its keys sorted, and builds its syndrome
 index once: a slot per syndrome for m <= 16, the sorted key words
-otherwise.  So a run converts nothing but the corrections' signatures.
+otherwise.  So a run converts nothing of the table but the corrections'
+signatures, and only when it builds a decoder.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -218,10 +222,12 @@ class SyndromeTable:
     (m <= 16, _fits_direct), and the keys' _key_index otherwise.  _locate
     searches it for lookup and for the block decoder alike.  entries, the
     same table as a dict in insertion order, is derived from the arrays on
-    first use.  A table built by hand from such a dict is converted to the
-    arrays and keeps no dict, so its corrections come back with phase 0.
-    Its keys must be 0/1 tuples of one length and its corrections act on
-    one qubit count.
+    first use, and so is the block decoder of a code: the table keeps the
+    one of the last code object that run_trials ran it on
+    (_BlockDecoder.of), and a run on another code replaces it.  A table
+    built by hand from such a dict is converted to the arrays and keeps no
+    dict, so its corrections come back with phase 0.  Its keys must be 0/1
+    tuples of one length and its corrections act on one qubit count.
     """
 
     def __init__(self, entries: Dict[Syndrome, PauliString], max_weight_built: int) -> None:
@@ -269,6 +275,7 @@ class SyndromeTable:
             array.flags.writeable = False
         self.max_weight_built = max_weight_built
         self._entries: Optional[Dict[Syndrome, PauliString]] = None
+        self._decoder: Optional[_BlockDecoder] = None
 
     @property
     def entries(self) -> Dict[Syndrome, PauliString]:
@@ -288,26 +295,29 @@ class SyndromeTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def _locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(entry, known): the entry of each column of the (K, b) syndrome keys, valid where known.
-
-        An unknown syndrome's entry is -1 on the slot index.  The table is not empty.
-        """
-        if isinstance(self._index, tuple):
-            return _find(*self._index, keys)
-        entry = np.take(self._index, keys[0].view(np.intp))  # keys below 2**m
-        return entry, entry >= 0
-
     def lookup(self, syndrome: Syndrome) -> Optional[PauliString]:
         # an empty table knows no syndrome, and has no keys to search
         if not len(self) or len(syndrome) != self._m or any(b not in (0, 1) for b in syndrome):
             return None
         key = _words([sum(int(b) << i for i, b in enumerate(syndrome))], self._m)
-        entry, known = self._locate(key.T)
+        entry, known = _locate(self._index, key.T)
         if not known[0]:
             return None
         row = int.from_bytes(self.rows[entry[0]].tobytes(), "little")
         return PauliString.from_row(self._n, row)
+
+
+def _locate(index, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(entry, known): the entry of each column of the (K, b) syndrome keys, valid where known.
+
+    index is a table's syndrome index: its (2**m,) slot array, or its keys'
+    _key_index.  An unknown syndrome's entry is -1 on the slot index.  The
+    table is not empty.
+    """
+    if isinstance(index, tuple):
+        return _find(*index, keys)
+    entry = np.take(index, keys[0].view(np.intp))  # keys below 2**m
+    return entry, entry >= 0
 
 
 def _fits_direct(m: int) -> bool:
@@ -503,21 +513,35 @@ class TrialResult:
 class _Buffers(NamedTuple):
     """One range's block buffers, for blocks of up to b trials, reused by every block.
 
-    hashes and words are flat, so a block of b' <= b trials works in the
+    The buffers are flat, so a block of b' <= b trials works in the
     C-contiguous views _rows(buffer, rows, b') of their starts.  The
-    sampler hashes in three rows of hashes (the keys, one qubit's draws,
-    the finalizer's scratch), XORs the letters into words and gathers the
-    hit trials' words into hashes; words is then the decoder's scratch.
+    sampler hashes a group of g qubits per pass (_group) in hashes: the
+    keys' row, then g rows of draws and g of the finalizer's scratch.  It
+    XORs the letters into words and gathers the hit trials' words into
+    hashes; words is then the decoder's scratch.  span, the most draws
+    that one pass over up to b trials of n qubits hashes, is b when
+    b >= _BLOCK // 2 (3b hash words, as for a full block) and at most
+    _BLOCK // 2 otherwise.
     """
 
-    hashes: np.ndarray  # (max(3, W) * b,) uint64: the hash rows, then the hits' words
-    below: np.ndarray  # (b,) bool: the trials that drew below the threshold
+    hashes: np.ndarray  # (max(b + 2 * span, W * b),) uint64: the hash rows, then the hits' words
+    below: np.ndarray  # (span,) bool: the draws below the threshold, then the hit trials
     words: np.ndarray  # (W * b,) uint64: the trials' signature words
 
     @classmethod
-    def of(cls, b: int, width: int) -> "_Buffers":
-        hashes = np.empty(max(3, width) * b, dtype=np.uint64)
-        return cls(hashes, np.empty(b, dtype=bool), np.empty(width * b, dtype=np.uint64))
+    def of(cls, b: int, width: int, n: int) -> "_Buffers":
+        span = max(b, min(n * b, _BLOCK // 2))  # g * b' <= span for every b' <= b
+        hashes = np.empty(max(b + 2 * span, width * b), dtype=np.uint64)
+        return cls(hashes, np.empty(span, dtype=bool), np.empty(width * b, dtype=np.uint64))
+
+
+def _group(n: int, b: int) -> int:
+    """g: how many of n qubits a block of b trials hashes per pass, as a (g, b) array.
+
+    A short block groups its qubits into passes of about _BLOCK // 2 draws,
+    so each numpy call runs over more than b words; a full block has g = 1.
+    """
+    return max(1, min(n, (_BLOCK // 2) // max(b, 1)))
 
 
 def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -595,30 +619,46 @@ def _sample_block(
     CounterRng(seed, hit[i]) exactly.
 
     The block works in buffers, a range's _Buffers for at least t_hi - t_lo
-    trials, which it overwrites.  The returned words are a view into
-    buffers.hashes, valid until the next block.  Each qubit's draws are
-    hashed in place, nine passes over the block: the key add, the
-    finalizer's two multiply rounds and _below's prefilter and flatnonzero.
-    The hits' letters are two integer compares against edges, gathered
-    from each word's contiguous (n, 3) table.
+    trials of n qubits, which it overwrites.  The returned words are a view
+    into buffers.hashes, valid until the next block.  The draws of trial t
+    on qubit j are key_t + (j + 1) * _GOLDEN finalized, hashed in place for
+    g = _group(n, b) qubits per pass as a (g, b) array (the last group may
+    be shorter): nine passes over it, the key add, the finalizer's two
+    multiply rounds and _below's prefilter and flatnonzero.  The hits'
+    letters are two integer compares against edges, gathered from each
+    word's contiguous (n, 3) table.  A full block has g = 1 and XORs them
+    in by fancy index.  In a group, hit r is qubit j + r // b of trial
+    r % b, and a trial may hit several of the group's qubits, so
+    np.bitwise_xor.at XORs in every one of them.
     """
     n, _, width = letters.shape
     b = t_hi - t_lo
     if top < 0:
         return np.zeros(0, dtype=np.int64), np.zeros((width, 0), dtype=np.uint64)
-    keys, draws, scratch = _rows(buffers.hashes, 3, b)
-    below, words = buffers.below[:b], _rows(buffers.words, width, b)
+    g = _group(n, b)
+    keys = buffers.hashes[:b]
+    draws, scratch = _rows(buffers.hashes[b:], 2 * g, b).reshape(2, g, b)
+    words = _rows(buffers.words, width, b)
     words.fill(0)
-    _counter(key, t_lo, keys, scratch)
+    _counter(key, t_lo, keys, scratch[0])
     a1, a2 = edges
+    steps = np.array([(j + 1) * _GOLDEN & _MASK64 for j in range(n)], dtype=np.uint64)[:, None]
     tables = np.ascontiguousarray(letters.transpose(2, 0, 1))  # (W, n, 3)
-    for j in range(n):
-        np.add(keys, np.uint64((j + 1) * _GOLDEN & _MASK64), out=draws)
-        _mix64_rounds(draws, scratch)
-        r, w = _below(draws, top, below)
+    for j in range(0, n, g):
+        v, tmp = draws[: n - j], scratch[: n - j]  # qubits j, j + 1, ... of the group
+        np.add(keys, steps[j : j + g], out=v)
+        _mix64_rounds(v, tmp)
+        r, w = _below(v, top, _rows(buffers.below, len(v), b))
         kind = np.add(w >= a1, w >= a2, dtype=np.intp)
-        for word, table in zip(words, tables):
-            word[r] ^= np.take(table[j], kind)
+        if g == 1:
+            for word, table in zip(words, tables):
+                word[r] ^= np.take(table[j], kind)
+        else:
+            q, r = np.divmod(r, b)
+            kind += 3 * (q + j)  # the letter's index in the flat (n * 3) table
+            for word, table in zip(words, tables):
+                np.bitwise_xor.at(word, r, np.take(table, kind))
+    below = buffers.below[:b]
     np.any(words, axis=0, out=below)
     hit = np.flatnonzero(below)
     # take keeps the columns C-contiguous (words[:, hit] would not), which
@@ -634,18 +674,30 @@ class _BlockDecoder:
 
     Errors are (W, b) signature words in the frame of frames._checks over
     the full basis of check rows.  A trial's syndrome is its low m bits,
-    and the table's own index (SyndromeTable._locate) finds its entry.
-    The residual (error times correction) has signature error ^ correction:
-    it lies in the isotropic span when its generator and normalizer bits
-    are zero, and it is the identity when all of its bits are.
+    and the table's own index (_locate) finds its entry.  The residual
+    (error times correction) has signature error ^ correction: it lies in
+    the isotropic span when its generator and normalizer bits are zero,
+    and it is the identity when all of its bits are.
+
+    A decoder is a pure function of (codeq, table).  The table keeps the
+    decoder of the last code it ran on (of), and the decoder holds the
+    table's index but not the table, so the two form no cycle.
     """
 
+    codeq: EaqeccCode  # the code whose checks the signatures are in
     letters: np.ndarray  # (n, 3, W): signature of X, Y, Z on each qubit
     syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
     normalizer_mask: np.ndarray  # (W,): the normalizer bits
-    table: SyndromeTable  # the table, whose index finds a syndrome's entry
+    index: object  # the table's syndrome index, which finds a syndrome's entry
     corrections: np.ndarray  # (W, len(table)) correction signatures in key order
     mismatched: np.ndarray  # whether a correction's syndrome differs from its key
+    quiet: np.ndarray = field(init=False)  # the counts of one trial that drew the identity
+
+    def __post_init__(self) -> None:
+        width = self.letters.shape[2]
+        zero = np.zeros((width, 1), dtype=np.uint64)
+        # every trial without a hit drew the identity: decode it once, count it often
+        object.__setattr__(self, "quiet", self.decode(zero, np.empty(width, dtype=np.uint64)))
 
     @classmethod
     def build(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
@@ -656,13 +708,26 @@ class _BlockDecoder:
         mismatched = (keys != table.keys).any(axis=1)
         # the table's keys are in lookup order, so entry i has rank i
         return cls(
+            codeq,
             _letter_table(units),
             syndrome_mask,
             normalizer_mask,
-            table,
+            table._index,
             np.ascontiguousarray(corrections.T),
             mismatched,
         )
+
+    @classmethod
+    def of(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
+        """The decoder that table keeps for the code object codeq, built and kept if it has none.
+
+        Calls on several threads may race to replace it; that decides only
+        which decoder the table keeps, as each call uses one of its own code.
+        """
+        decoder = table._decoder
+        if decoder is None or decoder.codeq is not codeq:
+            decoder = table._decoder = cls.build(codeq, table)
+        return decoder
 
     def lookup(self, sig: np.ndarray, out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(entry, known): each trial's table entry, valid where known.
@@ -672,7 +737,7 @@ class _BlockDecoder:
         """
         k, b = len(self.syndrome_mask), sig.shape[1]
         keys = np.bitwise_and(sig[:k], self.syndrome_mask[:, None], out=_rows(out, k, b))
-        return self.table._locate(keys)
+        return _locate(self.index, keys)
 
     def decode(self, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The int64 counts [failures, degenerate successes, residual-syndrome violations].
@@ -710,21 +775,19 @@ def run_trials(
         raise ValueError(f"trials must be >= 0, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    decoder = _BlockDecoder.build(codeq, table)
-    width = decoder.letters.shape[2]
-    # every trial without a hit drew the identity: decode it once, count it often
-    quiet = decoder.decode(np.zeros((width, 1), dtype=np.uint64), np.empty(width, dtype=np.uint64))
+    decoder = _BlockDecoder.of(codeq, table)
+    n, _, width = decoder.letters.shape
     # the sampler's constants are the same for every block of the run
     top, edges, key = _threshold(ch.p), _letter_edges(ch.p), _seed_key(seed)
 
     def run_range(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(3, dtype=np.int64)
         # each range's thread allocates its buffers once, for all its blocks
-        buffers = _Buffers.of(min(_BLOCK, hi - lo), width)
+        buffers = _Buffers.of(min(_BLOCK, hi - lo), width, n)
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             hit, sig = _sample_block(top, edges, decoder.letters, key, start, stop, buffers)
-            counts += decoder.decode(sig, buffers.words) + (stop - start - len(hit)) * quiet
+            counts += decoder.decode(sig, buffers.words) + (stop - start - len(hit)) * decoder.quiet
         return counts
 
     # one range per thread, and no more threads than CPUs or blocks: a

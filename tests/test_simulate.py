@@ -1,9 +1,13 @@
 """Tests for the depolarizing-channel Monte Carlo and syndrome-table decoder."""
 
 import contextlib
+import gc
 import hashlib
 import itertools
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -36,7 +40,7 @@ from eaqecc.simulate import (
     sample_error,
     trial_report,
 )
-from eaqecc.simulate import _BlockDecoder, _Buffers, _sample_block
+from eaqecc.simulate import _BLOCK, _BlockDecoder, _Buffers, _sample_block
 from eaqecc.symplectic import GeneratorSet, _swap_halves, gram_schmidt_decompose
 
 from helpers import (
@@ -208,7 +212,7 @@ def _check_letter_edges(p):
     u = (w >> np.uint64(11)) * (2.0**-53)
     letter = np.minimum((u * 3.0 / p).astype(np.int64), 2)
     assert np.add(w >= a1, w >= a2, dtype=np.intp).tolist() == letter.tolist()
-    ch, letters, buffers = DepolarizingChannel(p), _xz_letters(1), _Buffers.of(1, 1)
+    ch, letters, buffers = DepolarizingChannel(p), _xz_letters(1), _Buffers.of(1, 1, 1)
     for x in w.tolist():
         seed = _seed_drawing(x)
         assert CounterRng(seed).random() == (x >> 11) * 2.0**-53
@@ -243,7 +247,7 @@ class TestSampleError:
         # p = 0.3, 1e5 single-qubit samples: each letter frequency 0.1 +- 0.005;
         # the block sampler draws exactly what sample_error would (tested below)
         trials = 100000
-        _, words = _sample(0.3, _xz_letters(1), 123, 0, trials, _Buffers.of(trials, 1))
+        _, words = _sample(0.3, _xz_letters(1), 123, 0, trials, _Buffers.of(trials, 1, 1))
         x, z = (words[0] & 1) == 1, (words[0] >> 1) == 1
         counts = {"X": x & ~z, "Y": x & z, "Z": ~x & z}
         for letter in "XYZ":
@@ -290,25 +294,36 @@ class TestSampleError:
         expected = [_splitmix64((key + (first + i + 1) * golden) % (1 << 64)) for i in range(13)]
         assert out.tolist() == expected
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         p=st.floats(0.0, 1.0),
-        n=st.integers(1, 6),
+        n=st.integers(1, 40),
         seed=st.integers(0, (1 << 64) - 1),
         t_lo=st.integers(0, 1 << 40),
         b=st.integers(0, 40),
+        block=st.sampled_from([64, _BLOCK]),
     )
     # 0.25 * 2**53 is an integer, which ceil must leave as the hit threshold
-    @example(p=0.0, n=3, seed=1, t_lo=0, b=40)
-    @example(p=1.0, n=3, seed=1, t_lo=5, b=40)
-    @example(p=1e-9, n=6, seed=2, t_lo=1 << 33, b=40)
-    @example(p=0.25, n=6, seed=3, t_lo=100, b=40)
-    @example(p=0.1, n=40, seed=4, t_lo=7, b=40)  # two signature words
-    def test_block_sampler_matches_per_trial_sampler(self, p, n, seed, t_lo, b):
+    @example(p=0.0, n=3, seed=1, t_lo=0, b=40, block=_BLOCK)
+    @example(p=1.0, n=3, seed=1, t_lo=5, b=40, block=_BLOCK)
+    @example(p=1e-9, n=6, seed=2, t_lo=1 << 33, b=40, block=_BLOCK)
+    @example(p=0.25, n=6, seed=3, t_lo=100, b=40, block=_BLOCK)
+    @example(p=0.1, n=40, seed=4, t_lo=7, b=40, block=_BLOCK)  # two signature words
+    # every qubit hits, so each trial takes several hits in each group
+    @example(p=1.0, n=40, seed=5, t_lo=3, b=40, block=_BLOCK)  # one group of 40
+    @example(p=1.0, n=40, seed=5, t_lo=3, b=5, block=64)  # groups of 6, the last of 4
+    @example(p=0.1, n=40, seed=6, t_lo=11, b=1000, block=_BLOCK)  # groups of 32, the last of 8
+    @example(p=0.3, n=7, seed=7, t_lo=0, b=0, block=64)
+    @example(p=0.3, n=40, seed=8, t_lo=9, b=1, block=64)  # groups of 32, the last of 8
+    @example(p=0.3, n=5, seed=9, t_lo=9, b=40, block=64)  # a full block: one qubit per pass
+    def test_block_sampler_matches_per_trial_sampler(self, p, n, seed, t_lo, b, block):
+        # block sets _BLOCK, so a short block hashes groups of
+        # max(1, min(n, (block // 2) // b)) qubits per pass
         ch = DepolarizingChannel(p)
         letters = _xz_letters(n)
-        buffers = _Buffers.of(b, letters.shape[2])
-        hit, words = _sample(p, letters, seed, t_lo, t_lo + b, buffers)
+        with mock.patch.object(simulate, "_BLOCK", block):
+            buffers = _Buffers.of(b, letters.shape[2], n)
+            hit, words = _sample(p, letters, seed, t_lo, t_lo + b, buffers)
         assert words.shape == (-(-2 * n // 64), len(hit))
         drawn = {int(t): _row(words[:, i]) for i, t in enumerate(hit)}
         assert list(drawn) == sorted(drawn)
@@ -319,6 +334,28 @@ class TestSampleError:
                 continue
             assert scalar.row() == drawn[t] and not scalar.is_identity()
 
+    def test_full_block_hashes_one_qubit_per_pass(self, monkeypatch):
+        # a full block keeps the three hash rows of one qubit per pass and
+        # never groups; a shorter block groups its qubits, and a range's
+        # buffers hold the groups of every block up to their size
+        assert simulate._group(128, _BLOCK) == 1
+        assert len(_Buffers.of(_BLOCK, 2, 64).hashes) == 3 * _BLOCK
+        assert len(_Buffers.of(4096, 2, 64).hashes) < 2 * _BLOCK
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        for n in (1, 3, 40):
+            assert simulate._group(n, 64) == 1
+            for b in range(70):
+                buffers = _Buffers.of(b, 1, n)
+                for short in range(b + 1):
+                    g = simulate._group(n, short)
+                    assert short + 2 * g * short <= len(buffers.hashes)
+                    assert g * short <= len(buffers.below)
+        letters, buffers = _xz_letters(5), _Buffers.of(64, 1, 5)
+        with mock.patch.object(np, "divmod", wraps=np.divmod) as grouped:
+            _sample(0.5, letters, 1, 0, 64, buffers)
+            assert not grouped.called
+            _sample(0.5, letters, 1, 64, 74, buffers)  # groups of 3 qubits, the last of 2
+            assert grouped.call_count == 2
 
     # just above 1/2, top has bit 63 set and bit 32 clear: only there does a
     # prefilter on 32 low bits instead of 33 miss a hit
@@ -376,7 +413,7 @@ class TestSampleError:
         # top is negative, so no draw is below it and no word is hashed: the
         # buffers keep what they held
         assert simulate._threshold(0.0) == -1
-        buffers = _Buffers.of(100, 1)
+        buffers = _Buffers.of(100, 1, 3)
         buffers.hashes.fill(7)
         buffers.words.fill(7)
         hit, words = _sample(0.0, _xz_letters(3), 5, 0, 100, buffers)
@@ -832,8 +869,11 @@ def _check_hand_built_table(golden, edit, direct):
     expected = _decode_one_by_one(golden, table, ch, 3000, 7)
     if edit == "corrupt":
         assert expected.residual_syndrome_nonzero > 0
-    for workers in (1, 3):
-        assert run_trials(golden, ch, table, 3000, 7, workers) == expected
+    # both runs decode with the decoder that the table kept from the idle run
+    with mock.patch.object(_BlockDecoder, "build", wraps=_BlockDecoder.build) as built:
+        for workers in (1, 3):
+            assert run_trials(golden, ch, table, 3000, 7, workers) == expected
+    assert not built.called
 
 
 def inline_pool(sizes: list, ranges: list):
@@ -1013,6 +1053,66 @@ class TestRunTrials:
         expected = _decode_one_by_one(built, table, ch, 5 * 64 + 9, 4)
         for workers in (1, 3):
             assert run_trials(built, ch, table, 5 * 64 + 9, 4, workers) == expected
+
+    def test_table_keeps_its_decoder(self, golden):
+        # three runs on one table and code build one decoder
+        table = build_syndrome_table(golden, 2)
+        ch = DepolarizingChannel(0.1)
+        with mock.patch.object(_BlockDecoder, "build", wraps=_BlockDecoder.build) as built:
+            results = [run_trials(golden, ch, table, 700, seed, 3) for seed in (1, 2, 3)]
+        assert built.call_count == 1
+        assert results == [_decode_one_by_one(golden, table, ch, 700, seed) for seed in (1, 2, 3)]
+
+    def test_another_code_rebuilds_the_kept_decoder(self):
+        # two codes of the same (n, m) share one table: the table keeps the
+        # decoder of the last code it ran on, and each run reads as on a
+        # fresh table; an empty table fits both codes
+        first, second = (_random_code(random.Random(seed), 6, 4) for seed in (1, 2))
+        assert first.generators != second.generators
+        ch = DepolarizingChannel(0.2)
+        for fresh in (lambda: build_syndrome_table(first, 1), lambda: SyndromeTable({}, 0)):
+            codes, table = (first, second, second, first), fresh()
+            expected = [run_trials(codeq, ch, fresh(), 400, 3) for codeq in codes]
+            with mock.patch.object(_BlockDecoder, "build", wraps=_BlockDecoder.build) as built:
+                results = [run_trials(codeq, ch, table, 400, 3) for codeq in codes]
+            assert built.call_count == 3 and table._decoder.codeq is first
+            assert results == expected
+            assert results == [_decode_one_by_one(c, table, ch, 400, 3) for c in codes]
+            if len(table):  # the table's corrections miss the second code's syndromes
+                assert results[0].residual_syndrome_nonzero == 0
+                assert results[1].residual_syndrome_nonzero > 0
+
+    def test_threads_sharing_a_table_decode_with_their_own_code(self):
+        # calls on many threads swap the decoder that one table keeps; which
+        # one it keeps is a race, but each call decodes with its own code's
+        first, second = (_random_code(random.Random(seed), 6, 4) for seed in (1, 2))
+        table, ch = build_syndrome_table(first, 1), DepolarizingChannel(0.2)
+        expected = [run_trials(c, ch, build_syndrome_table(first, 1), 200, 3) for c in (first, second)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                codes = [first, second] * 40
+                results = list(pool.map(lambda c: run_trials(c, ch, table, 200, 3), codes, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 40
+
+    def test_kept_decoder_does_not_keep_its_table(self, golden):
+        # the decoder holds the table's index, not the table: with the cyclic
+        # collector off, the table is freed as soon as its last name goes
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            table = build_syndrome_table(golden, 1)
+            run_trials(golden, DepolarizingChannel(0.1), table, 100, 1)
+            assert table._decoder is not None
+            ref = weakref.ref(table)
+            del table
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_empty_table_fails_every_trial(self, golden):
         result = run_trials(golden, DepolarizingChannel(0.0), SyndromeTable({}, 0), 100, seed=1)
