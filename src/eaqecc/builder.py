@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import gf4
-from .pauli import PauliString, gf4_to_pauli
+from .pauli import PauliString
 from .symplectic import Decomposition, GeneratorSet, gram_schmidt_decompose
 
 
@@ -70,11 +70,17 @@ class EaqeccCode:
 
 
 def quaternary_to_stabilizer(code: ClassicalCode) -> GeneratorSet:
-    """Pauli generators from the stacked (omega*H over omega-bar*H) matrix."""
-    gens: List[PauliString] = []
-    for scalar in (gf4.OMEGA, gf4.OMEGA_BAR):
-        for i in range(code.h.nrows):
-            gens.append(gf4_to_pauli(gf4.scale(code.h.row(i), scalar)))
+    """Pauli generators from the stacked (omega*H over omega-bar*H) matrix.
+
+    Each row h of H is taken as its bit planes a + b*OMEGA (gf4.planes).
+    OMEGA*(a + b*OMEGA) = b + (a + b)*OMEGA, and c + d*OMEGA is the Pauli
+    with x = c and z = c + d, so the OMEGA*h row is the Pauli (x, z) =
+    (b, a).  Applying OMEGA twice, the OMEGA_BAR*h row is (a + b) + a*OMEGA,
+    the Pauli (a + b, b).  So no entry is scaled or mapped on its own.
+    """
+    rows = [gf4.planes(row) for row in code.h.entries]
+    gens = [PauliString(code.n, omegas, ones) for ones, omegas in rows]
+    gens += [PauliString(code.n, ones ^ omegas, omegas) for ones, omegas in rows]
     return GeneratorSet(code.n, tuple(gens))
 
 

@@ -33,6 +33,11 @@ _CONJ = (0, 1, 3, 2)
 # GF(4) -> GF(2) trace a + a**2
 _TRACE = (0, 0, 1, 1)
 
+# a field element's byte -> the ASCII digit of its coefficient of 1 / of OMEGA;
+# any other byte -> "x", which int(..., 2) rejects
+_ONES_DIGIT = bytes(b"0101"[v] if v < 4 else ord("x") for v in range(256))
+_OMEGAS_DIGIT = bytes(b"0011"[v] if v < 4 else ord("x") for v in range(256))
+
 _TOKENS = {"0": ZERO, "1": ONE, "w": OMEGA, "W": OMEGA_BAR}
 _SYMBOLS = {v: k for k, v in _TOKENS.items()}
 
@@ -69,6 +74,18 @@ def scale(vec: Sequence[int], s: int) -> Tuple[int, ...]:
     return tuple(_MUL[s][v] for v in vec)
 
 
+def planes(vec: Sequence[int]) -> Tuple[int, int]:
+    """(ones, omegas): bit j of each is the coefficient of 1 and of OMEGA in vec[j].
+
+    The row is read as bytes, last entry first, and each byte is translated
+    to a binary digit, so a row packs at C speed.  (tuple() first, so that
+    a numpy row is read by its entries, not by its buffer.)  An entry that
+    is not a field element raises ValueError.
+    """
+    data = bytes(tuple(vec))[::-1] or b"\0"  # an empty row is the zero row
+    return int(data.translate(_ONES_DIGIT), 2), int(data.translate(_OMEGAS_DIGIT), 2)
+
+
 def hermitian_trace_inner(u: Sequence[int], v: Sequence[int]) -> int:
     """GF(2) value trace(sum_i u_i * conj(v_i)) for equal-length vectors."""
     if len(u) != len(v):
@@ -89,11 +106,7 @@ def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
     a0 + a1*OMEGA by OMEGA gives a1 + (a0 + a1)*OMEGA.
     """
     images: List[int] = []
-    for r in rows:
-        ones = omegas = 0
-        for j, a in enumerate(r):
-            ones |= (a & 1) << j
-            omegas |= (a >> 1) << j
+    for ones, omegas in map(planes, rows):
         images.append(ones | (omegas << ncols))
         images.append(omegas | ((ones ^ omegas) << ncols))
     return gf2.rank(images, 2 * ncols) // 2
@@ -150,6 +163,7 @@ __all__ = [
     "parse_symbol",
     "format_symbol",
     "scale",
+    "planes",
     "hermitian_trace_inner",
     "rank",
     "GfFourMatrix",

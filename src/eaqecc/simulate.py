@@ -26,8 +26,8 @@ finalized hash is at most a threshold; the finalizer's last step leaves
 the top 31 bits as they are, so one compare before that step picks an
 exact superset of the hits, and the step and the exact compare run on
 those candidates only.  A hit's letter is two integer compares against
-edges found once per run by bisection on sample_error's float formula, so
-it is the same letter.  The seed's key, the threshold and the edges are
+edges found by bisection on sample_error's float formula (once per p, and
+cached), so it is the same letter.  The seed's key and the threshold are
 computed once per run.  The check rows are a basis, so a trial's words
 are nonzero exactly when it drew a nonidentity error, and only those hit
 trials are kept (at p = 0.01 most draw the identity).  The decoder finds
@@ -58,14 +58,19 @@ sorted; any other table merges each weight's chunks by sorting.  The
 table stays in array form, its keys sorted, and builds its syndrome
 index once: a slot per syndrome for m <= 16, the sorted key words
 otherwise.  So a run converts nothing of the table but the corrections'
-signatures, and only when it builds a decoder.
+signatures, and only when it builds a decoder.  The arrays are the table's
+one representation: its entries are a read-only view that derives its
+pairs from them on each use, a chunk at a time, and the only thing a table
+caches is its decoder.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
+from collections.abc import ItemsView, Mapping, ValuesView
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
@@ -96,6 +101,7 @@ _MIX2 = 0x94D049BB133111EB
 _ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
 _LAST = np.uint64(31)  # the finalizer's last step, w = v ^ (v >> 31)
 _LOW33 = (1 << 33) - 1  # the bits of v that the last step changes
+_VIEW_CHUNK = 4096  # the entries a table's entries view derives at a time
 
 
 class InfeasibleError(ValueError):
@@ -220,14 +226,14 @@ class SyndromeTable:
     The syndrome index is built with the arrays, once: a (2**m,) array of
     each syndrome's entry (-1 for none) when 2**m slots fit one block
     (m <= 16, _fits_direct), and the keys' _key_index otherwise.  _locate
-    searches it for lookup and for the block decoder alike.  entries, the
-    same table as a dict in insertion order, is derived from the arrays on
-    first use, and so is the block decoder of a code: the table keeps the
-    one of the last code object that run_trials ran it on
-    (_BlockDecoder.of), and a run on another code replaces it.  A table
-    built by hand from such a dict is converted to the arrays and keeps no
-    dict, so its corrections come back with phase 0.  Its keys must be 0/1
-    tuples of one length and its corrections act on one qubit count.
+    searches it for lookup and for the block decoder alike.  entries is a
+    read-only mapping over the arrays, the same table in insertion order,
+    derived on each use and never held (_Entries).  The only thing a table
+    caches is the block decoder of the last code object that run_trials
+    ran it on (_BlockDecoder.of), and a run on another code replaces it.
+    A table built by hand from a dict is converted to the arrays and keeps
+    no dict, so its corrections come back with phase 0.  Its keys must be
+    0/1 tuples of one length and its corrections act on one qubit count.
     """
 
     def __init__(self, entries: Dict[Syndrome, PauliString], max_weight_built: int) -> None:
@@ -274,23 +280,12 @@ class SyndromeTable:
         for array in (self.keys, self.rows, self.inserted):
             array.flags.writeable = False
         self.max_weight_built = max_weight_built
-        self._entries: Optional[Dict[Syndrome, PauliString]] = None
         self._decoder: Optional[_BlockDecoder] = None
 
     @property
-    def entries(self) -> Dict[Syndrome, PauliString]:
-        if self._entries is None:
-            bits = np.unpackbits(self.keys.view(np.uint8), axis=1, bitorder="little")
-            syndromes = bits[:, : self._m].tolist()
-            size = self.rows.itemsize * self.rows.shape[1]
-            data = self.rows.tobytes()
-            self._entries = {
-                tuple(syndromes[j]): PauliString.from_row(
-                    self._n, int.from_bytes(data[size * j : size * (j + 1)], "little")
-                )
-                for j in self.inserted.tolist()
-            }
-        return self._entries
+    def entries(self) -> Mapping[Syndrome, PauliString]:
+        """The table as a read-only mapping from syndrome to correction, in insertion order."""
+        return _Entries(self)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -305,6 +300,74 @@ class SyndromeTable:
             return None
         row = int.from_bytes(self.rows[entry[0]].tobytes(), "little")
         return PauliString.from_row(self._n, row)
+
+
+class _Entries(Mapping):
+    """A table's entries: a read-only mapping over its arrays, derived on each use.
+
+    It yields the pairs of a dict in insertion order, a syndrome tuple of
+    0/1 ints and a phase-0 PauliString, _VIEW_CHUNK entries at a time, so
+    iterating it holds no more than one chunk's objects.  A syndrome is
+    found by the table's lookup, so dict(entries), which looks up every
+    key, is slower than dict(entries.items()).  Writing to it raises
+    TypeError.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: SyndromeTable) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, syndrome: Syndrome) -> PauliString:
+        correction = self._table.lookup(syndrome) if isinstance(syndrome, tuple) else None
+        if correction is None:
+            raise KeyError(syndrome)
+        return correction
+
+    def __iter__(self) -> Iterator[Syndrome]:
+        return self._derive(corrections=False)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def _derive(self, syndromes: bool = True, corrections: bool = True) -> Iterator:
+        """The syndromes, the corrections or the (syndrome, correction) pairs, in order."""
+        table = self._table
+        size = table.rows.itemsize * table.rows.shape[1]
+        for lo in range(0, len(table), _VIEW_CHUNK):
+            entry = table.inserted[lo : lo + _VIEW_CHUNK]
+            if syndromes:
+                bits = np.unpackbits(
+                    np.take(table.keys, entry, axis=0).view(np.uint8), axis=1, bitorder="little"
+                )
+                tuples = list(map(tuple, bits[:, : table._m].tolist()))
+            if corrections:
+                data = np.take(table.rows, entry, axis=0).tobytes()
+                paulis = [
+                    PauliString.from_row(table._n, int.from_bytes(data[i : i + size], "little"))
+                    for i in range(0, len(data), size)
+                ]
+            if syndromes and corrections:
+                yield from zip(tuples, paulis)
+            else:
+                yield from tuples if syndromes else paulis
+            tuples = paulis = None  # drop this chunk's objects before deriving the next
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._derive()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return self._mapping._derive(syndromes=False)
 
 
 def _locate(index, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -578,6 +641,7 @@ def _below(v: np.ndarray, top: int, below: np.ndarray) -> Tuple[np.ndarray, np.n
     return r[keep], w[keep]
 
 
+@functools.lru_cache(maxsize=64)
 def _letter_edges(p: float) -> Tuple[np.uint64, np.uint64]:
     """(a1, a2): a hit draw w takes letter X, Y or Z (0, 1, 2) as (w >= a1) + (w >= a2).
 
@@ -586,7 +650,8 @@ def _letter_edges(p: float) -> Tuple[np.uint64, np.uint64]:
     of a hit (those below ceil(p * 2**53)) whose letter is at least k, found
     by bisection on that same formula and shifted back up 11 bits; an edge
     that no hit reaches is top + 1.  So every hit takes the formula's letter,
-    for any p.  At p = 0 there is no hit, and both edges are 0.
+    for any p.  At p = 0 there is no hit, and both edges are 0.  The edges
+    are a pure function of p, so the last few p's are cached.
     """
     def letter(a: int) -> int:
         return min(int(a * 2.0**-53 * 3.0 / p), 2)

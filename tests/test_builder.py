@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,7 +20,13 @@ from eaqecc.builder import (
     parameters,
     quaternary_to_stabilizer,
 )
-from eaqecc.pauli import format_pauli, parse_pauli, pauli_to_gf4, symplectic_product
+from eaqecc.pauli import (
+    format_pauli,
+    gf4_to_pauli,
+    parse_pauli,
+    pauli_to_gf4,
+    symplectic_product,
+)
 from eaqecc.symplectic import (
     Decomposition,
     GeneratorSet,
@@ -36,6 +43,18 @@ from helpers import (
 )
 
 EQ6 = ["ZXZIZ", "ZZIZX", "YXXZI", "ZYYXI"]
+
+# (n, rows): up to 6 rows of n GF(4) entries, dependent and zero rows allowed
+_GF4_MATRICES = st.integers(1, 70).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[st.sampled_from(gf4.ELEMENTS)] * n), max_size=6)
+    )
+)
+
+
+def _scaled_rows(rows):
+    """The omega*H rows, then the omega-bar*H rows, each scaled and mapped entry by entry."""
+    return [gf4_to_pauli(gf4.scale(row, s)) for s in (gf4.OMEGA, gf4.OMEGA_BAR) for row in rows]
 
 
 class TestClassicalCode:
@@ -84,6 +103,28 @@ class TestQuaternaryToStabilizer:
         code = ClassicalCode.from_rows(1, 0, [(gf4.ONE,)])
         gens = quaternary_to_stabilizer(code)
         assert [format_pauli(g) for g in gens] == ["Z", "X"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=_GF4_MATRICES)
+    @example(matrix=(1, []))  # n = 1, k = n: no rows
+    @example(matrix=(1, [(gf4.ZERO,)]))
+    @example(matrix=(3, [(gf4.ZERO,) * 3, (gf4.ONE, gf4.OMEGA, gf4.OMEGA_BAR), (gf4.ZERO,) * 3]))
+    def test_planes_match_scaling_each_entry(self, matrix):
+        # the map is row by row, so any matrix will do, dependent rows
+        # included: a stand-in with the two fields it reads skips the checks.
+        # A zero row maps to the identity, which no generator set takes.
+        n, rows = matrix
+        code = SimpleNamespace(n=n, h=gf4.GfFourMatrix(n, tuple(rows)))
+        if not all(any(row) for row in rows):
+            with pytest.raises(ValueError, match="identity"):
+                quaternary_to_stabilizer(code)
+            return
+        assert list(quaternary_to_stabilizer(code)) == _scaled_rows(rows)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (3, 3), (5, 2), (6, 0)])
+    def test_planes_match_scaling_on_codes(self, n, k):
+        code = random_classical_code(random.Random(n * 7 + k), n, k)
+        assert list(quaternary_to_stabilizer(code)) == _scaled_rows(code.h.entries)
 
 
 class TestBuildCode:

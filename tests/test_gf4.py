@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,26 @@ def test_symbol_round_trip():
 def test_scale():
     assert gf4.scale((ONE, OMEGA, ONE, ZERO), OMEGA) == (OMEGA, OMEGA_BAR, OMEGA, ZERO)
     assert gf4.scale((ONE, ONE, ZERO, ONE), OMEGA_BAR) == (OMEGA_BAR, OMEGA_BAR, ZERO, OMEGA_BAR)
+
+
+class TestPlanes:
+    @settings(max_examples=200, deadline=None)
+    @given(vec=st.lists(st.sampled_from(gf4.ELEMENTS), max_size=300))
+    def test_bit_j_is_entry_j_coefficient(self, vec):
+        ones, omegas = gf4.planes(vec)
+        assert ones == sum((a & 1) << j for j, a in enumerate(vec))
+        assert omegas == sum((a >> 1) << j for j, a in enumerate(vec))
+        assert gf4.planes(tuple(vec)) == gf4.planes(np.array(vec, dtype=np.int64))
+
+    def test_hand_cases(self):
+        assert gf4.planes(()) == (0, 0)
+        assert gf4.planes((ONE, OMEGA, OMEGA_BAR, ZERO)) == (0b101, 0b110)
+
+    # 48 and 49 are the bytes of the digits "0" and "1"
+    @pytest.mark.parametrize("bad", [4, 48, 49, 255, -1, 256])
+    def test_non_element_rejected(self, bad):
+        with pytest.raises(ValueError):
+            gf4.planes((ONE, bad, ZERO))
 
 
 def test_hermitian_trace_inner():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -124,6 +125,12 @@ def _build_on_path(codeq, depth, direct):
 def _slot_indexed(table):
     """Whether the table's syndrome index has a slot per syndrome (else sorted key words)."""
     return not isinstance(table._index, tuple)
+
+
+def _assert_holds_no_entries(table):
+    """No attribute of table holds a dict or a list: its entries are derived from its arrays."""
+    held = {name: type(value) for name, value in vars(table).items()}
+    assert not {name for name, kind in held.items() if issubclass(kind, (dict, list))}, held
 
 
 def _arrays(table):
@@ -432,6 +439,21 @@ class TestSampleError:
         for i in range(500):
             _check_letter_edges(rng.random() if i % 2 else 10 ** rng.uniform(-16, 0))
 
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-3, 0.1, 1 / 3, 1.0])
+    def test_letter_edges_are_cached_per_p(self, p, golden):
+        simulate._letter_edges.cache_clear()
+        edges = simulate._letter_edges(p)
+        assert edges == simulate._letter_edges.__wrapped__(p)  # a fresh bisection
+        table = build_syndrome_table(golden, 1)
+        for seed in (1, 2):
+            run_trials(golden, DepolarizingChannel(p), table, 100, seed)
+        info = simulate._letter_edges.cache_info()
+        assert (info.misses, info.hits) == (1, 2)  # the runs bisect no more
+        if p == 0:
+            assert edges == (0, 0)
+        else:
+            _check_letter_edges(p)
+
 
 class TestSyndromeTable:
     def test_golden_weight_one(self, golden):
@@ -668,7 +690,9 @@ class TestSyndromeTable:
             assert table.lookup(syndrome) == entries.get(syndrome)
         assert table.lookup((0,) * (m + 1)) is None
         assert table.lookup((2,) + (0,) * (m - 1)) is None
-        assert table._entries is None  # lookup derived no dict
+        _assert_holds_no_entries(table)
+        assert list(table.entries.items()) == list(entries.items())
+        _assert_holds_no_entries(table)
 
     def test_lookup_on_a_deep_table(self):
         # [24, 16] at depth 3, like the benchmark's r24@3: tens of thousands
@@ -708,8 +732,9 @@ class TestSyndromeTable:
         phased = {s: PauliString(4, c.x, c.z, 3) for s, c in built.entries.items()}
         table = SyndromeTable(phased, 2)
         assert [table.lookup(s) for s in phased] == list(built.entries.values())
-        assert table._entries is None
+        _assert_holds_no_entries(table)
         assert list(table.entries.items()) == list(built.entries.items())
+        _assert_holds_no_entries(table)
 
     def test_empty_hand_built_table(self):
         table = SyndromeTable({}, 0)
@@ -770,6 +795,95 @@ class TestSyndromeTable:
     def test_hand_built_entries_are_checked(self, entries, message):
         with pytest.raises(ValueError, match=message):
             SyndromeTable({s: parse_pauli(p) for s, p in entries.items()}, 1)
+
+
+def _check_entries(table, reference):
+    """table.entries against the dict reference: its pairs in its order, through every read."""
+    entries = table.entries
+    assert dict(entries) == reference
+    assert list(entries.items()) == list(reference.items())
+    assert list(entries.values()) == list(reference.values())
+    assert list(entries) == list(reference) == list(entries.keys())
+    assert entries == reference and reference == entries
+    assert len(entries) == len(reference) == len(table)
+    assert all(c.phase_exp == 0 for c in entries.values())
+    for syndrome, correction in reference.items():
+        assert syndrome in entries and (syndrome, correction) in entries.items()
+        assert entries[syndrome] == entries.get(syndrome) == correction
+    m = len(next(iter(reference), ()))
+    rng = random.Random(len(reference))
+    absent = [tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(20)]
+    absent += [(0,) * (m + 1), (2,) * m, [0] * m, 0, "0" * m]
+    for syndrome in absent:
+        if isinstance(syndrome, tuple) and syndrome in reference:
+            continue
+        assert syndrome not in entries and entries.get(syndrome) is None
+        with pytest.raises(KeyError):
+            entries[syndrome]
+    if reference:
+        changed = dict(reference)
+        changed[next(iter(reference))] = identity(table._n + 1)
+        assert entries != changed and changed != entries
+    assert entries != {(2,) * m: identity(1)}
+
+
+class TestEntriesView:
+    @settings(max_examples=40, deadline=None)
+    @given(code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3))
+    def test_matches_reference_enumeration(self, code_seed, depth):
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        _check_entries(build_syndrome_table(codeq, depth), reference_syndrome_table(codeq, depth))
+
+    def test_several_chunks_keep_insertion_order(self, monkeypatch):
+        # chunks of 7 entries: every read crosses chunk edges, and a short last chunk
+        monkeypatch.setattr(simulate, "_VIEW_CHUNK", 7)
+        codeq = build_code(random_classical_code(random.Random(3), 6, 2))
+        reference = reference_syndrome_table(codeq, 2)
+        assert len(reference) % 7
+        _check_entries(build_syndrome_table(codeq, 2), reference)
+
+    def test_empty_hand_built_table(self):
+        _check_entries(SyndromeTable({}, 0), {})
+
+    def test_m0_table(self):
+        codeq = _random_code(random.Random(0), 2, 0)
+        assert len(codeq.generators) == 0
+        _check_entries(build_syndrome_table(codeq, 2), {(): identity(2)})
+
+    def test_hand_built_table_in_reversed_order(self, golden):
+        reference = dict(list(reference_syndrome_table(golden, 2).items())[::-1])
+        _check_entries(SyndromeTable(reference, 2), reference)
+
+    def test_writes_raise_type_error(self, golden):
+        table = build_syndrome_table(golden, 1)
+        zero = (0,) * len(golden.generators)
+        with pytest.raises(TypeError):
+            table.entries[zero] = identity(4)
+        with pytest.raises(TypeError):
+            del table.entries[zero]
+        assert table.entries[zero] == identity(4) and len(table.entries) == len(table)
+
+    def test_iterating_holds_one_chunk(self):
+        # r24@3's shape: 38,602 entries over 65536 syndromes.  A dict of them
+        # held 13.1 MB and peaked at 24.3 MB (CPython 3.11); the view derives 4096
+        # entries at a time, about 1.8 MB of tuples and PauliStrings at its
+        # peak, and drops them as it goes.  6 MB leaves room for allocator
+        # and Python-version noise and is still a quarter of the dict's peak.
+        # What stays traced afterwards is the interpreter's free list of
+        # tuples, not the view's (about 0.3 MB).
+        codeq = build_code(random_classical_code(random.Random(7), 24, 16))
+        table = build_syndrome_table(codeq, 3)
+        assert len(table) == 38602
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in table.entries.items())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(table)
+        assert peak < 6e6, peak
+        assert held < 1e6, held
+        _assert_holds_no_entries(table)
 
 
 class TestDecodeError:
