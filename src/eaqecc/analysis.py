@@ -17,12 +17,13 @@ is the product of a weight ceil(D/2) and a disjoint weight floor(D/2)
 half, so it has a zero syndrome exactly when the halves' syndromes are
 equal.  It is an undetected logical when their normalizer bits also
 differ, and an isotropic-span element when their signatures are equal.
-So the walk enumerates only weights up to ceil(d/2), holds their
-signatures in memory, and returns two numbers: the weight of the lightest
-undetected logical, which is the distance, and that of the lightest
-nonidentity isotropic-span element below it, which makes the code
-degenerate.  Errors of weight <= t have distinct nonzero syndromes exactly
-when neither weight is at most 2t.
+So the walk enumerates only weights up to ceil(d/2), each whole from
+the weight below with frames._level (the syndrome table's enumerator
+too), holds the last two weights' signatures in memory, and returns two
+numbers: the weight of the lightest undetected logical, which is the
+distance, and that of the lightest nonidentity isotropic-span element
+below it, which makes the code degenerate.  Errors of weight <= t have
+distinct nonzero syndromes exactly when neither weight is at most 2t.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
-from .frames import _checks, _key_index, _letter_table, _signatures, _weight_words, _words
+from .frames import _checks, _key_index, _letter_table, _level, _signatures, _words
 from .pauli import PauliString, symplectic_product
 
 Syndrome = Tuple[int, ...]
@@ -182,9 +183,9 @@ def _halves(letters: np.ndarray, weight_cap: int) -> Iterator[Tuple[int, np.ndar
     words holds the words of every Pauli of weight ceil(D/2) and, from row
     split on, of every Pauli of weight floor(D/2); split = 0 stands for one
     weight paired with itself.  Each weight is enumerated once, when first
-    needed, into one array that also holds the weight below it, so an odd
-    D yields the array and the next D its first rows; weight 0 is the
-    identity's zero words.
+    needed, by _level into one array that also holds the weight below it,
+    so an odd D yields the array and the next D its first rows; weight 0 is
+    the identity's zero words.
     """
     n, _, width = letters.shape
     held, split = np.zeros((1, width), dtype=np.uint64), 1  # weight a's rows, then a - 1's
@@ -195,18 +196,6 @@ def _halves(letters: np.ndarray, weight_cap: int) -> Iterator[Tuple[int, np.ndar
             yield weight, held, split
         else:
             yield weight, held[:split], 0
-
-
-def _level(letters: np.ndarray, w: int, below: np.ndarray) -> np.ndarray:
-    """The words of every Pauli of weight w, in _weight_words order, and then below's rows."""
-    size = math.comb(len(letters), w) * 3**w
-    words = np.empty((size + len(below), letters.shape[2]), dtype=np.uint64)
-    at = 0
-    for chunk in _weight_words(letters, w):
-        words[at : at + len(chunk)] = chunk
-        at += len(chunk)
-    words[size:] = below
-    return words
 
 
 def _paired(rank: np.ndarray, split: int) -> np.ndarray:

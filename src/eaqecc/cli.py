@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="threads, at most one thread per CPU and per 65536 trials",
+        help="threads, at most one per CPU the process may run on and per 65536 trials",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

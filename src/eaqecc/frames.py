@@ -17,12 +17,13 @@ decoder or over the rows up to the normalizer's for the analysis.  The
 syndrome table's units come from the generator rows alone
 (_generator_rows), the frame's first rows, with no normalizer work.
 
-_weight_words enumerates the errors of one weight as their words, in
-chunks of at most _BLOCK errors.  The syndrome table keeps the lightest
-error per syndrome; the analysis walk pairs the words of two weights and
-stops at the first undetected logical.  Sets of key words are searched
-one word at a time through _key_index and _find, so one search serves any
-number of words.
+_level enumerates the errors of one weight as their words, each weight
+whole and built from the weight below it: one array of C(n, w) 3**w rows,
+held together with the weight below while it is built.  The syndrome
+table keeps the lightest error per syndrome; the analysis walk pairs the
+words of two weights and stops at the first undetected logical.  Sets of
+key words are searched one word at a time through _key_index and _find,
+so one search serves any number of words.
 
 Rows of 2-D word arrays are gathered with np.take(a, idx, axis=0), which
 is about 4x faster than a[idx] on these shapes.
@@ -30,16 +31,14 @@ is about 4x faster than a[idx] on these shapes.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, List, Tuple
+import math
+from typing import List, Tuple
 
 import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
 from .symplectic import _swap_halves
-
-_BLOCK = 1 << 16
 
 
 def _words(values: List[int], width: int) -> np.ndarray:
@@ -147,34 +146,29 @@ def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _weight_words(letters: np.ndarray, w: int) -> Iterator[np.ndarray]:
-    """The (N, W) words of the Paulis of weight w, in chunks of at most _BLOCK.
+def _level(letters: np.ndarray, w: int, below: np.ndarray) -> np.ndarray:
+    """The (N, W) words of every Pauli of weight w, and then below's rows.
 
     letters is an (n, 3, W) table of _letter_table; a Pauli's words are the
-    XOR of its letters'.  Supports come in itertools.combinations order and,
-    on each, the letter choices in base-3 order (X, Y, Z = 0, 1, 2, first
-    qubit lowest); a support whose 3**w choices exceed _BLOCK is split over
-    several chunks.  Each chunk's letter indices into the flat (3n, W)
-    table are held in the smallest integer type that fits (they would
-    otherwise outweigh its words several times over).
+    XOR of its letters'.  below holds the words of every Pauli of weight
+    w - 1 in this order (the identity's zero words for w = 1).  Supports
+    come in itertools.combinations order and, on each, the letter choices
+    in base-3 order (X, Y, Z = 0, 1, 2, first qubit lowest).  So the Paulis
+    whose lowest qubit is i come in one run: each of below's last
+    C(n - i - 1, w - 1) 3**(w - 1) rows, the Paulis of weight w - 1 on the
+    qubits above i, times qubit i's three letters.
     """
     n, _, width = letters.shape
-    flat = letters.reshape(3 * n, width)
-    per = 3**w  # letter choices per support
-    combos = itertools.combinations(range(n), w)
-    while chunk := list(itertools.islice(combos, max(1, _BLOCK // per))):
-        # 3 * qubit: the row of the qubit's X in flat, Y and Z follow it
-        support = np.array(chunk, dtype=np.min_scalar_type(3 * n)).reshape(len(chunk), w)
-        support *= 3
-        for lo in range(0, per, _BLOCK):
-            choice = np.arange(lo, min(per, lo + _BLOCK))
-            kinds = (choice[:, None] // 3 ** np.arange(w) % 3).astype(np.uint8)
-            qubits = np.repeat(support, len(choice), axis=0)
-            kinds = np.tile(kinds, (len(support), 1))
-            words = np.zeros((len(qubits), width), dtype=np.uint64)
-            for t in range(w):
-                words ^= np.take(flat, qubits[:, t] + kinds[:, t], axis=0)
-            yield words
+    size = math.comb(n, w) * 3**w
+    words = np.empty((size + len(below), width), dtype=np.uint64)
+    at = 0
+    for i in range(n - w + 1):
+        above = below[len(below) - math.comb(n - i - 1, w - 1) * 3 ** (w - 1) :]
+        out = words[at : at + 3 * len(above)].reshape(len(above), 3, width)
+        np.bitwise_xor(above[:, None], letters[i], out=out)
+        at += 3 * len(above)
+    words[size:] = below
+    return words
 
 
 def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,9 @@ Randomness is counter-based: every uniform is a splitmix64 hash of
 partitioning of trials across workers.  One counter hash, _counter, keys
 the streams and draws the uniforms, for the sampler and CounterRng alike.
 A run is cut into one range of trials per thread, with at most one thread
-per CPU and per 65536 trials (_BLOCK); a run of one range, as every run
-of at most 65536 trials is, starts no thread pool.
+per CPU the process may run on (its affinity, _cpus) and per 65536 trials
+(_BLOCK); a run of one range, as every run of at most 65536 trials is,
+starts no thread pool.
 
 Trials run in blocks of _BLOCK, and every error is carried as its signature
 in the frame of frames._checks over all 2n check rows, packed into uint64
@@ -46,15 +47,17 @@ is done with.  So a run allocates no block-sized array per block, and a
 thread touches only its own range's buffers.  The kernels take these
 buffers as required arguments and allocate none of their own.
 
-The syndrome table is built with the same kind of letter table: each
-weight's candidate errors come from frames._weight_words, each carried as
-the XOR of its letters' syndrome and tie-break words.  The build starts
-from the identity, the entry of weight 0, and each syndrome keeps its
-candidate with the least tie-break key.  The merge is the table's, chosen
-once: when 2**m syndromes fit one block (m <= 16, _fits_direct) and the
-key is one word (n <= 32), each weight's least keys are held in a slot
-per syndrome, merged by np.minimum.at, and only its new entries are
-sorted; any other table merges each weight's chunks by sorting.  The
+The syndrome table is built with the same kind of letter table:
+frames._level enumerates each weight whole from the weight below, a
+candidate's syndrome and tie-break words the XOR of its letters', and the
+merge takes the weight in slices of _BLOCK rows.  So the build holds the
+weight it merges (r40 at weight 4: about 180 MB).  It starts from the
+identity, the entry of weight 0, and each syndrome keeps its candidate
+with the least tie-break key.  The merge is the table's,
+chosen once: when 2**m syndromes fit one block (m <= 16, _fits_direct)
+and the key is one word (n <= 32), each weight's least keys are held in
+a slot per syndrome, merged by np.minimum.at, and only its new entries
+are sorted; any other table merges each weight's slices by sorting.  The
 table stays in array form, its keys sorted, and builds its syndrome
 index once: a slot per syndrome for m <= 16, the sorted key words
 otherwise.  So a run converts nothing of the table but the corrections'
@@ -79,21 +82,21 @@ import numpy as np
 
 from .builder import EaqeccCode
 from .frames import (
-    _BLOCK,
     _checks,
     _find,
     _generator_rows,
     _key_index,
     _letter_table,
+    _level,
     _pack,
     _signatures,
     _units,
-    _weight_words,
     _words,
 )
 from .pauli import PauliString
 from .analysis import Syndrome, syndrome_of, in_isotropic
 
+_BLOCK = 1 << 16  # trials per block, and rows per slice of a weight in the table build
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -408,10 +411,10 @@ def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
     return words[first]
 
 
-def _sorted_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
+def _sorted_entries(slices: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
     """One weight's new entries in tie-break order, merged by sorting; serves any m.
 
-    chunks are the weight's candidate rows (the max(1, ceil(m / 64))
+    slices hold the weight's candidate rows (the max(1, ceil(m / 64))
     syndrome words of _units, then the tie-break key's words) and kept
     the table's rows so far, the identity's first.  Candidates whose
     syndrome kept holds are dropped, found in kept's key index; the rest
@@ -419,10 +422,10 @@ def _sorted_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, m: int) -> n
     """
     nkeys = max(1, -(-m // 64))
     known = _key_index(kept[:, :nkeys])[:2]
-    # chunks wait in pending until they outnumber best, so every merge
+    # slices wait in pending until they outnumber best, so every merge
     # at least doubles the rows it sorts
     best, pending = kept[:0], []
-    for words in chunks:
+    for words in slices:
         pending.append(words[~_find(*known, words[:, :nkeys].T)[1]])
         if sum(map(len, pending)) > len(best):
             best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
@@ -431,19 +434,19 @@ def _sorted_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, m: int) -> n
     return np.take(best, np.argsort(_key_index(best[:, nkeys:])[2]), axis=0)
 
 
-def _direct_entries(chunks: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
+def _direct_entries(slices: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
     """One weight's new entries in tie-break order, merged in syndrome slots.
 
-    chunks and kept are as for _sorted_entries, with one syndrome word and
+    slices and kept are as for _sorted_entries, with one syndrome word and
     one tie-break word (m <= 16, n <= 32).  best holds each syndrome's least
     tie-break key of the weight so far, merged by np.minimum.at, and filled
     whether it has one.  Candidates of syndromes that kept holds are merged
     too and their slots are left out at the end, which costs less than
-    dropping them from every chunk.
+    dropping them from every slice.
     """
     best = np.full(1 << m, _MASK64, dtype=np.uint64)
     filled = np.zeros(1 << m, dtype=bool)
-    for words in chunks:
+    for words in slices:
         syndrome = words[:, 0].view(np.intp)  # syndromes below 2**m
         np.minimum.at(best, syndrome, words[:, 1])
         filled[syndrome] = True
@@ -480,19 +483,20 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     """Enumerate errors by increasing weight, keeping first-seen syndromes.
 
     The table starts from the identity, the one error of weight 0.  Each
-    weight from 1 on is enumerated in chunks of at most _BLOCK candidates.
-    A candidate is carried as its syndrome words and its tie-break key
-    (its (x|z) row words, each bit-reversed), both the XOR of its letters'
-    words.  Of the candidates with a syndrome no lighter error has, each
-    syndrome keeps the one with the smallest tie-break key, and the new
-    entries follow in key order.  Enumeration stops once every syndrome
-    has an entry; the rows are recovered from the kept keys.
+    weight from 1 on is enumerated whole from the weight below (_level)
+    and merged in slices of _BLOCK candidates.  A candidate is carried as
+    its syndrome words and its tie-break key (its (x|z) row words, each
+    bit-reversed), both the XOR of its letters' words.  Of the candidates
+    with a syndrome no lighter error has, each syndrome keeps the one with
+    the smallest tie-break key, and the new entries follow in key order.
+    Enumeration stops once every syndrome has an entry; the rows are
+    recovered from the kept keys.
 
     The merge is chosen once per table, as its index is: when 2**m slots
     fit one block (m <= 16, _fits_direct) and the tie-break key is one
     word (n <= 32), every weight merges its candidates in arrays indexed
     by syndrome (_direct_entries) and sorts only its new entries;
-    otherwise every weight merges its chunks by sorting (_sorted_entries).
+    otherwise every weight merges its slices by sorting (_sorted_entries).
     Both give the same entries.
     """
     if max_weight < 0:
@@ -507,11 +511,14 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     letters = _letter_table(np.concatenate([syndromes, ties], axis=1))
     merge = _direct_entries if _fits_direct(m) and ties.shape[1] == 1 else _sorted_entries
     # entries in insertion order, from the identity's: syndrome 0, tie-break key 0
-    kept = np.zeros((1, letters.shape[2]), dtype=np.uint64)
+    kept = level = np.zeros((1, letters.shape[2]), dtype=np.uint64)
     for w in range(1, min(max_weight, n) + 1):
         if len(kept) == 1 << m:
             break
-        kept = np.concatenate([kept, merge(_weight_words(letters, w), kept, m)])
+        level = _level(letters, w, level)[: math.comb(n, w) * 3**w]
+        slices = (level[lo : lo + _BLOCK] for lo in range(0, len(level), _BLOCK))
+        kept = np.concatenate([kept, merge(slices, kept, m)])
+    del level  # freed before the table's arrays, which can then reuse its memory
     nkeys = syndromes.shape[1]
     return SyndromeTable._from_arrays(n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight)
 
@@ -827,6 +834,13 @@ class _BlockDecoder:
         return np.array([b - successes, degenerate, violations], dtype=np.int64)
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_trials(
     codeq: EaqeccCode,
     ch: DepolarizingChannel,
@@ -858,7 +872,7 @@ def run_trials(
     # one range per thread, and no more threads than CPUs or blocks: a
     # trial's outcome depends only on (seed, its index), so the partition
     # does not change the result
-    parts = max(1, min(workers, os.cpu_count() or 1, -(-trials // _BLOCK)))
+    parts = max(1, min(workers, _cpus(), -(-trials // _BLOCK)))
     bounds = [i * trials // parts for i in range(parts + 1)]
     chunks = list(zip(bounds, bounds[1:]))
     if parts == 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -11,7 +12,7 @@ import numpy as np
 from eaqecc import gf2, gf4
 from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
-from eaqecc.frames import _checks, _letter_table, _weight_words
+from eaqecc.frames import _checks, _signatures, _words
 from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
 from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
 
@@ -29,7 +30,8 @@ SINGLE_PRODUCTS = {
 
 def oracle_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Position-by-position product via the literal single-qubit table."""
-    assert a.n == b.n
+    if a.n != b.n:
+        raise ValueError(f"operands act on {a.n} and {b.n} qubits")
     phase = a.phase_exp + b.phase_exp
     letters = []
     for j in range(a.n):
@@ -203,19 +205,21 @@ def reference_min_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceResult
 def reference_chunked_distance(codeq: EaqeccCode, weight_cap: int) -> DistanceResult:
     """min_distance_bruteforce by enumerating every weight up to the cap in chunks.
 
-    Each weight's chunks are searched for a zero syndrome, by increasing
-    weight with early exit.  The lightest undetected isotropic-span
-    element is recorded by weight, not by chunk: one of weight d that
-    comes up in a chunk before the logical's does not make the code
-    degenerate.
+    Each weight's Paulis come from iter_paulis_of_weight, 4096 at a time,
+    and each chunk's signatures from their rows; the chunks are searched
+    for a zero syndrome, by increasing weight with early exit.  The
+    lightest undetected isotropic-span element is recorded by weight, not
+    by chunk: one of weight d that comes up in a chunk before the
+    logical's does not make the code degenerate.
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
     units, syndrome, normalizer = _checks(codeq, basis=False)
-    letters = _letter_table(units)
     lightest = codeq.n + 1  # weight of the lightest isotropic-span element met so far
     for w in range(1, min(weight_cap, codeq.n) + 1):
-        for sig in _weight_words(letters, w):
+        paulis = iter_paulis_of_weight(codeq.n, w)
+        while chunk := list(itertools.islice(paulis, 4096)):
+            sig = _signatures(_words([p.row() for p in chunk], 2 * codeq.n), units)
             undetected = ~(sig[:, : len(syndrome)] & syndrome).any(axis=1)
             logical = (sig & normalizer).any(axis=1)
             if lightest > w and (undetected & ~logical).any():  # an isotropic-span element

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import analysis, frames, gf2
+from eaqecc import analysis, gf2
 from eaqecc.analysis import (
     check_correctable_set,
     hashing_rates,
@@ -246,13 +246,10 @@ class TestSearchesMatchOracles:
     """The signature-word searches against their one-PauliString-at-a-time oracles."""
 
     @settings(max_examples=80, deadline=None)
-    @given(code_seed=st.integers(0, 1 << 32), cap=st.integers(1, 6), block=st.integers(1, 100))
-    def test_distance(self, code_seed, cap, block):
-        # small blocks split every weight over many chunks, and for
-        # block < 3**w one support over several
+    @given(code_seed=st.integers(0, 1 << 32), cap=st.integers(1, 6))
+    def test_distance(self, code_seed, cap):
         codeq = build_code(random_classical_code(random.Random(code_seed)))
-        with mock.patch.object(frames, "_BLOCK", block):
-            assert min_distance_bruteforce(codeq, cap) == reference_min_distance(codeq, cap)
+        assert min_distance_bruteforce(codeq, cap) == reference_min_distance(codeq, cap)
 
     def test_distance_found_and_not_found(self):
         outcomes = set()
@@ -271,16 +268,14 @@ class TestSearchesMatchOracles:
         n=st.integers(2, 7),
         gap=st.integers(1, 3),
         cap=st.integers(1, 7),
-        block=st.integers(1, 100),
     )
-    def test_distance_few_syndrome_bits(self, code_seed, n, gap, cap, block):
+    def test_distance_few_syndrome_bits(self, code_seed, n, gap, cap):
         # k near n leaves few syndrome bits, so many Paulis share each
         # syndrome and signature; caps up to n include searches that find nothing
         codeq = build_code(random_classical_code(random.Random(code_seed), n, max(0, n - gap)))
         cap = min(cap, n)
-        with mock.patch.object(frames, "_BLOCK", block):
-            result = min_distance_bruteforce(codeq, cap)
-            assert result == reference_chunked_distance(codeq, cap)
+        result = min_distance_bruteforce(codeq, cap)
+        assert result == reference_chunked_distance(codeq, cap)
         assert result == reference_min_distance(codeq, cap)
 
     @settings(max_examples=80, deadline=None)
@@ -288,9 +283,8 @@ class TestSearchesMatchOracles:
         code_seed=st.integers(0, 1 << 32),
         n=st.integers(1, 7),
         cap=st.integers(1, 7),
-        block=st.integers(1, 100),
     )
-    def test_lightest(self, code_seed, n, cap, block):
+    def test_lightest(self, code_seed, n, cap):
         # the two numbers every analyze answer reads: the lightest logical's
         # weight, and the lightest isotropic-span weight when it is lighter
         rng = random.Random(code_seed)
@@ -300,8 +294,7 @@ class TestSearchesMatchOracles:
         isotropic = reference_min_isotropic_weight(codeq)
         if isotropic is not None and isotropic >= (logical or cap + 1):
             isotropic = None
-        with mock.patch.object(frames, "_BLOCK", block):
-            assert analysis._lightest(codeq, cap) == (logical, isotropic)
+        assert analysis._lightest(codeq, cap) == (logical, isotropic)
 
     @pytest.mark.parametrize(
         "name, top",
@@ -313,15 +306,11 @@ class TestSearchesMatchOracles:
             assert min_distance_bruteforce(codeq, cap) == reference_chunked_distance(codeq, cap)
 
     @settings(max_examples=80, deadline=None)
-    @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3), block=st.integers(1, 100))
-    @example(code_seed=0, t=3, block=4)
-    def test_distinct_syndromes(self, code_seed, t, block):
-        # syndromes repeat across chunks as well as within them
+    @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3))
+    @example(code_seed=0, t=3)
+    def test_distinct_syndromes(self, code_seed, t):
         codeq = build_code(random_classical_code(random.Random(code_seed)))
-        with mock.patch.object(frames, "_BLOCK", block):
-            assert nondegenerate_distinct_syndromes(codeq, t) == reference_distinct_syndromes(
-                codeq, t
-            )
+        assert nondegenerate_distinct_syndromes(codeq, t) == reference_distinct_syndromes(codeq, t)
 
     def test_distinct_syndromes_yes_and_no(self):
         outcomes = set()
@@ -330,8 +319,7 @@ class TestSearchesMatchOracles:
             code = random_classical_code(rng, n=rng.randint(3, 7), k=rng.randint(0, 2))
             codeq = build_code(code)
             t = rng.randint(1, 2)
-            with mock.patch.object(frames, "_BLOCK", 7):
-                distinct = nondegenerate_distinct_syndromes(codeq, t)
+            distinct = nondegenerate_distinct_syndromes(codeq, t)
             assert distinct == reference_distinct_syndromes(codeq, t)
             outcomes.add(distinct)
         assert outcomes == {True, False}
@@ -342,15 +330,15 @@ class TestSearchesMatchOracles:
         # pairs a weight-2 and a weight-1 Pauli (D = 3): each weight once,
         # and weight 3 never
         twin = build_code(ClassicalCode.from_rows(2, 1, [(1, 1)]))
-        weight_words = analysis._weight_words
+        level = analysis._level
         for codeq, expected in ((twin, [1]), (golden, [1, 2])):
             weights = []
 
-            def recording(letters, w):
+            def recording(letters, w, below):
                 weights.append(w)
-                return weight_words(letters, w)
+                return level(letters, w, below)
 
-            with mock.patch.object(analysis, "_weight_words", recording):
+            with mock.patch.object(analysis, "_level", recording):
                 assert not nondegenerate_distinct_syndromes(codeq, 3)
             assert weights == expected
 

@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 from functools import reduce
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import frames, gf4
+from eaqecc import gf4
 from eaqecc.analysis import min_distance_bruteforce
 from eaqecc.builder import (
     ClassicalCode,
@@ -270,14 +269,12 @@ class TestParameters:
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32))
-    # a weight-d isotropic element comes up chunks before the first logical
+    # the lightest isotropic-span element weighs d, as the first logical does
     @example(code_seed=1005)
     @example(code_seed=1133)
     def test_degenerate_matches_isotropic_span_scan(self, code_seed):
         codeq = _random_code(code_seed)
-        # chunks of 4 split each weight over many chunks
-        with mock.patch.object(frames, "_BLOCK", 4):
-            dist = min_distance_bruteforce(codeq, codeq.n)
+        dist = min_distance_bruteforce(codeq, codeq.n)
         if codeq.s == 0 or not dist.exact:
             assert dist.degenerate is None
         else:
@@ -295,12 +292,11 @@ class TestParameters:
 
     def test_degenerate_yes_and_no(self):
         outcomes = set()
-        with mock.patch.object(frames, "_BLOCK", 4):
-            for seed in range(60):
-                codeq = _random_code(seed)
-                outcomes.add(min_distance_bruteforce(codeq, codeq.n).degenerate)
-                if len(outcomes) == 3:
-                    break
+        for seed in range(60):
+            codeq = _random_code(seed)
+            outcomes.add(min_distance_bruteforce(codeq, codeq.n).degenerate)
+            if len(outcomes) == 3:
+                break
         assert outcomes == {True, False, None}
 
 

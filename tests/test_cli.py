@@ -194,13 +194,13 @@ class TestAnalyzeCommand:
         # d = 3 needs weights 1 and 2; the distinct-syndrome answer at t = 1
         # or 2 comes from the same walk, which enumerates no weight twice
         weights = []
-        weight_words = analysis._weight_words
+        level = analysis._level
 
-        def recording(letters, w):
+        def recording(letters, w, below):
             weights.append(w)
-            return weight_words(letters, w)
+            return level(letters, w, below)
 
-        monkeypatch.setattr(analysis, "_weight_words", recording)
+        monkeypatch.setattr(analysis, "_level", recording)
         code, _, _ = run(capsys, "analyze", H4_PATH, *extra)
         assert (code, weights) == (0, [1, 2])
 
@@ -394,7 +394,7 @@ class TestSimulateCommand:
         assert one == four
 
     def test_million_workers(self, capsys):
-        # cut into at most cpu_count ranges, so this takes as long as --workers 1
+        # cut into at most one range per CPU, so this takes as long as --workers 1
         base = ["simulate", H4_PATH, "--p", "0.1", "--trials", "1000", "--seed", "3"]
         _, one, _ = run(capsys, *base, "--workers", "1")
         code, many, _ = run(capsys, *base, "--workers", "1000000")

@@ -1,7 +1,9 @@
 """Oracle tests for the check rows and signature words of eaqecc.frames."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,17 @@ from eaqecc import gf2
 from eaqecc.analysis import in_isotropic
 from eaqecc.builder import ClassicalCode, build_code
 from eaqecc.cli import load_code_file
-from eaqecc.frames import _check_rows, _checks, _signatures, _units, _words
-from eaqecc.pauli import PauliString
+from eaqecc.frames import (
+    _check_rows,
+    _checks,
+    _letter_table,
+    _level,
+    _pack,
+    _signatures,
+    _units,
+    _words,
+)
+from eaqecc.pauli import PauliString, iter_paulis_of_weight
 from eaqecc.symplectic import _swap_halves
 
 from helpers import BENCH_CORPUS, random_classical_code, random_pauli
@@ -91,3 +102,38 @@ class TestSignatures:
         for words, row in zip(sig, rows):
             value = sum(int(w) << (64 * i) for i, w in enumerate(words))
             assert value == sum(gf2.parity(row & c) << i for i, c in enumerate(checks))
+
+
+def _level_order(n: int, w: int) -> list:
+    """The (x|z) rows of the weight-w Paulis on n qubits in _level's order.
+
+    iter_paulis_of_weight gives the supports in combinations order and, on
+    each, the letters in product order (last qubit fastest); _level's
+    letters run in base-3 order with the first qubit lowest.  So each
+    support's 3**w rows are permuted by reversing the digits of their index.
+    """
+    rows = [p.row() for p in iter_paulis_of_weight(n, w)]
+    if not w:
+        return rows
+    reverse = [sum((q // 3**t % 3) * 3 ** (w - 1 - t) for t in range(w)) for q in range(3**w)]
+    return [rows[at + r] for at in range(0, len(rows), 3**w) for r in reverse]
+
+
+class TestLevel:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), w=st.integers(1, 7))
+    def test_matches_the_pauli_enumeration(self, n, w):
+        # on the (x|z) unit letters the words are the Paulis' rows: each
+        # weight built from the one below, then below's rows
+        w = min(w, n)
+        letters = _letter_table(_pack(np.eye(2 * n, dtype=np.uint8)))
+        below = _words(_level_order(n, w - 1), 2 * n)
+        words = _level(letters, w, below)
+        assert len(words) == math.comb(n, w) * 3**w + len(below)
+        assert [_value(row) for row in words] == _level_order(n, w) + _level_order(n, w - 1)
+
+    # 2n = 66: every letter and row takes two words
+    def test_two_word_rows(self):
+        n, below = 33, _words(_level_order(33, 1), 66)
+        words = _level(_letter_table(_pack(np.eye(2 * n, dtype=np.uint8))), 2, below)
+        assert [_value(row) for row in words] == _level_order(n, 2) + _level_order(n, 1)

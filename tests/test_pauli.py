@@ -73,6 +73,11 @@ class TestMultiply:
         with pytest.raises(ValueError, match="mismatch"):
             multiply(parse_pauli("XX"), parse_pauli("X"))
 
+    def test_oracle_refuses_a_dimension_mismatch(self):
+        # a raised precondition, which python -O keeps
+        with pytest.raises(ValueError, match="2 and 1 qubits"):
+            oracle_multiply(parse_pauli("XX"), parse_pauli("X"))
+
     def test_weight_subadditive(self):
         rng = random.Random(4)
         for _ in range(200):

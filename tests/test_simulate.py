@@ -95,11 +95,11 @@ def _sample(p, letters, seed, t_lo, t_hi, buffers):
 
 @contextlib.contextmanager
 def _merges(*names):
-    """Mocks that record the calls of simulate's two merges, its weight enumeration, then names."""
+    """Mocks that record the calls of simulate's two merges, its weight enumerator, then names."""
     with contextlib.ExitStack() as stack:
         yield [
             stack.enter_context(mock.patch.object(simulate, name, wraps=getattr(simulate, name)))
-            for name in ("_direct_entries", "_sorted_entries", "_weight_words", *names)
+            for name in ("_direct_entries", "_sorted_entries", "_level", *names)
         ]
 
 
@@ -504,13 +504,13 @@ class TestSyndromeTable:
         reference = reference_syndrome_table(golden, 3)
         assert len(reference) == 2 ** len(golden.generators)
         weights = []
-        weight_words = simulate._weight_words
+        level = simulate._level
 
-        def recording(letters, w):
+        def recording(letters, w, below):
             weights.append(w)
-            return weight_words(letters, w)
+            return level(letters, w, below)
 
-        monkeypatch.setattr(simulate, "_weight_words", recording)
+        monkeypatch.setattr(simulate, "_level", recording)
         table = build_syndrome_table(golden, 3)
         assert weights == [1, 2]  # weight 0 is the identity, never enumerated
         assert table.entries == reference
@@ -555,18 +555,31 @@ class TestSyndromeTable:
         code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3), block=st.integers(1, 100)
     )
     def test_small_chunks_build_the_same_table(self, code_seed, depth, block):
-        # many chunks per weight, and for block < 3**w one support split over
-        # several chunks: winners of later chunks must merge with earlier ones,
+        # many slices per weight, and for block < 3**w one support split over
+        # several slices: winners of later slices must merge with earlier ones,
         # on either path
         codeq = build_code(random_classical_code(random.Random(code_seed)))
         expected = list(reference_syndrome_table(codeq, depth).items())
-        with mock.patch.object(frames, "_BLOCK", block):
+        nkeys = max(1, -(-len(codeq.generators) // 64))
+        handed = []  # the slices of each merge call, both paths' weights in turn
+
+        def recorded(merge):
+            def run(slices, kept, m):
+                handed.append(list(slices))
+                return merge(iter(handed[-1]), kept, m)
+
+            return run
+
+        with mock.patch.object(simulate, "_BLOCK", block), mock.patch.object(
+            simulate, "_direct_entries", recorded(simulate._direct_entries)
+        ), mock.patch.object(simulate, "_sorted_entries", recorded(simulate._sorted_entries)):
             tables = [_build_on_path(codeq, depth, direct) for direct in (True, False)]
-            for w in range(min(depth, codeq.n) + 1):
-                chunks = list(frames._weight_words(_xz_letters(codeq.n), w))
-                assert all(len(words) <= block for words in chunks)
-                rows = [_row(words) for chunk in chunks for words in chunk.tolist()]
-                assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
+        weights = len(handed) // 2  # both paths merge the same weights
+        for i, slices in enumerate(handed):
+            w = i % weights + 1
+            assert all(len(words) <= block for words in slices)
+            rows = [_row(words) for s in slices for words in simulate._reverse(s[:, nkeys:])]
+            assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
         for table in tables:
             assert list(table.entries.items()) == expected
 
@@ -577,7 +590,7 @@ class TestSyndromeTable:
         # word 1 against the running best (sorted path: two tie-break words)
         codeq = build_code(random_classical_code(random.Random(64), 64, 58))
         expected = _arrays(build_syndrome_table(codeq, 2))
-        with mock.patch.object(frames, "_BLOCK", block):
+        with mock.patch.object(simulate, "_BLOCK", block):
             assert _arrays(_build_on_path(codeq, 2, False)) == expected
 
     # slots is 1 where the table merges in syndrome slots: m = 0 fills its one
@@ -1068,7 +1081,7 @@ class TestRunTrials:
     def test_direct_index_matches_sorted_search(self, m, monkeypatch):
         # three ranges of whole and ragged blocks, on a table with the slot
         # index (2**m slots fit a block) and on one built with it forced off
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
         codeq = _random_code(random.Random(m), max(m, 2), m)
         assert len(codeq.generators) == m
         table = build_syndrome_table(codeq, 2)
@@ -1109,7 +1122,7 @@ class TestRunTrials:
         # 64-trial blocks: every range runs its blocks in one set of buffers
         # and ends with a shorter block
         monkeypatch.setattr(simulate, "_BLOCK", 64)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
         cases = []
         for code_seed in range(3):
             codeq = build_code(random_classical_code(random.Random(code_seed)))
@@ -1160,7 +1173,7 @@ class TestRunTrials:
     def test_no_generators_matches_scalar_decode(self, monkeypatch):
         # m = 0: one all-zero key word, over several 64-trial blocks and ranges
         monkeypatch.setattr(simulate, "_BLOCK", 64)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
         built = build_code(ClassicalCode.from_rows(3, 3, []))
         table = build_syndrome_table(built, 2)
         ch = DepolarizingChannel(0.3)
@@ -1259,24 +1272,48 @@ class TestRunTrials:
         base = run_trials(golden, ch, table, 300, seed=9)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
         assert run_trials(golden, ch, table, 300, seed=9, workers=100000) == base
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
         assert sizes == ranges == [2, 2]
         # one CPU is one range, run inline
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 1)
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
         assert sizes == ranges == [2, 2]
 
+    def test_affinity_of_one_cpu_starts_no_pool(self, golden, monkeypatch):
+        # the cap counts the CPUs the process may run on, not the machine's:
+        # three blocks at workers=3 are one range on one CPU, three on three
+        sizes, ranges = [], []
+        table = build_syndrome_table(golden, 1)
+        ch = DepolarizingChannel(0.1)
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        base = run_trials(golden, ch, table, 3 * 64, seed=3)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        for cpus, pools in (({5}, []), ({0, 1, 2}, [3])):
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert simulate._cpus() == len(cpus)
+            assert run_trials(golden, ch, table, 3 * 64, seed=3, workers=3) == base
+            assert sizes == ranges == pools
+
+    def test_cpus_without_affinity(self, monkeypatch):
+        # where the OS reports no affinity, the CPU count, and one if unknown
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 5)
+        assert simulate._cpus() == 5
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._cpus() == 1
+
     def test_one_range_per_thread(self, golden, monkeypatch):
-        # trials are cut into min(workers, cpu_count) ranges, never one per worker
+        # trials are cut into min(workers, CPUs) ranges, never one per worker
         sizes, ranges = [], []
         table = build_syndrome_table(golden, 1)
         ch = DepolarizingChannel(0.1)
         base = run_trials(golden, ch, table, 1000, seed=3)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 7)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 7)
         for workers in (3, 7, 10**6):
             assert run_trials(golden, ch, table, 1000, seed=3, workers=workers) == base
         assert sizes == ranges == [3, 7, 7]
@@ -1287,7 +1324,7 @@ class TestRunTrials:
         table = build_syndrome_table(golden, 1)
         ch = DepolarizingChannel(0.1)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 7)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 7)
         for trials in (0, 1, 1000, simulate._BLOCK):
             base = run_trials(golden, ch, table, trials, seed=3)
             for workers in (2, 10**6):
@@ -1312,7 +1349,7 @@ class TestRunTrials:
         ch = DepolarizingChannel(0.2)
         base = run_trials(golden, ch, table, trials, seed)
         with mock.patch.object(simulate, "_BLOCK", block), mock.patch.object(
-            simulate.os, "cpu_count", lambda: cpus
+            simulate, "_cpus", lambda: cpus
         ):
             for workers in (1, 2, 3):
                 assert run_trials(golden, ch, table, trials, seed, workers) == base
