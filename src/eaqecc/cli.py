@@ -9,6 +9,7 @@ then n-k lines of n tokens from {0, 1, w, W}, '#' starting a comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -110,15 +111,14 @@ def parse_code_text(text: str) -> ClassicalCode:
             raise CodeFileError(f"more than n-k={n - k} parity-check rows", lineno)
         if len(tokens) != n:
             raise CodeFileError(f"expected {n} tokens, got {len(tokens)}", lineno)
-        row = []
-        col = 1
-        for token in tokens:
+        row = tuple(map(gf4._TOKENS.get, tokens))
+        if None in row:  # parse_symbol words the first bad token's error
+            col = row.index(None)
             try:
-                row.append(gf4.parse_symbol(token))
+                gf4.parse_symbol(tokens[col])
             except ValueError as exc:
-                raise CodeFileError(str(exc), lineno, col) from None
-            col += 1
-        rows.append(tuple(row))
+                raise CodeFileError(str(exc), lineno, col + 1) from None
+        rows.append(row)
     if header is None:
         raise CodeFileError("empty file, expected header 'n k'", 1)
     n, k = header
@@ -327,9 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CodeFileError, OSError) as exc:

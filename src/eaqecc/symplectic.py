@@ -131,7 +131,9 @@ def gram_schmidt_decompose(g: GeneratorSet) -> Decomposition:
     while todo:
         cur = todo.pop(0)
         cur_swapped = _swap_halves(cur, n)
-        partner_idx = next((j for j, h in enumerate(todo) if gf2.parity(h & cur_swapped)), None)
+        partner_idx = next(
+            (j for j, h in enumerate(todo) if (h & cur_swapped).bit_count() & 1), None
+        )
         if partner_idx is None:
             isotropic.append(PauliString.from_row(n, cur))
             continue
@@ -139,9 +141,9 @@ def gram_schmidt_decompose(g: GeneratorSet) -> Decomposition:
         partner_swapped = _swap_halves(partner, n)
         cleaned: List[int] = []
         for r in todo:
-            if gf2.parity(r & cur_swapped):
+            if (r & cur_swapped).bit_count() & 1:
                 r ^= partner
-            if gf2.parity(r & partner_swapped):
+            if (r & partner_swapped).bit_count() & 1:
                 r ^= cur
             cleaned.append(r)
         todo = cleaned

@@ -12,6 +12,7 @@ import numpy as np
 from eaqecc import gf2, gf4
 from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
+from eaqecc.cli import CodeFileError
 from eaqecc.frames import _checks, _signatures, _words
 from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
 from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
@@ -42,6 +43,26 @@ def oracle_multiply(a: PauliString, b: PauliString) -> PauliString:
 
     base = parse_pauli("".join(letters)) if letters else PauliString(0, 0, 0)
     return PauliString(a.n, base.x, base.z, phase % 4)
+
+
+def reference_parse_rows(token_rows: Sequence[Sequence[str]], first_line: int) -> List[tuple]:
+    """Parity-check rows of the code-file format, one gf4.parse_symbol per token.
+
+    Row i is on line first_line + i.  The first bad token, in row order and
+    then column order, raises CodeFileError at its 1-based line and column.
+    """
+    rows = []
+    for lineno, tokens in enumerate(token_rows, start=first_line):
+        row = []
+        col = 1
+        for token in tokens:
+            try:
+                row.append(gf4.parse_symbol(token))
+            except ValueError as exc:
+                raise CodeFileError(str(exc), lineno, col) from None
+            col += 1
+        rows.append(tuple(row))
+    return rows
 
 
 def random_pauli(rng: random.Random, n: int, nonidentity: bool = False) -> PauliString:

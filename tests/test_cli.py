@@ -20,9 +20,13 @@ from helpers import (
     random_classical_code,
     reference_distinct_syndromes,
     reference_min_distance,
+    reference_parse_rows,
 )
 
 H4_PATH = example_code_path("h4.code")
+
+# Tokens that are not GF(4) symbols, for the row-parse tests.
+BAD_TOKENS = ["q", "2", "ww", "0w", "W1", "1.0", "None", "\u03c9", "00"]
 
 
 def run(capsys, *argv):
@@ -89,6 +93,49 @@ class TestCodeFileParsing:
     def test_dependent_rows_rejected(self):
         with pytest.raises(CodeFileError, match="dependent"):
             parse_code_text("3 1\n1 w 0\nw W 0\n")
+
+    @pytest.mark.parametrize("column", [1, 3, 5], ids=["first", "middle", "last"])
+    def test_first_bad_token_reported(self, column):
+        # a bad token at column, and another in each column after it
+        tokens = ["1", "w", "W", "0", "1"]
+        tokens[column - 1:] = ["q"] + ["x"] * (5 - column)
+        with pytest.raises(CodeFileError) as exc:
+            parse_code_text("5 3\n1 1 0 0 0\n" + " ".join(tokens) + "\n")
+        message = "invalid GF(4) token 'q'; expected one of 0, 1, w, W"
+        assert str(exc.value) == f"line 3, column {column}: {message}"
+        assert (exc.value.line, exc.value.column) == (3, column)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        code_seed=st.integers(0, 1 << 32),
+        n=st.integers(1, 9),
+        k=st.integers(0, 8),
+        bad=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.sampled_from(["first", "middle", "last"]),
+                st.sampled_from(BAD_TOKENS),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_row_parse_matches_per_symbol_oracle(self, code_seed, n, k, bad):
+        k = min(k, n - 1)  # at least one row
+        code = random_classical_code(random.Random(code_seed), n, k)
+        token_rows = [[gf4.format_symbol(a) for a in code.h.row(i)] for i in range(n - k)]
+        for row, place, token in bad:
+            column = {"first": 0, "middle": n // 2, "last": n - 1}[place]
+            token_rows[row % len(token_rows)][column] = token
+        text = "\n".join([f"{n} {k}", *map(" ".join, token_rows)]) + "\n"
+        try:
+            want = reference_parse_rows(token_rows, first_line=2)
+        except CodeFileError as exc:
+            with pytest.raises(CodeFileError) as got:
+                parse_code_text(text)
+            where = (str(got.value), got.value.line, got.value.column)
+            assert where == (str(exc), exc.line, exc.column)
+        else:
+            assert parse_code_text(text).h.entries == tuple(want)
 
 
 class TestBuildCommand:
@@ -184,6 +231,7 @@ class TestAnalyzeCommand:
             calls.append((codeq.n, cap))
             return search(codeq, cap)
 
+        assert run(capsys, "analyze", H4_PATH)[0] == 0  # main's parser is built first
         monkeypatch.setattr(cli, "_lightest", counting)
         code, out, _ = run(capsys, "analyze", H4_PATH)
         assert code == 0 and "degenerate=no" in out.splitlines()
@@ -348,6 +396,7 @@ class TestOutOfMemory:
         def exhausted(code):
             raise exc
 
+        assert run(capsys, "build", H4_PATH)[0] == 0  # main's parser is built first
         monkeypatch.setattr(cli, "build_code", exhausted)
         assert run(capsys, *command) == (1, "", message)
 
@@ -370,6 +419,70 @@ class TestQubitBound:
         monkeypatch.setattr(cli, "MAX_QUBITS", 3)
         code, out, err = run(capsys, command[0], H4_PATH, *command[1:])
         assert (code, out, err) == (1, "", "error: n=4 is over the bound of 3 qubits for the check frame\n")
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's cached parser, dropped before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestSharedParser:
+    def test_built_once_per_process(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["build", H4_PATH], ["analyze", H4_PATH], ["bounds", "--f-list", "0.1"]):
+            assert run(capsys, *argv)[0] == 0
+        assert built == [1]
+        # the public builder still returns a new parser on each call
+        assert build() is not build()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", H4_PATH],
+            ["analyze", H4_PATH, "--t", "2"],
+            ["simulate", H4_PATH, "--p", "0.05", "--trials", "3000", "--seed", "9"],
+            ["bounds", "--f-list", "0,0.1,0.75"],
+            ["catalytic", H4_PATH, "--rounds", "2", "--initial-ebits", "1"],
+            ["catalytic", H4_PATH, "--rounds", "1"],  # infeasible: exit 1
+            ["build", "/nonexistent/x.code"],  # exit 2
+        ],
+        ids=lambda argv: "-".join(a for a in argv if a != H4_PATH),
+    )
+    def test_repeated_calls_identical(self, capsys, fresh_parser, argv):
+        first = run(capsys, *argv)  # the call that builds the parser
+        assert [run(capsys, *argv) for _ in range(2)] == [first, first]
+
+    @pytest.mark.parametrize(
+        "interrupt, status",
+        [
+            pytest.param(["simulate", H4_PATH, "--p", "1.5"], 2, id="bad-p"),
+            pytest.param(["simulate", H4_PATH], 2, id="missing-p"),
+            pytest.param(["frobnicate"], 2, id="unknown-command"),
+            pytest.param(["--help"], 0, id="help"),
+            pytest.param(["analyze", "--help"], 0, id="analyze-help"),
+        ],
+    )
+    def test_usage_exit_between_calls(self, capsys, fresh_parser, interrupt, status):
+        argv = ["simulate", H4_PATH, "--p", "0.05", "--trials", "3000", "--seed", "9"]
+        before = run(capsys, *argv)
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(interrupt)
+            assert exc.value.code == status
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert run(capsys, *argv) == before
 
 
 class TestSimulateCommand:
