@@ -37,12 +37,12 @@ def add_to_basis(reduced: List[int], pivots: List[int], vec: int, width: int) ->
     vec = reduce_vector(vec, reduced, pivots)
     low = vec & ((1 << width) - 1)
     if low:
-        col = (low & -low).bit_length() - 1
+        bit = low & -low
         for i, row in enumerate(reduced):
-            if (row >> col) & 1:
+            if row & bit:
                 reduced[i] = row ^ vec
         reduced.append(vec)
-        pivots.append(col)
+        pivots.append(bit.bit_length() - 1)
     return vec
 
 
@@ -110,9 +110,9 @@ def null_vector(reduced_rows: List[int], pivots: List[int], free: int) -> int:
     reduced_rows and pivots are an RREF basis; its rows may carry tags
     above the columns, which are ignored.
     """
-    vec = 1 << free
+    bit = vec = 1 << free
     for row, col in zip(reduced_rows, pivots):
-        if (row >> free) & 1:
+        if row & bit:
             vec |= 1 << col
     return vec
 

@@ -143,6 +143,22 @@ def numpy_is_symplectic(m: SymplecticMatrix) -> bool:
     return bool(((mat @ form @ mat.T) % 2 == form).all())
 
 
+def reference_first_bad_product(
+    rows: Sequence[int], n: int, partners: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """symplectic._first_bad_product by a pairwise loop over Python-int rows.
+
+    The first (a, b), a < b, scanned by a then b, whose product (the parity
+    of row a AND row b's swapped halves) is not [b == partners[a]].
+    """
+    swapped = [_swap_halves(r, n) for r in rows]
+    for a, row in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            if (row & swapped[b]).bit_count() & 1 != (b == partners[a]):
+                return a, b
+    return None
+
+
 def isotropic_span_rows(codeq: EaqeccCode) -> set:
     """All 2**s isotropic-span (x|z) rows by exhaustive subset enumeration."""
     rows = [g.row() for g in codeq.decomposition.isotropic]

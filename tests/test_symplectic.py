@@ -1,12 +1,14 @@
 """Tests for the symplectic Gram-Schmidt decomposition and basis completion."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import gf2
+from eaqecc import gf2, symplectic
 from eaqecc.builder import build_code
 from eaqecc.cli import load_code_file
 from eaqecc.pauli import PauliString, parse_pauli, symplectic_product
@@ -20,6 +22,7 @@ from eaqecc.symplectic import (
     gram_schmidt_decompose,
     group_equal_up_to_phase,
     reduce_independent,
+    _first_bad_product,
     _swap_halves,
 )
 
@@ -29,6 +32,7 @@ from helpers import (
     random_classical_code,
     random_generator_set,
     reference_encoding_symplectic,
+    reference_first_bad_product,
     reference_gram_schmidt,
 )
 
@@ -216,6 +220,18 @@ class TestRowFormsMatchReference:
             for j in range(m):
                 assert mat[i][j] == symplectic_product(g.gens[i], g.gens[j])
 
+    def test_commutation_matrix_of_empty_set(self):
+        assert commutation_matrix(GeneratorSet(3, ())) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_commutation_matrix_in_blocks_of_three_rows(self, seed, monkeypatch):
+        g = random_phased_independent_set(random.Random(seed), 9)
+        whole = commutation_matrix(g)
+        monkeypatch.setattr(symplectic, "_BLOCK_WORDS", 3 * len(g))
+        assert commutation_matrix(g) == whole
+        assert whole == [[symplectic_product(a, b) for b in g.gens] for a in g.gens]
+        assert all(type(v) is int for row in whole for v in row)
+
     @pytest.mark.parametrize("path", sorted(BENCH_CORPUS.glob("*.code")), ids=lambda p: p.stem)
     def test_gram_schmidt_bench_corpus(self, path):
         assert_matches_reference(build_code(load_code_file(str(path)).code).generators)
@@ -299,6 +315,30 @@ class TestFindEncodingSymplectic:
         with pytest.raises(ValueError, match="dependent"):
             find_encoding_symplectic(d)
 
+    @pytest.mark.parametrize(
+        "pairs, isotropic",
+        [
+            ((), ("Z", "Z")),
+            ((("ZI", "XI"),), ("IZ", "IZ")),
+            ((("ZII", "XII"),), ("IZI", "IIZ", "IZZ")),
+            ((), ("ZI", "IZ", "ZZ", "IZ")),
+        ],
+    )
+    def test_more_slots_than_qubits_is_dependent(self, pairs, isotropic):
+        # with correct products, c + s > n forces a dependent isotropic row,
+        # refused before any slot at or past 2n is written
+        d = Decomposition(
+            len(isotropic[0]),
+            tuple((parse_pauli(z), parse_pauli(x)) for z, x in pairs),
+            tuple(parse_pauli(g) for g in isotropic),
+        )
+        assert d.c + d.s > d.n
+        message = "^decomposition generators are GF\\(2\\)-dependent$"
+        with pytest.raises(ValueError, match=message):
+            d.validate()
+        with pytest.raises(ValueError, match=message):
+            find_encoding_symplectic(d)
+
     def test_form_check_survives_optimized_mode(self, monkeypatch):
         # a real check, not an assert that python -O would strip
         monkeypatch.setattr(SymplecticMatrix, "is_symplectic", lambda self: False)
@@ -307,11 +347,40 @@ class TestFindEncodingSymplectic:
 
 
 def test_completion_refuses_a_dependent_row_past_validate(monkeypatch):
-    # the growing basis itself refuses a dependent row, not only Decomposition.validate
-    monkeypatch.setattr(Decomposition, "validate", lambda self: None)
+    # the completion's own growing basis refuses a dependent row with
+    # validate's message; no separate rank runs
+    def no_rank(*args):
+        raise AssertionError("find_encoding_symplectic ran a separate rank")
+
+    monkeypatch.setattr(gf2, "rank", no_rank)
+    monkeypatch.setattr(Decomposition, "validate", no_rank)
     d = Decomposition(2, (), (parse_pauli("ZZ"), parse_pauli("ZZ")))
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="^decomposition generators are GF\\(2\\)-dependent$"):
         find_encoding_symplectic(d)
+
+
+# sha256 of ",".join(map(hex, rows)) of each corpus code's encoding matrix,
+# taken before the completion shared its elimination with the dependence check
+CORPUS_ENCODINGS = {
+    "d5": "d5961b4d9e5e86052184104dedec12374fe9c6184393b28ea8494194d7a0594a",
+    "h22": "0882c8be60dccaab14e7ddf33bb8b5deda44af67a346063700369fa616a46708",
+    "h4": "8ef5b40d1331db805d01d903fac1bffa3b8e203cfe6fcf02f046988a4826db54",
+    "n128": "b1f876dc857b8a0daef4f9bf550fe82a2045f158770650d210b2734da78c3bbe",
+    "n64": "eeea35550c32ae112d028f8f306039e6ad51c366a3500e4ddc119f4915e80659",
+    "r16": "17f2fa12f87427fcbefd9dc471d6967d1ce9b19f4af22164e542e603a9e253aa",
+    "r20": "3218951d6d4f4e025e4fcf248d445b160b5b68a74676797601d9bcd86f511056",
+    "r24": "a7fa10ea080b184ad2d77c6dfcc67648fb1788ba66bca8c191b36f51ac528eec",
+    "r40": "a0e0af1cc37e032198c22a06bba65ab1a674f1e4d4e2bc57b5c457b767cce514",
+    "w64": "61bcd212727e6b0d3c9d6a3dedbe9f36802ea6b8a02410f0af638529b3623faf",
+}
+
+
+def test_corpus_encodings_are_pinned():
+    got = {}
+    for path in sorted(BENCH_CORPUS.glob("*.code")):
+        rows = find_encoding_symplectic(build_code(load_code_file(str(path)).code).decomposition).rows
+        got[path.stem] = hashlib.sha256(",".join(map(hex, rows)).encode()).hexdigest()
+    assert got == CORPUS_ENCODINGS
 
 
 class TestCompletionMatchesReference:
@@ -338,10 +407,7 @@ class TestCompletionMatchesReference:
         rng = random.Random(seed)
         g = reduce_independent(random_generator_set(rng, n, rng.randint(1, 2 * n)))
         d = gram_schmidt_decompose(g)
-        if d.c + d.s > n:
-            with pytest.raises(ValueError, match="slots"):
-                find_encoding_symplectic(d)
-            return
+        assert d.c + d.s <= n
         assert find_encoding_symplectic(d) == reference_encoding_symplectic(d)
 
     def test_random_n48_code(self):
@@ -398,3 +464,89 @@ class TestIsSymplectic:
             rows[rng.randrange(2 * n)] ^= 1 << rng.randrange(2 * n)
         m = SymplecticMatrix(n, tuple(rows))
         assert m.is_symplectic() == numpy_is_symplectic(m)
+
+    def test_rejects_rows_outside_the_width(self):
+        for rows, bad in [((0b101, 0b10), "row 0 = 5"), ((-1, 2), "row 0 = -1"), ((1, 4), "row 1 = 4")]:
+            with pytest.raises(ValueError, match=f"^{bad} lies outside \\[0, 2\\*\\*2\\)$"):
+                SymplecticMatrix(1, rows)
+        assert SymplecticMatrix(1, (1, 2)).is_symplectic()
+        assert SymplecticMatrix(1, (2, 1)).is_symplectic()
+
+    def test_memory_at_2n_2048_stays_blocked(self):
+        # a symplectic matrix scans every block.  The kernel's two uint64
+        # Gram temporaries are 256 KB each and its packed rows 512 KB per
+        # copy (2.4 MB peak in all), where a whole (2n, 2n) parity matrix
+        # would be 4 MB as uint8 and 32 MB as a uint64 Gram matrix
+        rng = random.Random(2048)
+        n = 1024
+        rows = [1 << t for t in range(2 * n)]
+        for _ in range(8):
+            h = rng.getrandbits(2 * n)
+            h_swapped = _swap_halves(h, n)
+            rows = [r ^ h if gf2.parity(r & h_swapped) else r for r in rows]
+        m = SymplecticMatrix(n, tuple(rows))
+        tracemalloc.start()
+        try:
+            assert m.is_symplectic()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+def perturbed_rows(rng, counts, flips, as_matrix):
+    """Rows of a random symplectic matrix or decomposition, with partners, after random bit flips."""
+    n, c, _ = counts
+    d = random_symplectic_decomposition(rng, *counts)
+    if as_matrix:
+        rows = list(find_encoding_symplectic(d).rows)
+        partners = [(a + n) % (2 * n) for a in range(2 * n)]
+    else:
+        rows = [g.row() for g in d.generators()]
+        partners = [i ^ 1 if i < 2 * c else -1 for i in range(len(rows))]
+    for _ in range(flips if rows else 0):
+        rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(2 * n)
+    return rows, n, partners
+
+
+@st.composite
+def wide_slot_counts(draw):
+    n = draw(st.sampled_from([1, 2, 5, 31, 32, 33, 40, 64]))
+    c = draw(st.integers(0, n))
+    return n, c, draw(st.integers(0, n - c))
+
+
+class TestProductKernel:
+    """The packed kernel names the same first bad pair as the pairwise loop."""
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=wide_slot_counts(),
+        seed=st.integers(0, 1 << 32),
+        flips=st.integers(0, 3),
+        as_matrix=st.booleans(),
+    )
+    @example(counts=(1, 0, 0), seed=0, flips=0, as_matrix=False)  # no rows
+    @example(counts=(1, 0, 1), seed=0, flips=1, as_matrix=False)  # one row
+    @example(counts=(32, 10, 12), seed=1, flips=1, as_matrix=False)  # 2n = 64
+    @example(counts=(32, 16, 16), seed=2, flips=2, as_matrix=True)
+    @example(counts=(33, 3, 30), seed=3, flips=3, as_matrix=True)  # 2n = 66
+    @example(counts=(40, 20, 20), seed=4, flips=0, as_matrix=True)
+    def test_matches_pairwise_loop(self, block_rows, counts, seed, flips, as_matrix):
+        rows, n, partners = perturbed_rows(random.Random(seed), counts, flips, as_matrix)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(symplectic, "_BLOCK_WORDS", block_rows * len(rows))
+            assert _first_bad_product(rows, n, partners) == reference_first_bad_product(rows, n, partners)
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_bad_pair_in_a_late_block(self, block_rows, monkeypatch):
+        n = 40
+        rows = list(SymplecticMatrix(n, tuple(1 << t for t in range(2 * n))).rows)
+        rows[70] ^= 1 << 5  # row 70 (Z on qubit 30) gains X on qubit 5: row 45 is Z there
+        partners = [(a + n) % (2 * n) for a in range(2 * n)]
+        if block_rows is not None:
+            monkeypatch.setattr(symplectic, "_BLOCK_WORDS", block_rows * len(rows))
+        assert _first_bad_product(rows, n, partners) == (45, 70)
+        assert reference_first_bad_product(rows, n, partners) == (45, 70)
