@@ -97,18 +97,13 @@ def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     """
     n, width = codeq.n, 2 * codeq.n
     rows = _generator_rows(codeq)
-    basis: List[int] = []
-    pivots: List[int] = []
-    for row in rows:
-        gf2.add_to_basis(basis, pivots, row, width)
-    taken = set(pivots)
-    normalizer = [gf2.null_vector(basis, pivots, c) for c in range(width) if c not in taken]
+    basis = gf2.Basis(width, rows)
+    normalizer = [1 << c | basis.solution(c) for c in basis.free()]
     for v in normalizer:
         row = _swap_halves(v, n)
-        if gf2.add_to_basis(basis, pivots, row, width):
+        if basis.add(row):
             rows.append(row)
-    taken = set(pivots)
-    return rows + [1 << col for col in range(width) if col not in taken], len(rows)
+    return rows + [1 << col for col in basis.free()], len(rows)
 
 
 def _checks(codeq: EaqeccCode, basis: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

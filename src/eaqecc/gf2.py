@@ -1,137 +1,139 @@
 """GF(2) linear algebra on int bitsets (bit j = column j).
 
 Every elimination in the package is one incremental Gauss-Jordan step,
-add_to_basis: a reduced basis grows one row at a time, each row pivoting
-on its lowest column below width, and bits at width and above ride along
-as tags (right-hand sides, or which input rows a basis row combines).
-The reduced row echelon form that pivots on the lowest column is unique,
-so below width the basis, sorted by pivot, is the same whatever order the
-rows arrive in.
+Basis.add: a reduced basis grows one row at a time, each row pivoting on
+its lowest column below width, and bits at width and above ride along as
+tags (right-hand sides, or which input rows a basis row combines).  A
+Basis holds each row's pivot as a bit, 1 << column, so every test against
+a pivot is one AND, and no caller sees the pivot format.  The reduced row
+echelon form that pivots on the lowest column is unique, so below width
+the basis, sorted by pivot, is the same whatever order the rows arrive in.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def reduce_vector(vec: int, reduced_rows: List[int], pivots: List[int]) -> int:
-    """Reduce vec against an RREF basis; zero result means membership."""
-    for row, col in zip(reduced_rows, pivots):
-        if (vec >> col) & 1:
-            vec ^= row
-    return vec
+class Basis:
+    """A reduced row echelon basis of width columns, grown one row at a time.
 
-
-def add_to_basis(reduced: List[int], pivots: List[int], vec: int, width: int) -> int:
-    """Reduce vec against the basis and, if it is independent, pivot on it.
-
-    The residue is independent when it has a bit below width: its lowest
-    such bit becomes the pivot, that column is cleared from the other
-    rows, and the residue is appended.  Bits at width and above ride
-    along.  Returns the residue.
+    rows[i] pivots on bits[i] (1 << column): no other row has that bit.
+    mask is the OR of bits.  Rows are held in the order they were added.
     """
-    vec = reduce_vector(vec, reduced, pivots)
-    low = vec & ((1 << width) - 1)
-    if low:
-        bit = low & -low
-        for i, row in enumerate(reduced):
+
+    __slots__ = ("width", "rows", "bits", "mask")
+
+    def __init__(self, width: int, rows: Iterable[int] = ()) -> None:
+        self.width = width
+        self.rows: List[int] = []
+        self.bits: List[int] = []
+        self.mask = 0
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec: int) -> int:
+        """vec reduced against the rows; zero exactly when vec lies in their span."""
+        for row, bit in zip(self.rows, self.bits):
+            if vec & bit:
+                vec ^= row
+        return vec
+
+    def add(self, vec: int) -> int:
+        """Reduce vec and, if it is independent, pivot on it.  Returns the residue.
+
+        The residue is independent when it has a bit below width: its
+        lowest such bit becomes the pivot, that bit is cleared from the
+        other rows, and the residue is appended.  Bits at width and above
+        ride along.
+        """
+        vec = self.reduce(vec)
+        low = vec & ((1 << self.width) - 1)
+        if low:
+            bit = low & -low
+            rows = self.rows
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row ^ vec
+            rows.append(vec)
+            self.bits.append(bit)
+            self.mask |= bit
+        return vec
+
+    def solution(self, column: int) -> int:
+        """The OR of the pivot bits of the rows that have bit column.
+
+        For a free column f below width, 1 << f | solution(f) is the
+        nullspace vector with f set and every other free column zero.  For
+        a tag column at width or above, it is the solution, free variables
+        zero, of the system whose right-hand side that tag carries.
+        """
+        bit = 1 << column
+        out = 0
+        for row, pivot in zip(self.rows, self.bits):
             if row & bit:
-                reduced[i] = row ^ vec
-        reduced.append(vec)
-        pivots.append(bit.bit_length() - 1)
-    return vec
+                out |= pivot
+        return out
 
-
-def _eliminate(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form pivoting on the lowest available column.
-
-    Returns (work, pivots): work[:len(pivots)] are the reduced pivot rows
-    in pivot order, and every later row is a dependent row's nonzero
-    residue, zero below width.
-    """
-    reduced: List[int] = []
-    pivots: List[int] = []
-    dependent: List[int] = []
-    low = (1 << width) - 1
-    for row in rows:
-        residue = add_to_basis(reduced, pivots, row, width)
-        if residue and not residue & low:
-            dependent.append(residue)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [reduced[i] for i in order] + dependent, [pivots[i] for i in order]
+    def free(self) -> List[int]:
+        """The columns below width that no row pivots on, in order."""
+        mask = self.mask
+        return [col for col in range(self.width) if not mask & (1 << col)]
 
 
 def rank(rows: List[int], width: int) -> int:
     """Rank over GF(2) via Gaussian elimination."""
-    return len(_eliminate(rows, width)[1])
+    return len(Basis(width, rows).rows)
 
 
 def row_reduce(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work, pivots = _eliminate(rows, width)
-    return work[: len(pivots)], pivots
+    basis = Basis(width, rows)
+    ordered = sorted(zip(basis.bits, basis.rows))
+    return [row for _, row in ordered], [bit.bit_length() - 1 for bit, _ in ordered]
 
 
 def in_span(vec: int, rows: List[int], width: int) -> bool:
     """Whether vec lies in the GF(2) row span of rows."""
-    reduced, pivots = row_reduce(rows, width)
-    return reduce_vector(vec, reduced, pivots) == 0
+    return Basis(width, rows).reduce(vec) == 0
 
 
 def solve(constraint_rows: List[int], rhs_bits: List[int], width: int) -> Optional[int]:
     """One solution x of parity(constraint_rows[i] & x) = rhs_bits[i], or None.
 
-    Each right-hand side rides along as bit width of its row.  Elimination
-    pivots on the lowest available column; free variables are set to zero,
-    so the returned solution is deterministic.
+    Each right-hand side rides along as bit width of its row, so a row
+    whose residue is that bit alone makes the system inconsistent.
+    Elimination pivots on the lowest available column; free variables are
+    set to zero, so the returned solution is deterministic.
     """
     mask = (1 << width) - 1
     augmented = [
         (row & mask) | (bit << width)
         for row, bit in zip(constraint_rows, rhs_bits, strict=True)
     ]
-    work, pivots = _eliminate(augmented, width)
-    if any(work[len(pivots):]):
-        return None
-    x = 0
-    for row, col in zip(work, pivots):
-        if (row >> width) & 1:
-            x |= 1 << col
-    return x
-
-
-def null_vector(reduced_rows: List[int], pivots: List[int], free: int) -> int:
-    """The nullspace vector with free column free set and every other free column zero.
-
-    reduced_rows and pivots are an RREF basis; its rows may carry tags
-    above the columns, which are ignored.
-    """
-    bit = vec = 1 << free
-    for row, col in zip(reduced_rows, pivots):
-        if row & bit:
-            vec |= 1 << col
-    return vec
+    basis = Basis(width)
+    for row in augmented:
+        if basis.add(row) == 1 << width:
+            return None
+    return basis.solution(width)
 
 
 def nullspace(constraint_rows: List[int], width: int) -> List[int]:
     """Basis of {x : parity(row & x) = 0 for every row}, in column order."""
-    reduced, pivots = row_reduce(constraint_rows, width)
-    pivot_set = set(pivots)
-    return [null_vector(reduced, pivots, f) for f in range(width) if f not in pivot_set]
+    basis = Basis(width, constraint_rows)
+    return [1 << f | basis.solution(f) for f in basis.free()]
 
 
 __all__ = [
     "parity",
+    "Basis",
     "rank",
     "row_reduce",
-    "reduce_vector",
-    "add_to_basis",
     "in_span",
     "solve",
-    "null_vector",
     "nullspace",
 ]

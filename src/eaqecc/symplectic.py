@@ -110,9 +110,8 @@ class Decomposition:
 
 def reduce_independent(g: GeneratorSet) -> GeneratorSet:
     """Greedy subset of g whose (x|z) rows form a basis of g's row space."""
-    reduced: List[int] = []
-    pivots: List[int] = []
-    kept = [gen for gen in g.gens if gf2.add_to_basis(reduced, pivots, gen.row(), 2 * g.n)]
+    basis = gf2.Basis(2 * g.n)
+    kept = [gen for gen in g.gens if basis.add(gen.row())]
     return GeneratorSet(g.n, tuple(kept))
 
 
@@ -198,6 +197,8 @@ class SymplecticMatrix:
 
     def image_of(self, row_vector: int) -> int:
         """Image of a 2n-bit (x|z) row vector under right multiplication."""
+        if not 0 <= row_vector < 1 << (2 * self.n):
+            raise ValueError(f"vector {row_vector} lies outside [0, 2**{2 * self.n})")
         out = 0
         v = row_vector
         while v:
@@ -288,14 +289,14 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     expressing the required symplectic products against everything placed
     so far.
 
-    The placed rows, x and z halves swapped, grow one gf2.add_to_basis
-    basis of width 2n, and each carries its slot bit t above the width as
-    a tag, so a reduced row's tag is the set of slots it combines.  A row
-    slot t must have product 1 with its partner slot t +- n and 0 with
-    every other placed slot, so its right-hand side is the unit vector at
-    the partner and the solution is read off the reduced rows whose tag
-    holds the partner.  The reduced echelon form is unique, so the result
-    equals a from-scratch elimination per slot.
+    The placed rows, x and z halves swapped, grow one gf2.Basis of width
+    2n, and each carries its slot bit t above the width as a tag, so a
+    reduced row's tag is the set of slots it combines.  A row slot t must
+    have product 1 with its partner slot t +- n and 0 with every other
+    placed slot, so its right-hand side is the unit vector at the partner,
+    and the solution is the basis' solution at the partner's tag column.
+    The reduced echelon form is unique, so the result equals a
+    from-scratch elimination per slot.
 
     Only the product half of d.validate runs up front.  d's own rows are
     the first placed, so the same basis refuses a dependent one with
@@ -306,25 +307,12 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     width = 2 * n
     low = (1 << width) - 1
     rows: List[Optional[int]] = [None] * width
-    reduced: List[int] = []
-    pivots: List[int] = []
-    pivot_mask = 0
+    basis = gf2.Basis(width)
 
     def place(t: int, row: int, fault: str) -> None:
-        nonlocal pivot_mask
-        residue = gf2.add_to_basis(reduced, pivots, _swap_halves(row, n) | 1 << (width + t), width)
-        if not residue & low:
+        if not basis.add(_swap_halves(row, n) | 1 << (width + t)) & low:
             raise ValueError(fault)
-        pivot_mask |= 1 << pivots[-1]
         rows[t] = row
-
-    def solve_for(target: int) -> int:
-        partner = 1 << (width + (target + n if target < n else target - n))
-        sol = 0
-        for r, p in zip(reduced, pivots):
-            if r & partner:
-                sol |= 1 << p
-        return sol
 
     for i in range(c):
         place(i, given[2 * i + 1], _DEPENDENT)
@@ -335,29 +323,31 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     # row is refused at a slot no later than 2n, before it is stored.
     for j, row in enumerate(given[2 * c :]):
         place(n + c + j, row, _DEPENDENT)
-    # partners for the ancilla slots
+    # partners for the ancilla slots: slot t < n solves against the tag of
+    # its partner slot n + t
     for j in range(s):
-        place(c + j, solve_for(c + j), _DEGENERATE)
+        place(c + j, basis.solution(width + n + c + j), _DEGENERATE)
     # fresh hyperbolic pairs for the logical slots.  The nullspace vector
     # of free column f has an empty x half when f >= n and no row pivoting
     # in the x half has bit f.  Take the first such, so that the canonical
     # decomposition completes to the identity matrix, else the first
     # nullspace vector.
-    z_half = ((1 << n) - 1) << n
+    x_half = (1 << n) - 1
     for q in range(c + s, n):
         x_hits = 0
-        for r, p in zip(reduced, pivots):
-            if p < n:
+        for r, bit in zip(basis.rows, basis.bits):
+            if bit & x_half:
                 x_hits |= r
-        free = ~pivot_mask & low
-        pick = free & z_half & ~x_hits or free
-        place(n + q, gf2.null_vector(reduced, pivots, (pick & -pick).bit_length() - 1), _DEGENERATE)
-        place(q, solve_for(q), _DEGENERATE)
+        free = ~basis.mask & low
+        pick = free & ~x_half & ~x_hits or free
+        f = (pick & -pick).bit_length() - 1
+        place(n + q, 1 << f | basis.solution(f), _DEGENERATE)
+        place(q, basis.solution(width + n + q), _DEGENERATE)
 
     m = SymplecticMatrix(n, tuple(rows))
     if not m.is_symplectic():
         raise ValueError("completed matrix fails the symplectic form check")
-    if len(pivots) != width:
+    if basis.mask != low:
         raise ValueError("completed matrix is singular")
     return m
 

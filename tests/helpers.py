@@ -193,15 +193,13 @@ def reference_syndrome_table(codeq: EaqeccCode, max_weight: int) -> dict:
 
 def _undetected_logical_test(codeq: EaqeccCode):
     """Whether an (x|z) row commutes with every generator yet lies outside the isotropic span."""
-    reduced, pivots = gf2.row_reduce(
-        [g.row() for g in codeq.decomposition.isotropic], 2 * codeq.n
-    )
+    isotropic = gf2.Basis(2 * codeq.n, [g.row() for g in codeq.decomposition.isotropic])
     swapped = [_swap_halves(g.row(), codeq.n) for g in codeq.generators]
 
     def test(row: int) -> bool:
         if any(gf2.parity(row & s) for s in swapped):
             return False
-        return gf2.reduce_vector(row, reduced, pivots) != 0
+        return isotropic.reduce(row) != 0
 
     return test
 

@@ -1,5 +1,6 @@
 """Oracle tests for the check rows and signature words of eaqecc.frames."""
 
+import hashlib
 import math
 import random
 
@@ -60,6 +61,31 @@ class TestCheckRows:
     def test_corpus_codes(self, name):
         codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
         _check_check_rows(codeq, random.Random(name), 30)
+
+
+# sha256 of ",".join(map(hex, rows)) + f";{isotropy}" of each corpus code's
+# _check_rows, taken before the frame's elimination moved onto gf2.Basis
+CORPUS_CHECK_ROWS = {
+    "d5": "407bcf0feb89ec629c425d67fde827767d98d763ea26cdac4e6f8b7c264df200",
+    "h22": "15c5057c67c0ff6e28793046bf51f00912373f59c860eb28f3876a072ec74e72",
+    "h4": "66893a9d81ced951bf69eca928451f6d262b2f7e7900a35ace93dd4b0b348aff",
+    "n128": "c7473b781cb3e6e9e65449717d5d0608e5fb38842bf356f47fc69d577f38597c",
+    "n64": "03c7cfa6685eb23bef525b19a2dd3a35b146d575c76f2b041b683847860aea5a",
+    "r16": "e9141e6dee86dacfc3bef106480bf3ac641e92ff193725f94b0a566918a224f1",
+    "r20": "64f8a069fc77eff8047b0cb080ceea4f3d8b4518f9b5f31486771764a46ff473",
+    "r24": "c631d4f5b0ed4c048647124deaf7642b0ccd0ba7b1877df09473f7af5124ec7b",
+    "r40": "7b9a6fc824a666c33380d11b468ed65ae13b77ba256d385273458e18eeefeee1",
+    "w64": "333df1ff0046b072908e89954e0ba78b1e1e4b037fe66feceb3ad8cd85a872d1",
+}
+
+
+def test_corpus_check_rows_are_pinned():
+    got = {}
+    for path in sorted(BENCH_CORPUS.glob("*.code")):
+        rows, isotropy = _check_rows(build_code(load_code_file(str(path)).code))
+        text = ",".join(map(hex, rows)) + f";{isotropy}"
+        got[path.stem] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == CORPUS_CHECK_ROWS
 
 
 def _value(words) -> int:

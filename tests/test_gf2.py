@@ -2,7 +2,7 @@
 
 import random
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,21 +40,24 @@ def test_in_span():
     assert not gf2.in_span(0b0100, rows, 4)
 
 
-def test_reduce_vector_detects_membership():
+def test_basis_reduce_detects_membership():
     rng = random.Random(11)
     for _ in range(100):
         width = rng.randint(1, 12)
         rows = [rng.getrandbits(width) for _ in range(rng.randint(0, width))]
-        reduced, pivots = gf2.row_reduce(rows, width)
+        basis = gf2.Basis(width, rows)
         vec = rng.getrandbits(width)
-        member = gf2.reduce_vector(vec, reduced, pivots) == 0
-        assert member == gf2.in_span(vec, rows, width)
+        residue = basis.reduce(vec)
+        # the residue has no pivot bit, and is zero exactly for a member of the span
+        assert not residue & basis.mask
+        rank = len(reference_eliminate(rows, width)[1])
+        assert (residue == 0) == (len(reference_eliminate(rows + [vec], width)[1]) == rank)
         # any subset XOR of the rows must reduce to zero
         combo = 0
         for r in rows:
             if rng.random() < 0.5:
                 combo ^= r
-        assert gf2.reduce_vector(combo, reduced, pivots) == 0
+        assert basis.reduce(combo) == 0
 
 
 def test_solve_satisfies_constraints():
@@ -169,19 +172,43 @@ class TestMatchesColumnSweep:
         assert gf2.solve(rows, rhs, width) is None
 
 
+def check_basis(basis, rows, width):
+    """basis, grown from rows (tags aside), against the column-sweep elimination of rows."""
+    low = (1 << width) - 1
+    work, pivots = reference_eliminate(rows, width)
+    by_pivot = sorted(zip(basis.bits, basis.rows))
+    assert [r & low for _, r in by_pivot] == work[: len(pivots)]
+    assert [bit for bit, _ in by_pivot] == [1 << p for p in pivots]
+    assert basis.mask == reduce(or_, basis.bits, 0)
+    assert basis.free() == [c for c in range(width) if c not in pivots]
+
+
 @settings(max_examples=200, deadline=None)
 @given(system=systems())
-def test_add_to_basis_tags_name_the_rows_combined(system):
-    width, rows, _ = system
+def test_basis_tags_name_the_rows_combined(system):
+    width, rows, rhs = system
     low = (1 << width) - 1
-    reduced, pivots = [], []
+    basis = gf2.Basis(width)
+    # the same rows with each right-hand side as the tag at width
+    augmented = gf2.Basis(width)
+    inconsistent = False
     for t, row in enumerate(rows):
-        rank = len(pivots)
-        residue = gf2.add_to_basis(reduced, pivots, row | 1 << (width + t), width)
-        assert len(pivots) == rank + (residue & low != 0)
+        rank = len(basis.rows)
+        residue = basis.add(row | 1 << (width + t))
+        assert len(basis.rows) == rank + (residue & low != 0)
         # every residue and basis row is the XOR of the input rows its tag names
-        for r in reduced + [residue]:
+        for r in basis.rows + [residue]:
             named = [rows[j] for j in range(t + 1) if (r >> (width + j)) & 1]
             assert r & low == reduce(xor, named, 0)
-    by_pivot = sorted(zip(pivots, reduced))
-    assert gf2.row_reduce(rows, width) == ([r & low for _, r in by_pivot], [p for p, _ in by_pivot])
+        check_basis(basis, rows[: t + 1], width)
+        inconsistent |= augmented.add(row | rhs[t] << width) == 1 << width
+        check_basis(augmented, rows[: t + 1], width)
+        expected = reference_solve(rows[: t + 1], rhs[: t + 1], width)
+        assert inconsistent == (expected is None)
+        if not inconsistent:
+            assert augmented.solution(width) == expected
+    by_pivot = sorted(zip(basis.bits, basis.rows))
+    assert gf2.row_reduce(rows, width) == (
+        [r & low for _, r in by_pivot],
+        [bit.bit_length() - 1 for bit, _ in by_pivot],
+    )

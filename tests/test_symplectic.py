@@ -472,6 +472,13 @@ class TestIsSymplectic:
         assert SymplecticMatrix(1, (1, 2)).is_symplectic()
         assert SymplecticMatrix(1, (2, 1)).is_symplectic()
 
+    def test_image_of_rejects_vectors_outside_the_width(self):
+        m = SymplecticMatrix(1, (1, 2))
+        for bad in (4, -1, 1 << 70):
+            with pytest.raises(ValueError, match=f"^vector {bad} lies outside \\[0, 2\\*\\*2\\)$"):
+                m.image_of(bad)
+        assert [m.image_of(v) for v in range(4)] == [0, 1, 2, 3]
+
     def test_memory_at_2n_2048_stays_blocked(self):
         # a symplectic matrix scans every block.  The kernel's two uint64
         # Gram temporaries are 256 KB each and its packed rows 512 KB per
