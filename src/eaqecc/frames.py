@@ -10,12 +10,14 @@ letter table.
 _check_rows gives the check rows: the generators first, so a signature's
 low m bits are the syndrome, then the normalizer checks, so an error with
 zero syndrome lies in the isotropic span exactly when those bits are zero
-too.  The rest complete a basis.  _checks is the one frame that decoding
-and analysis read from them: the units, the syndrome mask on the key words
-of a syndrome, and the normalizer mask, over the full basis for the
-decoder or over the rows up to the normalizer's for the analysis.  The
-syndrome table's units come from the generator rows alone
-(_generator_rows), the frame's first rows, with no normalizer work.
+too.  The rest complete a basis.  All three steps grow one gf2.Complement,
+whose adds get cheaper as the rows fill the 2n columns.  _checks is the
+one frame that decoding and analysis read from them: the units, the
+syndrome mask on the key words of a syndrome, and the normalizer mask,
+over the full basis for the decoder or over the rows up to the
+normalizer's for the analysis.  The syndrome table's units come from the
+generator rows alone (_generator_rows), the frame's first rows, with no
+normalizer work.
 
 _level enumerates the errors of one weight as their words, each weight
 whole and built from the weight below it: one array of C(n, w) 3**w rows,
@@ -93,17 +95,20 @@ def _check_rows(codeq: EaqeccCode) -> Tuple[List[int], int]:
     the isotropic span; as that is N(S)'s overlap with span(S), 2 k_enc are
     kept.  Unit rows on the columns those leave free complete the basis, so
     the signature of an error is zero exactly when the error is the
-    identity.  One reduced basis grows through all three steps.
+    identity.  One gf2.Complement grows through all three steps: after the
+    generator rows its vectors are the basis of N(S), and a row is
+    independent of the rows before it exactly when its add returns a vector.
     """
-    n, width = codeq.n, 2 * codeq.n
+    n = codeq.n
     rows = _generator_rows(codeq)
-    basis = gf2.Basis(width, rows)
-    normalizer = [1 << c | basis.solution(c) for c in basis.free()]
-    for v in normalizer:
+    complement = gf2.Complement(2 * n)
+    for row in rows:
+        complement.add(row)
+    for v in list(complement.vectors.values()):
         row = _swap_halves(v, n)
-        if basis.add(row):
+        if complement.add(row) is not None:
             rows.append(row)
-    return rows + [1 << col for col in basis.free()], len(rows)
+    return rows + [1 << col for col in complement.vectors], len(rows)
 
 
 def _checks(codeq: EaqeccCode, basis: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

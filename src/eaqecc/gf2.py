@@ -1,18 +1,31 @@
 """GF(2) linear algebra on int bitsets (bit j = column j).
 
-Every elimination in the package is one incremental Gauss-Jordan step,
-Basis.add: a reduced basis grows one row at a time, each row pivoting on
-its lowest column below width, and bits at width and above ride along as
-tags (right-hand sides, or which input rows a basis row combines).  A
-Basis holds each row's pivot as a bit, 1 << column, so every test against
-a pivot is one AND, and no caller sees the pivot format.  The reduced row
-echelon form that pivots on the lowest column is unique, so below width
-the basis, sorted by pivot, is the same whatever order the rows arrive in.
+Every elimination in the package grows a row set one row at a time, by one
+of two dual steps that pivot alike, each row on the lowest column below
+width that it adds to the span.
+
+Basis.add keeps the span: a reduced basis, with bits at width and above
+riding along as tags (right-hand sides, or which input rows a basis row
+combines).  A Basis holds each row's pivot as a bit, 1 << column, so every
+test against a pivot is one AND, and no caller sees the pivot format.  The
+reduced row echelon form that pivots on the lowest column is unique, so
+below width the basis, sorted by pivot, is the same whatever order the
+rows arrive in.
+
+Complement.add keeps the nullspace instead: one vector per free column,
+the same as a Basis' null vector of that column.  An add returns the
+vector that leaves.
+
+An add costs O(rank) int operations on a Basis and O(width - rank) on a
+Complement.  So rank, solve and nullspace of partial systems run on a
+Basis, and row sets completed to full rank (the check frame and the
+symplectic completion) on a Complement, whose adds get cheaper as it
+fills.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 def parity(x: int) -> int:
@@ -85,6 +98,42 @@ class Basis:
         return [col for col in range(self.width) if not mask & (1 << col)]
 
 
+class Complement:
+    """The nullspace of the rows added so far, grown one row at a time.
+
+    vectors maps each free column f, in column order, to the nullspace
+    vector with bit f set and every other free column clear: the same
+    columns and vectors as 1 << f | Basis.solution(f) for a Basis fed the
+    same rows.
+    """
+
+    __slots__ = ("vectors",)
+
+    def __init__(self, width: int) -> None:
+        self.vectors: Dict[int, int] = {f: 1 << f for f in range(width)}
+
+    def add(self, row: int) -> Optional[int]:
+        """Pivot on row, or return None and change nothing when it is dependent.
+
+        parity(vectors[f] & row) is bit f of row's residue against a Basis,
+        so the first free column with an odd product is row's pivot p.  Its
+        vector leaves and is returned: it has product 1 with row and 0 with
+        every earlier row.  Every other vector with an odd product absorbs
+        it.  Bits of row at width and above are ignored.
+        """
+        vectors = self.vectors
+        pivot = out = None
+        for f, vec in vectors.items():
+            if (vec & row).bit_count() & 1:
+                if out is None:
+                    pivot, out = f, vec
+                else:
+                    vectors[f] = vec ^ out
+        if out is not None:
+            del vectors[pivot]
+        return out
+
+
 def rank(rows: List[int], width: int) -> int:
     """Rank over GF(2) via Gaussian elimination."""
     return len(Basis(width, rows).rows)
@@ -123,7 +172,12 @@ def solve(constraint_rows: List[int], rhs_bits: List[int], width: int) -> Option
 
 
 def nullspace(constraint_rows: List[int], width: int) -> List[int]:
-    """Basis of {x : parity(row & x) = 0 for every row}, in column order."""
+    """Basis of {x : parity(row & x) = 0 for every row}, in column order.
+
+    A partial system stays on a Basis: its adds cost O(rank), where a
+    Complement's cost O(width - rank), which is larger until the rows are
+    more than half the width.
+    """
     basis = Basis(width, constraint_rows)
     return [1 << f | basis.solution(f) for f in basis.free()]
 
@@ -131,6 +185,7 @@ def nullspace(constraint_rows: List[int], width: int) -> List[int]:
 __all__ = [
     "parity",
     "Basis",
+    "Complement",
     "rank",
     "row_reduce",
     "in_span",

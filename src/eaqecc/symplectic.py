@@ -15,7 +15,7 @@ pair slots, then Z on each ancilla slot) onto the decomposition, acting on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -289,30 +289,40 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     expressing the required symplectic products against everything placed
     so far.
 
-    The placed rows, x and z halves swapped, grow one gf2.Basis of width
-    2n, and each carries its slot bit t above the width as a tag, so a
-    reduced row's tag is the set of slots it combines.  A row slot t must
-    have product 1 with its partner slot t +- n and 0 with every other
-    placed slot, so its right-hand side is the unit vector at the partner,
-    and the solution is the basis' solution at the partner's tag column.
-    The reduced echelon form is unique, so the result equals a
-    from-scratch elimination per slot.
+    The placed rows, x and z halves swapped, grow one gf2.Complement of
+    width 2n: its vectors are the rows that commute with everything placed,
+    and placing a row returns the vector that leaves, which has product 1
+    with that row, 0 with every earlier one, and no free variable set.  So
+    placing zbar at a logical slot n + q returns its partner for slot q.
+    An isotropic row's returned vector starts its ancilla partner; each
+    later placement's returned vector is added to every partner still
+    waiting that has product 1 with the placed row, which keeps it the
+    pivoting solution.  Each logical zbar is the first nullspace vector
+    with an empty x half, else the first, so that the canonical
+    decomposition completes to the identity matrix.
 
     Only the product half of d.validate runs up front.  d's own rows are
-    the first placed, so the same basis refuses a dependent one with
+    the first placed, so the same complement refuses a dependent one with
     validate's message: one elimination checks independence and completes.
     """
     given = d._product_checked_rows()
     n, c, s = d.n, d.c, d.s
     width = 2 * n
-    low = (1 << width) - 1
     rows: List[Optional[int]] = [None] * width
-    basis = gf2.Basis(width)
+    complement = gf2.Complement(width)
+    vectors = complement.vectors
+    partners: Dict[int, int] = {}  # ancilla slot -> its partner, against the rows so far
 
-    def place(t: int, row: int, fault: str) -> None:
-        if not basis.add(_swap_halves(row, n) | 1 << (width + t)) & low:
+    def place(t: int, row: int, fault: str) -> int:
+        swapped = _swap_halves(row, n)
+        out = complement.add(swapped)
+        if out is None:
             raise ValueError(fault)
         rows[t] = row
+        for u, partner in partners.items():
+            if (partner & swapped).bit_count() & 1:
+                partners[u] = partner ^ out
+        return out
 
     for i in range(c):
         place(i, given[2 * i + 1], _DEPENDENT)
@@ -322,32 +332,19 @@ def find_encoding_symplectic(d: Decomposition) -> SymplecticMatrix:
     # more than n - c rows is dependent.  So when c + s > n, a dependent
     # row is refused at a slot no later than 2n, before it is stored.
     for j, row in enumerate(given[2 * c :]):
-        place(n + c + j, row, _DEPENDENT)
-    # partners for the ancilla slots: slot t < n solves against the tag of
-    # its partner slot n + t
+        partners[c + j] = place(n + c + j, row, _DEPENDENT)
     for j in range(s):
-        place(c + j, basis.solution(width + n + c + j), _DEGENERATE)
-    # fresh hyperbolic pairs for the logical slots.  The nullspace vector
-    # of free column f has an empty x half when f >= n and no row pivoting
-    # in the x half has bit f.  Take the first such, so that the canonical
-    # decomposition completes to the identity matrix, else the first
-    # nullspace vector.
+        place(c + j, partners.pop(c + j), _DEGENERATE)
     x_half = (1 << n) - 1
     for q in range(c + s, n):
-        x_hits = 0
-        for r, bit in zip(basis.rows, basis.bits):
-            if bit & x_half:
-                x_hits |= r
-        free = ~basis.mask & low
-        pick = free & ~x_half & ~x_hits or free
-        f = (pick & -pick).bit_length() - 1
-        place(n + q, 1 << f | basis.solution(f), _DEGENERATE)
-        place(q, basis.solution(width + n + q), _DEGENERATE)
+        first = next(iter(vectors.values()))
+        z = next((v for v in vectors.values() if not v & x_half), first)
+        place(q, place(n + q, z, _DEGENERATE), _DEGENERATE)
 
     m = SymplecticMatrix(n, tuple(rows))
     if not m.is_symplectic():
         raise ValueError("completed matrix fails the symplectic form check")
-    if basis.mask != low:
+    if vectors:
         raise ValueError("completed matrix is singular")
     return m
 

@@ -316,6 +316,23 @@ def reference_eliminate(rows: List[int], width: int) -> Tuple[List[int], List[in
     return work, pivots
 
 
+def reference_nullspace(rows: List[int], width: int) -> List[int]:
+    """Basis of the nullspace of rows below width by a column sweep, in free-column order.
+
+    The vector of free column f has bit f, no other free column, and on
+    each pivot column the bit that makes its product with that pivot row 0.
+    """
+    work, pivots = reference_eliminate(rows, width)
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            vec = 1 << free
+            for row, col in zip(work, pivots):
+                vec |= ((row >> free) & 1) << col
+            basis.append(vec)
+    return basis
+
+
 def reference_gf4_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
     """gf4.rank by Gaussian elimination directly over GF(4)."""
     work: List[List[int]] = [list(r) for r in rows]

@@ -63,6 +63,18 @@ class TestCheckRows:
         _check_check_rows(codeq, random.Random(name), 30)
 
 
+def test_check_rows_build_no_basis(monkeypatch):
+    # the frame grows one gf2.Complement alone
+    codeq = build_code(load_code_file(str(BENCH_CORPUS / "r20.code")).code)
+    expected = _check_rows(codeq)
+
+    def no_basis(*args):
+        raise AssertionError("_check_rows built a gf2.Basis")
+
+    monkeypatch.setattr(gf2, "Basis", no_basis)
+    assert _check_rows(codeq) == expected
+
+
 # sha256 of ",".join(map(hex, rows)) + f";{isotropy}" of each corpus code's
 # _check_rows, taken before the frame's elimination moved onto gf2.Basis
 CORPUS_CHECK_ROWS = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eaqecc import gf2
 
-from helpers import reference_eliminate
+from helpers import reference_eliminate, reference_nullspace
 
 
 def test_rank_simple_cases():
@@ -127,18 +127,6 @@ def reference_solve(rows, rhs, width):
     return sum(1 << col for row, col in zip(work, pivots) if (row >> width) & 1)
 
 
-def reference_nullspace(rows, width):
-    work, pivots = reference_eliminate(rows, width)
-    basis = []
-    for free in range(width):
-        if free not in pivots:
-            vec = 1 << free
-            for row, col in zip(work, pivots):
-                vec |= ((row >> free) & 1) << col
-            basis.append(vec)
-    return basis
-
-
 class TestMatchesColumnSweep:
     """rank, row_reduce, nullspace, in_span and solve equal the column-sweep elimination."""
 
@@ -212,3 +200,33 @@ def test_basis_tags_name_the_rows_combined(system):
         [r & low for _, r in by_pivot],
         [bit.bit_length() - 1 for bit, _ in by_pivot],
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems(), high=st.lists(st.integers(0, 7), max_size=31))
+@example(system=(0, [], []), high=[])
+@example(system=(0, [0, 0], [0, 1]), high=[1, 3])
+@example(system=(3, [0b101, 0, 0b101, 0b011, 0b110], [0] * 5), high=[0, 2, 1, 0, 5])
+def test_complement_is_the_nullspace_after_every_add(system, high):
+    # the rows carry bits at and above width, which the complement ignores
+    width, rows, _ = system
+    rows = [row | h << width for row, h in zip(rows, high + [0] * len(rows))]
+    complement = gf2.Complement(width)
+    basis = gf2.Basis(width)
+    assert list(complement.vectors.values()) == reference_nullspace([], width)
+    for t, row in enumerate(rows):
+        before = dict(complement.vectors)
+        pivots = reference_eliminate(rows[:t], width)[1]
+        out = complement.add(row)
+        basis.add(row)
+        added = sorted(set(reference_eliminate(rows[: t + 1], width)[1]) - set(pivots))
+        if out is None:
+            assert added == []
+            assert complement.vectors == before
+        else:
+            [pivot] = added
+            assert out == before[pivot] and (out >> pivot) & 1
+            assert gf2.parity(out & row) == 1
+            assert all(gf2.parity(out & earlier) == 0 for earlier in rows[:t])
+        assert list(complement.vectors) == basis.free()
+        assert list(complement.vectors.values()) == reference_nullspace(rows[: t + 1], width)

@@ -347,7 +347,7 @@ class TestFindEncodingSymplectic:
 
 
 def test_completion_refuses_a_dependent_row_past_validate(monkeypatch):
-    # the completion's own growing basis refuses a dependent row with
+    # the completion's own growing complement refuses a dependent row with
     # validate's message; no separate rank runs
     def no_rank(*args):
         raise AssertionError("find_encoding_symplectic ran a separate rank")
@@ -357,6 +357,22 @@ def test_completion_refuses_a_dependent_row_past_validate(monkeypatch):
     d = Decomposition(2, (), (parse_pauli("ZZ"), parse_pauli("ZZ")))
     with pytest.raises(ValueError, match="^decomposition generators are GF\\(2\\)-dependent$"):
         find_encoding_symplectic(d)
+
+
+def test_completion_builds_no_basis(monkeypatch):
+    # the completion grows one gf2.Complement alone; the oracle, built
+    # first, solves on gf2.Basis
+    d = build_code(load_code_file(str(BENCH_CORPUS / "r20.code")).code).decomposition
+    expected = reference_encoding_symplectic(d)
+
+    def no_basis(*args):
+        raise AssertionError("find_encoding_symplectic built a gf2.Basis")
+
+    monkeypatch.setattr(gf2, "Basis", no_basis)
+    assert find_encoding_symplectic(d) == expected
+    bad = Decomposition(2, (), (parse_pauli("ZZ"), parse_pauli("ZZ")))
+    with pytest.raises(ValueError, match="^decomposition generators are GF\\(2\\)-dependent$"):
+        find_encoding_symplectic(bad)
 
 
 # sha256 of ",".join(map(hex, rows)) of each corpus code's encoding matrix,
@@ -384,7 +400,7 @@ def test_corpus_encodings_are_pinned():
 
 
 class TestCompletionMatchesReference:
-    """The growing-basis completion equals a from-scratch solve per free slot, row for row."""
+    """The growing-complement completion equals a from-scratch solve per free slot, row for row."""
 
     @settings(max_examples=200, deadline=None)
     @given(counts=slot_counts(), seed=st.integers(0, 1 << 32))
