@@ -6,10 +6,14 @@ omega-bar*H, each mapped letter-wise through the GF(4)-Pauli
 correspondence.  The generators need not commute; decomposing them into c
 symplectic pairs plus s isotropic generators and handing one half of c
 maximally entangled pairs to the receiver makes the extended set abelian,
-giving an [[n, n-c-s; c]] code.  The 2(n-k) generators are always
-independent: the checks are GF(4)-independent, {omega, omega-bar} is a
-GF(2) basis of GF(4) and the letter map is GF(2)-linear and injective.
-So s = 2(n-k) - 2c and k_enc = 2k - n + c.
+giving an [[n, n-c-s; c]] code.  {omega, omega-bar} is a GF(2) basis of
+GF(4) and the letter map is GF(2)-linear and injective, so the GF(2) rank
+of the 2(n-k) generators is twice the GF(4) rank of the checks.  The sweep
+keeps that rank: it is 2c plus the rank of the isotropic part.  So
+ClassicalCode checks independence on the sweep itself, as
+2c + rank(isotropic) = 2(n-k), and keeps the generators and their
+decomposition for build_code, which maps and sweeps nothing again.  Then
+s = 2(n-k) - 2c and k_enc = 2k - n + c.
 """
 
 from __future__ import annotations
@@ -18,14 +22,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from . import gf4
+from . import gf2, gf4
 from .pauli import PauliString
 from .symplectic import Decomposition, GeneratorSet, gram_schmidt_decompose
 
 
+_DEPENDENT_CHECKS = "parity-check rows are GF(4)-dependent"
+
+
 @dataclass(frozen=True)
 class ClassicalCode:
-    """A classical [n, k] linear code over GF(4), given by parity checks."""
+    """A classical [n, k] linear code over GF(4), given by parity checks.
+
+    The checks must be GF(4)-independent.  That is checked on the symplectic
+    sweep of their 2(n-k) Pauli generators, not by a separate GF(4) rank:
+    the generators are independent exactly when 2c + rank(isotropic) =
+    2(n-k).  The generators and their decomposition are kept outside the
+    dataclass fields, so equality, hashing and repr read n, k and h only,
+    and build_code reuses them.  dataclasses.replace runs the check again;
+    pickle and copy carry them along.
+    """
 
     n: int
     k: int
@@ -42,8 +58,15 @@ class ClassicalCode:
             raise ValueError(
                 f"parity-check matrix has {self.h.nrows} rows, expected n-k={self.n - self.k}"
             )
-        if self.h.rank() != self.h.nrows:
-            raise ValueError("parity-check rows are GF(4)-dependent")
+        # a zero row maps to the identity, which no generator set admits
+        if not all(map(any, self.h.entries)):
+            raise ValueError(_DEPENDENT_CHECKS)
+        generators = quaternary_to_stabilizer(self)
+        decomposition = gram_schmidt_decompose(generators)
+        iso_rank = gf2.rank([g.row() for g in decomposition.isotropic], 2 * self.n)
+        if 2 * decomposition.c + iso_rank != len(generators):
+            raise ValueError(_DEPENDENT_CHECKS)
+        object.__setattr__(self, "_sweep", (generators, decomposition))
 
     @classmethod
     def from_rows(cls, n: int, k: int, rows) -> "ClassicalCode":
@@ -102,9 +125,12 @@ def extend_generators(d: Decomposition, n: int) -> GeneratorSet:
 
 
 def build_code(code: ClassicalCode) -> EaqeccCode:
-    """Full pipeline: map to Paulis (independent already), decompose, extend."""
-    generators = quaternary_to_stabilizer(code)
-    decomp = gram_schmidt_decompose(generators)
+    """Full pipeline: map to Paulis, decompose, extend.
+
+    The map and the decomposition are the ones ClassicalCode made when it
+    checked independence, so only the extension runs here.
+    """
+    generators, decomp = code._sweep
     extended = extend_generators(decomp, code.n)
     c, s = decomp.c, decomp.s
     return EaqeccCode(

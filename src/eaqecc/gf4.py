@@ -19,6 +19,7 @@ OMEGA = 2
 OMEGA_BAR = 3
 
 ELEMENTS = (ZERO, ONE, OMEGA, OMEGA_BAR)
+_ELEMENT_SET = frozenset(ELEMENTS)
 
 _MUL = (
     (0, 0, 0, 0),
@@ -99,6 +100,10 @@ def hermitian_trace_inner(u: Sequence[int], v: Sequence[int]) -> int:
 def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
     """Rank of a list of GF(4) row vectors.
 
+    Loading a code does not call it: ClassicalCode reads independence off
+    the symplectic sweep that build_code reuses.  It stays public, and it is
+    the oracle the tests draw independent checks with.
+
     GF(4) has the GF(2) basis {1, OMEGA}, so the GF(2) span of r and
     OMEGA*r over all rows r is the GF(4) row space, with twice its
     dimension.  Each row is packed as its coefficients of 1 in bits
@@ -110,6 +115,14 @@ def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
         images.append(ones | (omegas << ncols))
         images.append(omegas | ((ones ^ omegas) << ncols))
     return gf2.rank(images, 2 * ncols) // 2
+
+
+def _elements_only(row: Sequence[int]) -> bool:
+    """Whether every entry is a field element, by one C-level set test."""
+    try:
+        return _ELEMENT_SET.issuperset(row)
+    except TypeError:  # an unhashable entry; the caller's test per entry decides
+        return False
 
 
 @dataclass(frozen=True)
@@ -126,9 +139,10 @@ class GfFourMatrix:
         for row in self.entries:
             if len(row) != self.ncols:
                 raise ValueError(f"row of length {len(row)} in a {self.ncols}-column matrix")
-            for v in row:
-                if v not in ELEMENTS:
-                    raise ValueError(f"invalid GF(4) value {v!r}")
+            if not _elements_only(row):  # then name the first bad entry
+                for v in row:
+                    if v not in ELEMENTS:
+                        raise ValueError(f"invalid GF(4) value {v!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> "GfFourMatrix":

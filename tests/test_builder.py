@@ -1,5 +1,7 @@
 """Tests for code construction from classical quaternary codes."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 
 from eaqecc import gf4
 from eaqecc.analysis import min_distance_bruteforce
+from eaqecc.cli import CodeFileError, load_code_file, parse_code_text
 from eaqecc.builder import (
     ClassicalCode,
     CodeParameters,
+    EaqeccCode,
     build_code,
     extend_generators,
     parameters,
@@ -35,6 +39,7 @@ from eaqecc.symplectic import (
 )
 
 from helpers import (
+    BENCH_CORPUS,
     random_classical_code,
     reference_chunked_distance,
     reference_gf4_rank,
@@ -79,6 +84,137 @@ class TestClassicalCode:
     def test_rejects_empty_code(self):
         with pytest.raises(ValueError, match="code length"):
             ClassicalCode.from_rows(0, 0, [])
+
+
+_DEPENDENT = "parity-check rows are GF(4)-dependent"
+
+
+def _check_rows_with_dependencies(rng: random.Random, n: int, m: int):
+    """m rows of n entries: random rows mixed with zero rows, scalar multiples,
+    repeats and sums of earlier rows, so that about half the sets are dependent."""
+    rows = []
+    for _ in range(m):
+        kind = rng.randrange(6) if rows else 0
+        if kind <= 1:
+            row = tuple(rng.randrange(4) for _ in range(n))
+        elif kind == 2:
+            row = (0,) * n
+        elif kind == 3:  # omega or omega-bar times an earlier row
+            row = gf4.scale(rng.choice(rows), rng.choice((gf4.OMEGA, gf4.OMEGA_BAR)))
+        elif kind == 4:
+            row = rng.choice(rows)
+        else:  # a GF(4) combination of two earlier rows
+            a, b = rng.choice(rows), rng.choice(rows)
+            s = rng.randrange(1, 4)
+            row = tuple(x ^ gf4.mul(s, y) for x, y in zip(a, b))
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def _public_build(code: ClassicalCode) -> EaqeccCode:
+    """build_code through the public steps, each run afresh."""
+    generators = quaternary_to_stabilizer(code)
+    decomp = gram_schmidt_decompose(generators)
+    return EaqeccCode(
+        n=code.n,
+        c=decomp.c,
+        s=decomp.s,
+        k_enc=code.n - decomp.c - decomp.s,
+        generators=generators,
+        extended=extend_generators(decomp, code.n),
+        decomposition=decomp,
+        classical=code,
+    )
+
+
+class TestIndependenceCheck:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_accepts_exactly_the_full_rank_checks(self, seed):
+        rng = random.Random(seed)
+        verdicts = set()
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            k = rng.randint(0, n)  # k = n: no rows, always independent
+            rows = _check_rows_with_dependencies(rng, n, n - k)
+            independent = reference_gf4_rank(rows, n) == n - k
+            verdicts.add(independent)
+            text = f"{n} {k}\n" + "".join(" ".join(map(gf4.format_symbol, r)) + "\n" for r in rows)
+            if independent:
+                code = ClassicalCode.from_rows(n, k, rows)
+                assert parse_code_text(text) == code
+                continue
+            with pytest.raises(ValueError) as exc:
+                ClassicalCode.from_rows(n, k, rows)
+            assert str(exc.value) == _DEPENDENT
+            with pytest.raises(CodeFileError) as exc:
+                parse_code_text(text)
+            assert (str(exc.value), exc.value.line, exc.value.column) == (f"line 1: {_DEPENDENT}", 1, 0)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 0, 0)],
+            [(1, 2, 3), (0, 0, 0)],
+            [(1, 2, 0), (2, 3, 0)],  # omega times the first row
+            [(1, 2, 0), (3, 1, 0)],  # omega-bar times the first row
+            [(1, 2, 3), (1, 2, 3)],
+            [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+        ],
+        ids=["zero", "zero-second", "omega", "omega-bar", "repeat", "sum"],
+    )
+    def test_hand_cases(self, rows):
+        with pytest.raises(ValueError) as exc:
+            ClassicalCode.from_rows(3, 3 - len(rows), rows)
+        assert str(exc.value) == _DEPENDENT
+
+    def test_load_and_build_call_no_gf4_rank(self, monkeypatch):
+        def no_rank(*args):
+            pytest.fail("gf4.rank ran")
+
+        monkeypatch.setattr(gf4, "rank", no_rank)
+        for path in sorted(BENCH_CORPUS.glob("*.code")):
+            codeq = build_code(load_code_file(str(path)).code)
+            assert len(codeq.generators) == 2 * (codeq.classical.n - codeq.classical.k)
+
+
+class TestReusedSweep:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in BENCH_CORPUS.glob("*.code")))
+    def test_corpus_build_equals_public_steps(self, name):
+        code = load_code_file(str(BENCH_CORPUS / f"{name}.code")).code
+        assert build_code(code) == _public_build(code)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 1 << 32), n=st.integers(1, 12), data=st.data())
+    def test_random_build_equals_public_steps(self, seed, n, data):
+        code = random_classical_code(random.Random(seed), n, data.draw(st.integers(0, n)))
+        assert build_code(code) == _public_build(code)
+
+    def test_equal_codes_are_equal_and_hash_alike(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            code = random_classical_code(rng)
+            twin = ClassicalCode.from_rows(code.n, code.k, [list(r) for r in code.h.entries])
+            assert twin == code and hash(twin) == hash(code)
+            assert repr(twin) == repr(code)
+            assert "_sweep" not in repr(code)
+            assert build_code(twin) == build_code(code)
+
+    def test_pickle_and_replace_round_trip(self, h4_code):
+        for code in (h4_code, random_classical_code(random.Random(5), 8, 3)):
+            restored = pickle.loads(pickle.dumps(code))
+            assert restored == code and hash(restored) == hash(code)
+            assert build_code(restored) == build_code(code)
+            replaced = dataclasses.replace(code)
+            assert replaced == code
+            assert build_code(replaced) == build_code(code)
+
+    def test_replace_checks_again(self, h4_code):
+        with pytest.raises(ValueError, match="dependent"):
+            dataclasses.replace(h4_code, h=gf4.GfFourMatrix.from_rows([(1, 2, 1, 0)] * 2))
+        other = dataclasses.replace(h4_code, h=gf4.GfFourMatrix.from_rows([(1, 1, 1, 1), (0, 1, 2, 3)]))
+        assert build_code(other) == _public_build(other)
 
 
 class TestQuaternaryToStabilizer:

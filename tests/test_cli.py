@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import analysis, cli, example_code_path, gf4
+from eaqecc import analysis, builder, cli, example_code_path, gf4
 from eaqecc.builder import build_code
 from eaqecc.cli import CodeFileError, load_code_file, main, parse_code_text
 
@@ -411,6 +411,31 @@ class TestQubitBound:
         path.write_text("100000 100000\n", encoding="ascii")
         message = "error: n=100000 is over the bound of 4096 qubits for the check frame\n"
         assert run(capsys, command[0], str(path), *command[1:]) == (1, "", message)
+
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--p", "0.01"]])
+    @pytest.mark.parametrize("malformed", [False, True], ids=["rows", "malformed-rows"])
+    def test_refused_from_the_header(self, capsys, monkeypatch, tmp_path, command, malformed):
+        # the rows after an over-bound header are never parsed or checked, so
+        # no sweep runs, and a malformed row does not turn exit 1 into exit 2
+        def no_sweep(generators):
+            pytest.fail("gram_schmidt_decompose ran")
+
+        monkeypatch.setattr(builder, "gram_schmidt_decompose", no_sweep)
+        rng = random.Random(4097)
+        rows = [" ".join(rng.choice("01wW") for _ in range(4097)) for _ in range(2)]
+        if malformed:
+            rows = ["1 q w", " ".join(["0"] * 4097)]
+        path = tmp_path / "over.code"
+        path.write_text("# one qubit over the bound\n4097 4095\n" + "\n".join(rows) + "\n", encoding="ascii")
+        message = "error: n=4097 is over the bound of 4096 qubits for the check frame\n"
+        assert run(capsys, command[0], str(path), *command[1:]) == (1, "", message)
+
+    def test_build_has_no_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_QUBITS", 3)
+        assert run(capsys, "build", H4_PATH)[0] == 0
+        with pytest.raises(ValueError, match="n=4 is over the bound of 3 qubits"):
+            load_code_file(H4_PATH, 3)
+        assert load_code_file(H4_PATH, 4).code.n == 4
 
     @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--p", "0.01"]])
     def test_bound_is_inclusive(self, capsys, monkeypatch, command):

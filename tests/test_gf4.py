@@ -150,3 +150,21 @@ class TestGfFourMatrix:
             gf4.GfFourMatrix(1, ((7,),))
         with pytest.raises(ValueError, match="ncols"):
             gf4.GfFourMatrix.from_rows([])
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(7, "7"), (-1, "-1"), (4, "4"), ("w", "'w'"), (None, "None"), ([], "[]")],
+    )
+    def test_bad_entry_deep_in_a_wide_row(self, bad, shown):
+        # the first bad entry is named, not a later one; an unhashable entry
+        # is refused with the same error
+        row = [ONE] * 128
+        row[100], row[120] = bad, 9
+        with pytest.raises(ValueError) as exc:
+            gf4.GfFourMatrix(128, ((ZERO,) * 128, tuple(row)))
+        assert str(exc.value) == f"invalid GF(4) value {shown}"
+
+    def test_entries_equal_to_elements_still_pass(self):
+        # the set test admits what the per-entry test admitted: equal values
+        m = gf4.GfFourMatrix(3, ((True, 2.0, OMEGA_BAR),))
+        assert m.entries == ((1, 2, 3),)
