@@ -25,7 +25,8 @@ held together with the weight below while it is built.  The syndrome
 table keeps the lightest error per syndrome; the analysis walk pairs the
 words of two weights and stops at the first undetected logical.  Sets of
 key words are searched one word at a time through _key_index and _find,
-so one search serves any number of words.
+so one search serves any number of words; _order sorts rows of words, and
+_sorted_index indexes keys that are sorted already.
 
 Rows of 2-D word arrays are gathered with np.take(a, idx, axis=0), which
 is about 4x faster than a[idx] on these shapes.
@@ -204,6 +205,49 @@ def _key_index(keys: np.ndarray) -> Tuple[tuple, tuple, np.ndarray]:
             rank_values, rank = np.unique(rank, return_inverse=True)
             codes.append(rank_values)
     return tuple(values), tuple(codes), rank
+
+
+def _order(words: np.ndarray) -> np.ndarray:
+    """The order that sorts the (N, k) rows of words by word 0, then word 1, ...
+
+    One argsort of word 0; only the rows in runs equal on word 0 are
+    re-sorted by their later words (np.lexsort), so rows that differ in
+    word 0, as most do, are sorted once.  Equal rows come in any order.
+    """
+    order = np.argsort(words[:, 0])
+    if words.shape[1] > 1:
+        first = np.take(words[:, 0], order)
+        tied = first[1:] == first[:-1]
+        if tied.any():
+            run = np.zeros(len(order), dtype=bool)
+            run[1:] = tied
+            run[:-1] |= tied
+            at = order[run]
+            # np.lexsort's last key, word 0, is its primary one: each run stays in place
+            order[run] = at[np.lexsort(np.take(words, at, axis=0).T[::-1])]
+    return order
+
+
+def _sorted_index(keys: np.ndarray) -> Tuple[tuple, tuple]:
+    """The (values, codes) of _key_index(keys), for distinct (N, K) keys already sorted.
+
+    The keys are sorted by word 0, then word 1, ..., so word 0's values
+    and each prefix's ranks come in order: only the later words' values are
+    sorted (np.unique), and nothing is ranked by sorting.
+    """
+    first = keys[:, 0]
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = first[1:] != first[:-1]
+    values, codes = [first[distinct]], []
+    rank = np.cumsum(distinct) - 1
+    for k in range(1, keys.shape[1]):
+        word_values = np.unique(keys[:, k])
+        values.append(word_values)
+        rank = rank * len(word_values) + np.searchsorted(word_values, keys[:, k])
+        distinct[1:] = rank[1:] != rank[:-1]
+        codes.append(rank[distinct])
+        rank = np.cumsum(distinct) - 1
+    return tuple(values), tuple(codes)
 
 
 def _find(values, codes, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

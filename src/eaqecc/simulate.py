@@ -12,8 +12,9 @@ partitioning of trials across workers.  One counter hash, _counter, keys
 the streams and draws the uniforms, for the sampler and CounterRng alike.
 A run is cut into one range of trials per thread, with at most one thread
 per CPU the process may run on (its affinity, _cpus) and per 65536 trials
-(_BLOCK); a run of one range, as every run of at most 65536 trials is,
-starts no thread pool.
+(_BLOCK).  The calling thread runs the first range and a pool of one
+thread per other range runs the rest, so a run of one range, as every run
+of at most 65536 trials is, starts no thread pool.
 
 Trials run in blocks of _BLOCK, and every error is carried as its signature
 in the frame of frames._checks over all 2n check rows, packed into uint64
@@ -50,21 +51,24 @@ buffers as required arguments and allocate none of their own.
 The syndrome table is built with the same kind of letter table:
 frames._level enumerates each weight whole from the weight below, a
 candidate's syndrome and tie-break words the XOR of its letters', and the
-merge takes the weight in slices of _BLOCK rows.  So the build holds the
-weight it merges (r40 at weight 4: about 180 MB).  It starts from the
+merge takes the weight in pieces of about _BLOCK rows.  So the build holds
+the weight it merges (r40 at weight 4: about 180 MB).  It starts from the
 identity, the entry of weight 0, and each syndrome keeps its candidate
-with the least tie-break key.  The merge is the table's,
-chosen once: when 2**m syndromes fit one block (m <= 16, _fits_direct)
-and the key is one word (n <= 32), each weight's least keys are held in
-a slot per syndrome, merged by np.minimum.at, and only its new entries
-are sorted; any other table merges each weight's slices by sorting.  The
-table stays in array form, its keys sorted, and builds its syndrome
-index once: a slot per syndrome for m <= 16, the sorted key words
-otherwise.  So a run converts nothing of the table but the corrections'
-signatures, and only when it builds a decoder.  The arrays are the table's
-one representation: its entries are a read-only view that derives its
-pairs from them on each use, a chunk at a time, and the only thing a table
-caches is its decoder.
+with the least tie-break key.  The merge is the table's, chosen once:
+when 2**m syndromes fit one block (m <= 16, _fits_direct) and the key is
+one word (n <= 32), each weight's least keys are held in a slot per
+syndrome, merged by np.minimum.at, and only its new entries are sorted.
+Any other table splits each weight into syndrome ranges of about _BLOCK
+rows (_syndrome_groups), sorts each range by syndrome once, and sorts
+only the weight's winners by tie-break key (_sorted_entries); the
+table's sorted keys, extended each weight, drop the syndromes it holds
+and hand the table its key order.  The table stays in array form, its
+keys sorted, and builds its syndrome index once: a slot per syndrome for
+m <= 16, the sorted key words otherwise.  So a run converts nothing of
+the table but the corrections' signatures, and only when it builds a
+decoder.  The arrays are the table's one representation: its entries are
+a read-only view that derives its pairs from them on each use, a chunk at
+a time, and the only thing a table caches is its decoder.
 """
 
 from __future__ import annotations
@@ -85,18 +89,19 @@ from .frames import (
     _checks,
     _find,
     _generator_rows,
-    _key_index,
     _letter_table,
     _level,
+    _order,
     _pack,
     _signatures,
+    _sorted_index,
     _units,
     _words,
 )
 from .pauli import PauliString
 from .analysis import Syndrome, syndrome_of, in_isotropic
 
-_BLOCK = 1 << 16  # trials per block, and rows per slice of a weight in the table build
+_BLOCK = 1 << 16  # trials per block, and rows per piece of a weight in the table build
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -228,10 +233,12 @@ class SyndromeTable:
 
     The syndrome index is built with the arrays, once: a (2**m,) array of
     each syndrome's entry (-1 for none) when 2**m slots fit one block
-    (m <= 16, _fits_direct), and the keys' _key_index otherwise.  _locate
-    searches it for lookup and for the block decoder alike.  entries is a
-    read-only mapping over the arrays, the same table in insertion order,
-    derived on each use and never held (_Entries).  The only thing a table
+    (m <= 16, _fits_direct), and the sorted keys' _sorted_index otherwise,
+    whose key order the sorted merge hands over (a table built by hand
+    sorts its keys once, _order).  _locate searches the index for lookup
+    and for the block decoder alike.  entries is a read-only mapping over
+    the arrays, the same table in insertion order, derived on each use and
+    never held (_Entries).  The only thing a table
     caches is the block decoder of the last code object that run_trials
     ran it on (_BlockDecoder.of), and a run on another code replaces it.
     A table built by hand from a dict is converted to the arrays and keeps
@@ -256,15 +263,31 @@ class SyndromeTable:
 
     @classmethod
     def _from_arrays(
-        cls, n: int, m: int, keys: np.ndarray, rows: np.ndarray, max_weight_built: int
+        cls,
+        n: int,
+        m: int,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        max_weight_built: int,
+        order: Optional[np.ndarray] = None,
     ) -> "SyndromeTable":
-        """The table of the entries whose keys and rows are given in insertion order."""
+        """The table of the entries whose keys and rows are given in insertion order.
+
+        order, when given, is the insertion index of each entry in key
+        order, which a sorted index then takes instead of sorting the keys.
+        """
         table = object.__new__(cls)
-        table._init(n, m, keys, rows, max_weight_built)
+        table._init(n, m, keys, rows, max_weight_built, order)
         return table
 
     def _init(
-        self, n: int, m: int, keys: np.ndarray, rows: np.ndarray, max_weight_built: int
+        self,
+        n: int,
+        m: int,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        max_weight_built: int,
+        order: Optional[np.ndarray] = None,
     ) -> None:
         if _fits_direct(m):  # distinct one-word keys below 2**m, ranked by slot
             slot = keys[:, 0].view(np.intp)
@@ -273,9 +296,12 @@ class SyndromeTable:
             index = np.full(1 << m, -1, dtype=np.intp)
             index[np.flatnonzero(filled)] = np.arange(len(keys))
             rank = np.take(index, slot)
-        else:
-            values, codes, rank = _key_index(keys)
-            index = (values, codes)
+        else:  # distinct keys, sorted by word 0, then word 1, ...
+            if order is None:
+                order = _order(keys)
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            index = _sorted_index(np.take(keys, order, axis=0))
         self._n, self._m, self._index = n, m, index
         self.keys, self.rows = np.empty(keys.shape, np.uint64), np.empty(rows.shape, np.uint64)
         self.keys[rank], self.rows[rank] = keys, rows
@@ -376,9 +402,9 @@ class _Values(ValuesView):
 def _locate(index, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(entry, known): the entry of each column of the (K, b) syndrome keys, valid where known.
 
-    index is a table's syndrome index: its (2**m,) slot array, or its keys'
-    _key_index.  An unknown syndrome's entry is -1 on the slot index.  The
-    table is not empty.
+    index is a table's syndrome index: its (2**m,) slot array, or its sorted
+    keys' _sorted_index.  An unknown syndrome's entry is -1 on the slot
+    index.  The table is not empty.
     """
     if isinstance(index, tuple):
         return _find(*index, keys)
@@ -396,53 +422,112 @@ def _fits_direct(m: int) -> bool:
     return 1 << m <= _BLOCK
 
 
-def _fewest(words: np.ndarray, nkeys: int) -> np.ndarray:
-    """The rows of words with the smallest tie-break key of each syndrome, by syndrome.
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """The (N, K) key words as one array that sorts and searches as the keys do.
 
-    A row of words is a candidate's syndrome (nkeys words) and its
-    tie-break key (the rest).  Tie-break keys are distinct, so one sort on
-    the syndrome's rank and then the key's orders the rows.
+    Keys compare by word 0, then word 1, ...  One word is its own key; the
+    K > 1 words of a row become its big-endian bytes, which numpy compares
+    byte by byte (a void dtype), so one searchsorted serves any K.
     """
-    syndrome = _key_index(words[:, :nkeys])[2]
-    tie = _key_index(words[:, nkeys:])[2]
-    words = np.take(words, np.argsort(syndrome * len(words) + tie), axis=0)
-    first = np.ones(len(words), dtype=bool)
-    first[1:] = (words[1:, :nkeys] != words[:-1, :nkeys]).any(axis=1)
-    return words[first]
+    if keys.shape[1] == 1:
+        return np.ascontiguousarray(keys[:, 0])
+    return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
 
 
-def _sorted_entries(slices: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
-    """One weight's new entries in tie-break order, merged by sorting; serves any m.
+def _least(words: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The index of the least of each run of the distinct rows of words, by word 0, then word 1, ...
 
-    slices hold the weight's candidate rows (the max(1, ceil(m / 64))
-    syndrome words of _units, then the tie-break key's words) and kept
-    the table's rows so far, the identity's first.  Candidates whose
-    syndrome kept holds are dropped, found in kept's key index; the rest
-    are merged with _fewest.
+    The runs start at starts, which is increasing from 0.  np.minimum.reduceat
+    takes each run's least word 0, then its least word 1 among the rows
+    least on word 0, and so on.  Runs of one row need no compare.
+    """
+    if len(starts) == len(words):
+        return starts
+    least = np.ones(len(words), dtype=bool)
+    sizes = np.diff(starts, append=len(words))
+    for word in words.T:
+        word = np.where(least, word, _MASK64)
+        least &= word == np.repeat(np.minimum.reduceat(word, starts), sizes)
+    return np.flatnonzero(least)
+
+
+def _syndrome_groups(level: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The rows of level in groups of about _BLOCK, split on the top bits of syndrome word 0.
+
+    level's rows start with the syndrome words of _units, whose word 0
+    holds min(m, 64) bits, so every syndrome's rows fall in one group and
+    the groups' syndromes increase from one group to the next.  A level of
+    at most _BLOCK rows is one group.  A larger one is split on the fewest
+    top bits b that give 2**b >= len(level) / _BLOCK groups (b <= m, 16):
+    one stable (radix) argsort of the rows' b-bit group numbers orders
+    them by group, and each nonempty group's rows are gathered in turn.
+    """
+    b = min((-(-len(level) // _BLOCK) - 1).bit_length(), m, 16)
+    if not b:
+        yield level
+        return
+    group = (level[:, 0] >> np.uint64(min(m, 64) - b)).astype(np.uint16)
+    ends = np.cumsum(np.bincount(group, minlength=1 << b)).tolist()
+    order = np.argsort(group, kind="stable")
+    del group
+    for lo, hi in zip([0] + ends, ends):
+        if hi > lo:
+            yield np.take(level, order[lo:hi], axis=0)
+
+
+def _sorted_entries(
+    groups: Iterator[np.ndarray], held: Tuple[np.ndarray, np.ndarray], m: int
+) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """One weight's new entries in tie-break order, and held extended by them; serves any m.
+
+    groups hold the weight's candidate rows (the max(1, ceil(m / 64))
+    syndrome words of _units, then the tie-break key's words) as
+    _syndrome_groups splits them: each syndrome in one group, and the
+    groups in increasing syndrome order.  held is (keys, entry): the
+    _sortable keys of the table's syndromes so far, sorted, and each one's
+    insertion index.  Each group is ordered by syndrome (_order), the one
+    sort of its candidates; each syndrome's run keeps its least tie-break
+    key (_least), and a syndrome that held has is dropped, found by
+    searchsorted.  The winners of all groups, in syndrome order, are then
+    ordered by tie-break key (_order): they are the new entries.  Their
+    keys and insertion indices go into held at the searched positions
+    (np.insert), so held stays sorted and gives the table its key order.
     """
     nkeys = max(1, -(-m // 64))
-    known = _key_index(kept[:, :nkeys])[:2]
-    # slices wait in pending until they outnumber best, so every merge
-    # at least doubles the rows it sorts
-    best, pending = kept[:0], []
-    for words in slices:
-        pending.append(words[~_find(*known, words[:, :nkeys].T)[1]])
-        if sum(map(len, pending)) > len(best):
-            best, pending = _fewest(np.concatenate([best, *pending]), nkeys), []
-    if pending:
-        best = _fewest(np.concatenate([best, *pending]), nkeys)
-    return np.take(best, np.argsort(_key_index(best[:, nkeys:])[2]), axis=0)
+    keys, entry = held
+    winners, found, at = [], [], []
+    for rows in groups:
+        order = _order(rows[:, :nkeys])
+        syndromes = np.take(_sortable(rows[:, :nkeys]), order)
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = syndromes[1:] != syndromes[:-1]
+        starts = np.flatnonzero(first)
+        least = np.take(order, _least(np.take(rows[:, nkeys:], order, axis=0), starts))
+        query = np.take(syndromes, starts)
+        pos = np.searchsorted(keys, query)
+        new = np.take(keys, pos, mode="clip") != query  # keys holds at least the identity's
+        winners.append(np.take(rows, least[new], axis=0))
+        found.append(query[new])
+        at.append(pos[new])
+    best = np.concatenate(winners)
+    del winners  # freed before the tie-break sort, which lowers the peak
+    order = _order(best[:, nkeys:])
+    added = np.empty(len(order), dtype=np.intp)
+    added[order] = np.arange(len(keys), len(keys) + len(order))
+    at = np.concatenate(at)
+    held = np.insert(keys, at, np.concatenate(found)), np.insert(entry, at, added)
+    return np.take(best, order, axis=0), held
 
 
 def _direct_entries(slices: Iterator[np.ndarray], kept: np.ndarray, m: int) -> np.ndarray:
     """One weight's new entries in tie-break order, merged in syndrome slots.
 
-    slices and kept are as for _sorted_entries, with one syndrome word and
-    one tie-break word (m <= 16, n <= 32).  best holds each syndrome's least
-    tie-break key of the weight so far, merged by np.minimum.at, and filled
-    whether it has one.  Candidates of syndromes that kept holds are merged
-    too and their slots are left out at the end, which costs less than
-    dropping them from every slice.
+    slices hold the weight's candidate rows, one syndrome word and one
+    tie-break word (m <= 16, n <= 32), and kept the table's rows so far.
+    best holds each syndrome's least tie-break key of the weight so far,
+    merged by np.minimum.at, and filled whether it has one.  Candidates of
+    syndromes that kept holds are merged too and their slots are left out
+    at the end, which costs less than dropping them from every slice.
     """
     best = np.full(1 << m, _MASK64, dtype=np.uint64)
     filled = np.zeros(1 << m, dtype=bool)
@@ -484,7 +569,7 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
 
     The table starts from the identity, the one error of weight 0.  Each
     weight from 1 on is enumerated whole from the weight below (_level)
-    and merged in slices of _BLOCK candidates.  A candidate is carried as
+    and merged in pieces of about _BLOCK candidates.  A candidate is carried as
     its syndrome words and its tie-break key (its (x|z) row words, each
     bit-reversed), both the XOR of its letters' words.  Of the candidates
     with a syndrome no lighter error has, each syndrome keeps the one with
@@ -494,10 +579,14 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
 
     The merge is chosen once per table, as its index is: when 2**m slots
     fit one block (m <= 16, _fits_direct) and the tie-break key is one
-    word (n <= 32), every weight merges its candidates in arrays indexed
-    by syndrome (_direct_entries) and sorts only its new entries;
-    otherwise every weight merges its slices by sorting (_sorted_entries).
-    Both give the same entries.
+    word (n <= 32), every weight merges its slices of _BLOCK candidates in
+    arrays indexed by syndrome (_direct_entries) and sorts only its new
+    entries.  Otherwise every weight is split into syndrome ranges
+    (_syndrome_groups) and merged by sorting each range once by syndrome
+    and the winners once by tie-break key (_sorted_entries); the table's
+    syndrome keys, kept sorted with each one's insertion index, drop the
+    syndromes it holds and give the table its key order, so it sorts no
+    key again.  Both give the same entries.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -509,18 +598,25 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     # rows lexicographically from qubit 0's x bit on
     ties = _reverse(_pack(np.eye(2 * n, dtype=np.uint8)))
     letters = _letter_table(np.concatenate([syndromes, ties], axis=1))
-    merge = _direct_entries if _fits_direct(m) and ties.shape[1] == 1 else _sorted_entries
+    direct = _fits_direct(m) and ties.shape[1] == 1
+    nkeys = syndromes.shape[1]
     # entries in insertion order, from the identity's: syndrome 0, tie-break key 0
     kept = level = np.zeros((1, letters.shape[2]), dtype=np.uint64)
+    held = _sortable(kept[:, :nkeys]), np.zeros(1, dtype=np.intp)  # the sorted merge's keys
     for w in range(1, min(max_weight, n) + 1):
         if len(kept) == 1 << m:
             break
         level = _level(letters, w, level)[: math.comb(n, w) * 3**w]
-        slices = (level[lo : lo + _BLOCK] for lo in range(0, len(level), _BLOCK))
-        kept = np.concatenate([kept, merge(slices, kept, m)])
+        if direct:
+            slices = (level[lo : lo + _BLOCK] for lo in range(0, len(level), _BLOCK))
+            new = _direct_entries(slices, kept, m)
+        else:
+            new, held = _sorted_entries(_syndrome_groups(level, m), held, m)
+        kept = np.concatenate([kept, new])
     del level  # freed before the table's arrays, which can then reuse its memory
-    nkeys = syndromes.shape[1]
-    return SyndromeTable._from_arrays(n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight)
+    return SyndromeTable._from_arrays(
+        n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight, None if direct else held[1]
+    )
 
 
 @dataclass(frozen=True)
@@ -877,9 +973,10 @@ def run_trials(
     chunks = list(zip(bounds, bounds[1:]))
     if parts == 1:
         results = [run_range(*chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            results = list(pool.map(lambda c: run_range(*c), chunks))
+    else:  # this thread runs the first range, a pool the others
+        with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+            rest = pool.map(lambda c: run_range(*c), chunks[1:])
+            results = [run_range(*chunks[0]), *rest]
     failures, degenerate, violations = sum(results).tolist()
     return TrialResult(trials, failures, degenerate, seed, violations)
 

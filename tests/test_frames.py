@@ -16,10 +16,14 @@ from eaqecc.cli import load_code_file
 from eaqecc.frames import (
     _check_rows,
     _checks,
+    _find,
+    _key_index,
     _letter_table,
     _level,
+    _order,
     _pack,
     _signatures,
+    _sorted_index,
     _units,
     _words,
 )
@@ -175,3 +179,37 @@ class TestLevel:
         n, below = 33, _words(_level_order(33, 1), 66)
         words = _level(_letter_table(_pack(np.eye(2 * n, dtype=np.uint8))), 2, below)
         assert [_value(row) for row in words] == _level_order(n, 2) + _level_order(n, 1)
+
+
+# words from a small pool make rows that share their first words, and runs of
+# equal rows; any word may also be drawn
+_WORD = st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
+
+
+def _rows(data, width: int, max_size: int = 40) -> np.ndarray:
+    rows = data.draw(st.lists(st.lists(_WORD, min_size=width, max_size=width), max_size=max_size))
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+
+
+class TestKeyOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_order_sorts_rows_by_word_0_then_word_1(self, width, data):
+        words = _rows(data, width)
+        order = _order(words)
+        assert sorted(order.tolist()) == list(range(len(words)))
+        assert np.take(words, order, axis=0).tolist() == sorted(words.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_sorted_index_is_the_key_index_of_sorted_keys(self, width, data):
+        keys = np.unique(_rows(data, width), axis=0)  # distinct, sorted by word 0, then ...
+        values, codes, rank = _key_index(keys)
+        assert (rank == np.arange(len(keys))).all()
+        got_values, got_codes = _sorted_index(keys)
+        assert len(got_values) == len(values) and len(got_codes) == len(codes)
+        for got, want in zip(got_values + got_codes, values + codes):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        if len(keys):  # and _find finds every key at its own position
+            found_rank, found = _find(got_values, got_codes, keys.T)
+            assert found.all() and (found_rank == np.arange(len(keys))).all()

@@ -536,6 +536,44 @@ class TestSyndromeTable:
         assert list(table.entries.items()) == list(reference_syndrome_table(codeq, depth).items())
         assert table.max_weight_built == depth
 
+    @pytest.mark.parametrize("block", [50, 1000])
+    def test_two_key_words_merge_across_groups(self, block):
+        # 66 generators make two key words: weight 2's 5670 candidates split
+        # into syndrome groups on word 0's top bits, whose keys the held keys
+        # search as big-endian bytes
+        codeq = build_code(random_classical_code(random.Random(5), 36, 3))
+        expected = _arrays(build_syndrome_table(codeq, 2))
+        groups, split = [], simulate._syndrome_groups
+
+        def recorded(level, m):
+            groups.append(list(split(level, m)))
+            return iter(groups[-1])
+
+        with mock.patch.object(simulate, "_BLOCK", block), mock.patch.object(
+            simulate, "_syndrome_groups", recorded
+        ):
+            table = build_syndrome_table(codeq, 2)
+        assert len(groups[1]) > 1
+        assert _arrays(table) == expected
+        assert list(table.entries.items()) == list(reference_syndrome_table(codeq, 2).items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_sortable_keys_sort_and_search_as_rows(self, width, data):
+        # one word stays a uint64; two or more become big-endian bytes
+        word = st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
+        rows = data.draw(st.lists(st.lists(word, min_size=width, max_size=width), max_size=30))
+        keys = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+        flat = simulate._sortable(keys)
+        assert flat.shape == (len(rows),)
+        key = (lambda i: flat[i].tobytes()) if width > 1 else (lambda i: flat[i])
+        by_flat = sorted(range(len(rows)), key=key)
+        assert [rows[i] for i in by_flat] == sorted(rows)
+        held = np.sort(simulate._sortable(np.unique(keys, axis=0)))
+        pos = np.searchsorted(held, flat)
+        distinct = sorted(set(map(tuple, rows)))
+        assert pos.tolist() == [distinct.index(tuple(r)) for r in rows]
+
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("n", [32, 33])
     def test_row_word_edge_matches_reference_enumeration(self, n, depth):
@@ -555,18 +593,19 @@ class TestSyndromeTable:
         code_seed=st.integers(0, 1 << 32), depth=st.integers(0, 3), block=st.integers(1, 100)
     )
     def test_small_chunks_build_the_same_table(self, code_seed, depth, block):
-        # many slices per weight, and for block < 3**w one support split over
-        # several slices: winners of later slices must merge with earlier ones,
-        # on either path
+        # many slices per weight on the slot path, and for block < 3**w one
+        # support split over several slices: winners of later slices must
+        # merge with earlier ones.  The sorted path splits a weight of more
+        # than block rows into groups by syndrome range instead
         codeq = build_code(random_classical_code(random.Random(code_seed)))
         expected = list(reference_syndrome_table(codeq, depth).items())
         nkeys = max(1, -(-len(codeq.generators) // 64))
-        handed = []  # the slices of each merge call, both paths' weights in turn
+        handed = []  # the slices or groups of each merge call, both paths' weights in turn
 
         def recorded(merge):
-            def run(slices, kept, m):
+            def run(slices, known, m):
                 handed.append(list(slices))
-                return merge(iter(handed[-1]), kept, m)
+                return merge(iter(handed[-1]), known, m)
 
             return run
 
@@ -574,10 +613,16 @@ class TestSyndromeTable:
             simulate, "_direct_entries", recorded(simulate._direct_entries)
         ), mock.patch.object(simulate, "_sorted_entries", recorded(simulate._sorted_entries)):
             tables = [_build_on_path(codeq, depth, direct) for direct in (True, False)]
-        weights = len(handed) // 2  # both paths merge the same weights
+        weights = len(handed) // 2  # both paths merge the same weights, the slots' first
         for i, slices in enumerate(handed):
             w = i % weights + 1
-            assert all(len(words) <= block for words in slices)
+            if i < weights:
+                assert all(len(words) <= block for words in slices)
+            else:  # each group a syndrome range above the one before it
+                ranges = [sorted(map(tuple, s[:, :nkeys].tolist())) for s in slices]
+                assert all(r for r in ranges)
+                assert all(a[-1] < b[0] for a, b in zip(ranges, ranges[1:]))
+                assert len(slices) == 1 or sum(map(len, slices)) > block
             rows = [_row(words) for s in slices for words in simulate._reverse(s[:, nkeys:])]
             assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
         for table in tables:
@@ -619,13 +664,16 @@ class TestSyndromeTable:
     )
     def test_one_merge_per_table(self, m, n, slots, depth):
         codeq = _random_code(random.Random(100 * m + n), n, m)
-        with _merges("_key_index") as (on_direct, on_sorted, weights, ranked):
+        # no build ranks keys with _key_index: the sorted merge hands the
+        # table its key order
+        unranked = mock.patch.object(frames, "_key_index", side_effect=AssertionError)
+        with unranked, _merges("_order") as (on_direct, on_sorted, weights, ordered):
             table = build_syndrome_table(codeq, depth)
         # weight 0 is the identity, never enumerated, and fills m = 0's one syndrome
         assert weights.call_count == (depth if m else 0)
         _assert_one_merge(on_direct, on_sorted, weights, slots)
         if slots:  # no merge and no index sorts keys
-            assert not ranked.called
+            assert not ordered.called
         entries = list(table.entries.items())
         assert entries == list(reference_syndrome_table(codeq, depth).items())
         assert entries[0] == ((0,) * m, identity(n))
@@ -635,7 +683,10 @@ class TestSyndromeTable:
 
     # sha256 of keys, rows and inserted, from the tables built before the
     # direct path existed: r20@4 and r24@3 take the direct path, w64@2 (m = 64)
-    # the sorted one
+    # the sorted one.  w64@2's 7,141 Paulis all have distinct syndromes; r40@3
+    # (m = 20), pinned before the merge sorted each weight once, has syndrome
+    # collisions and already-kept syndromes at every weight: 266,760 weight-3
+    # candidates give 240,883 entries
     @pytest.mark.parametrize(
         "name, depth, digests",
         [
@@ -666,8 +717,17 @@ class TestSyndromeTable:
                     "d171a57ad6c09d3756fea71de1d9d19682d09e1ca901b0ced9e514fcf67959cf",
                 ),
             ),
+            (
+                "r40",
+                3,
+                (
+                    "238dfba445a8fd9e544ed5a26f7b20eb2bde4a7c5505ae0e9d3229d3a46da979",
+                    "636afad427a2dc8657cc94e50e2aaecf345a5d0e3e3e07756e5bbd6b81349e5d",
+                    "99c24be00b19d4c3e03d607ca8eb77c9cc8bc7180bb0266014cd5df4a75e3db9",
+                ),
+            ),
         ],
-        ids=["r20@4", "r24@3", "w64@2"],
+        ids=["r20@4", "r24@3", "w64@2", "r40@3"],
     )
     def test_corpus_tables_are_pinned(self, name, depth, digests):
         codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
@@ -675,6 +735,25 @@ class TestSyndromeTable:
         arrays = (table.keys, table.rows, table.inserted)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
         assert table.max_weight_built == depth
+
+    def test_sorted_build_memory_is_bounded(self):
+        # r40@3 on the sorted merge: 266,760 weight-3 candidates in eight
+        # syndrome groups.  The merge that re-sorted its running best peaked
+        # at 38.2 MB traced here (numpy 2.4, CPython 3.11), and the grouped
+        # merge at 31.7 MB.  The bound is the former plus 5%, so a faster
+        # merge cannot buy its time with scratch the size of a weight.  What
+        # stays traced is the table itself, about 9.6 MB.
+        codeq = build_code(load_code_file(str(BENCH_CORPUS / "r40.code")).code)
+        build_syndrome_table(codeq, 1)  # first-call allocations, outside the trace
+        tracemalloc.start()
+        try:
+            table = build_syndrome_table(codeq, 3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 240883
+        assert peak < 1.05 * 38.2e6, peak
+        assert held < 10.5e6, held
 
     @settings(max_examples=60, deadline=None)
     @given(width=st.integers(1, 3), data=st.data())
@@ -757,9 +836,11 @@ class TestSyndromeTable:
     @pytest.mark.parametrize("m", [0, 16, 17])
     def test_slot_index_ranks_without_key_index(self, m):
         # a table of m <= 16 ranks its keys by slot; only m > 16 sorts them
+        # (_order), and neither ranks them with _key_index
         codeq = _random_code(random.Random(m), m // 2 + 3, m)
         entries = build_syndrome_table(codeq, 1).entries
-        with mock.patch.object(simulate, "_key_index", wraps=simulate._key_index) as ranked:
+        unranked = mock.patch.object(frames, "_key_index", side_effect=AssertionError)
+        with unranked, mock.patch.object(simulate, "_order", wraps=simulate._order) as ranked:
             table = SyndromeTable(dict(entries), 1)
         assert ranked.called is (m > 16) and _slot_indexed(table) is (m <= 16)
         assert list(table.entries.items()) == list(entries.items())
@@ -1007,7 +1088,8 @@ def inline_pool(sizes: list, ranges: list):
     """A ThreadPoolExecutor stand-in that starts no thread.
 
     It records the pool size asked for in sizes and the number of ranges
-    mapped in ranges, and runs them inline.
+    mapped in ranges, and runs them inline.  run_trials runs its first
+    range itself, so both are one less than the run's ranges.
     """
 
     class InlinePool:
@@ -1275,11 +1357,11 @@ class TestRunTrials:
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
         assert run_trials(golden, ch, table, 300, seed=9, workers=100000) == base
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
-        assert sizes == ranges == [2, 2]
+        assert sizes == ranges == [1, 1]  # two ranges: one on this thread, one pooled
         # one CPU is one range, run inline
         monkeypatch.setattr(simulate, "_cpus", lambda: 1)
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
-        assert sizes == ranges == [2, 2]
+        assert sizes == ranges == [1, 1]
 
     def test_affinity_of_one_cpu_starts_no_pool(self, golden, monkeypatch):
         # the cap counts the CPUs the process may run on, not the machine's:
@@ -1291,7 +1373,7 @@ class TestRunTrials:
         base = run_trials(golden, ch, table, 3 * 64, seed=3)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
-        for cpus, pools in (({5}, []), ({0, 1, 2}, [3])):
+        for cpus, pools in (({5}, []), ({0, 1, 2}, [2])):
             monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus, raising=False)
             assert simulate._cpus() == len(cpus)
             assert run_trials(golden, ch, table, 3 * 64, seed=3, workers=3) == base
@@ -1316,7 +1398,7 @@ class TestRunTrials:
         monkeypatch.setattr(simulate, "_cpus", lambda: 7)
         for workers in (3, 7, 10**6):
             assert run_trials(golden, ch, table, 1000, seed=3, workers=workers) == base
-        assert sizes == ranges == [3, 7, 7]
+        assert sizes == ranges == [2, 6, 6]  # 3, 7 and 7 ranges, the first on this thread
 
     def test_one_block_starts_no_pool(self, golden, monkeypatch):
         # a run of at most one block is one range, whatever the workers
