@@ -21,7 +21,10 @@ normalizer work.
 
 _level enumerates the errors of one weight as their words, each weight
 whole and built from the weight below it: one array of C(n, w) 3**w rows,
-held together with the weight below while it is built.  The syndrome
+held together with the weight below while it is built.  It XORs a weight
+in chunks of rows (_chunks), word by word in a transposed scratch array,
+so each numpy call runs over a chunk's rows: a broadcast over a row's W
+words runs numpy's inner loop over those 1-6 words alone.  The syndrome
 table keeps the lightest error per syndrome; the analysis walk pairs the
 words of two weights and stops at the first undetected logical.  Sets of
 key words are searched one word at a time through _key_index and _find,
@@ -35,7 +38,7 @@ is about 4x faster than a[idx] on these shapes.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -147,6 +150,36 @@ def _signatures(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
     return sig
 
 
+# Words that one _level chunk writes (256 KB), 3W per row of below it reads:
+# its two temporaries, 4/3 of that, stay in cache, and each numpy call still
+# runs over thousands of words.
+_CHUNK = 1 << 15
+# Rows of a level short enough for one broadcast XOR: there numpy's cost per
+# call, not its inner loop over a row's words, sets the time.
+_SHORT = 1 << 10
+
+
+def _chunks(runs: List[int], rows: int) -> Iterator[Tuple[int, int, int, int]]:
+    """(first, last, lo, hi): the runs first..last-1 whole, or rows lo:hi of run first alone.
+
+    Consecutive runs are grouped while their rows add up to at most rows;
+    a run of more rows is cut into pieces of rows.
+    """
+    first = 0
+    while first < len(runs):
+        if runs[first] > rows:
+            for lo in range(0, runs[first], rows):
+                yield first, first + 1, lo, min(lo + rows, runs[first])
+            first += 1
+            continue
+        last, total = first + 1, runs[first]
+        while last < len(runs) and total + runs[last] <= rows:
+            total += runs[last]
+            last += 1
+        yield first, last, 0, total
+        first = last
+
+
 def _level(letters: np.ndarray, w: int, below: np.ndarray) -> np.ndarray:
     """The (N, W) words of every Pauli of weight w, and then below's rows.
 
@@ -158,17 +191,50 @@ def _level(letters: np.ndarray, w: int, below: np.ndarray) -> np.ndarray:
     whose lowest qubit is i come in one run: each of below's last
     C(n - i - 1, w - 1) 3**(w - 1) rows, the Paulis of weight w - 1 on the
     qubits above i, times qubit i's three letters.
+
+    A longer level is XORed in chunks of about _CHUNK words (_chunks),
+    word by word: a chunk's rows of below are copied to a (W, rows) array,
+    one XOR with its letters' (3, W, rows) words (a run's three letters, or
+    each row's gathered by run) fills a (3, W, rows) array, and one
+    transposing copy writes that as the chunk's (rows, 3, W) words.  So
+    every numpy call runs over a chunk's rows.  Broadcasting below's rows
+    against a run's (3, W) letters, one XOR per run, ran numpy's inner loop
+    over a row's W words: a weight cost several times an XOR pass of its
+    size.  Both temporaries are views of one scratch array, reused by every
+    chunk.  A level of at most _SHORT rows takes one broadcast XOR, as
+    numpy's per-call cost, not its inner loop, sets its time.
     """
     n, _, width = letters.shape
     size = math.comb(n, w) * 3**w
     words = np.empty((size + len(below), width), dtype=np.uint64)
-    at = 0
-    for i in range(n - w + 1):
-        above = below[len(below) - math.comb(n - i - 1, w - 1) * 3 ** (w - 1) :]
-        out = words[at : at + 3 * len(above)].reshape(len(above), 3, width)
-        np.bitwise_xor(above[:, None], letters[i], out=out)
-        at += 3 * len(above)
     words[size:] = below
+    runs = [math.comb(n - i - 1, w - 1) * 3 ** (w - 1) for i in range(n - w + 1)]
+    if 0 < size <= _SHORT:
+        src = np.concatenate([below[len(below) - r :] for r in runs])
+        letter = np.repeat(letters[: len(runs)], runs, axis=0)
+        np.bitwise_xor(src[:, None], letter, out=words[:size].reshape(-1, 3, width))
+        return words
+    rows = max(1, _CHUNK // (3 * width))
+    scratch = np.empty(4 * width * min(rows, size // 3), dtype=np.uint64)
+    table = letters.transpose(1, 2, 0)  # (3, W, n): word d of letter k on each qubit
+    at = 0
+    for first, last, lo, hi in _chunks(runs, rows):
+        count = hi - lo
+        src = scratch[: width * count].reshape(width, count)
+        out = scratch[width * count : 4 * width * count].reshape(3, width, count)
+        if last == first + 1:  # rows lo:hi of one run
+            start = len(below) - runs[first]
+            np.copyto(src, below[start + lo : start + hi].T)
+            letter = table[:, :, first, None]
+        else:
+            suffixes = [below[len(below) - r :].T for r in runs[first:last]]
+            np.concatenate(suffixes, axis=1, out=src)
+            run = np.repeat(np.arange(first, last), runs[first:last])
+            letter = np.take(table, run, axis=2, out=out, mode="clip")  # "raise" copies out
+        np.bitwise_xor(letter, src, out=out)
+        chunk = words[at : at + 3 * count].reshape(count, 3 * width)
+        np.copyto(chunk, out.reshape(3 * width, count).T)
+        at += 3 * count
     return words
 
 

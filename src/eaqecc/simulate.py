@@ -293,18 +293,23 @@ class SyndromeTable:
             slot = keys[:, 0].view(np.intp)
             filled = np.zeros(1 << m, dtype=bool)
             filled[slot] = True
+            held = np.flatnonzero(filled)
             index = np.full(1 << m, -1, dtype=np.intp)
-            index[np.flatnonzero(filled)] = np.arange(len(keys))
+            index[held] = position = np.arange(len(keys))
             rank = np.take(index, slot)
+            order = np.empty(len(rank), dtype=np.intp)
+            order[rank] = position
+            keys = held.view(np.uint64).reshape(-1, 1)  # a key is its slot
         else:  # distinct keys, sorted by word 0, then word 1, ...
             if order is None:
                 order = _order(keys)
             rank = np.empty(len(order), dtype=np.intp)
             rank[order] = np.arange(len(order))
-            index = _sorted_index(np.take(keys, order, axis=0))
+            keys = np.take(keys, order, axis=0)
+            index = _sorted_index(keys)
         self._n, self._m, self._index = n, m, index
-        self.keys, self.rows = np.empty(keys.shape, np.uint64), np.empty(rows.shape, np.uint64)
-        self.keys[rank], self.rows[rank] = keys, rows
+        # gathered, not scattered: a row scatter runs numpy's inner loop over a row's words
+        self.keys, self.rows = keys, np.take(rows, order, axis=0)
         self.inserted = rank
         for array in (self.keys, self.rows, self.inserted):
             array.flags.writeable = False

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import analysis, gf2
+from eaqecc import analysis, frames, gf2
 from eaqecc.analysis import (
     check_correctable_set,
     hashing_rates,
@@ -304,6 +304,23 @@ class TestSearchesMatchOracles:
         codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
         for cap in range(1, top + 1):
             assert min_distance_bruteforce(codeq, cap) == reference_chunked_distance(codeq, cap)
+
+    # the walk's levels XORed 2 rows of below at a time (W = 1), up to
+    # weight 3: d5's distance 5 is found there, while h22's weight-2
+    # logical stops its walk at weight 1, so its halves are compared whole
+    @pytest.mark.parametrize("name", ["d5", "h22"])
+    def test_walk_in_chunks_of_a_few_rows(self, monkeypatch, name):
+        codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
+        letters = frames._letter_table(frames._checks(codeq, basis=False)[0])
+
+        def walk():
+            halves = [(d, words.tolist(), split) for d, words, split in analysis._halves(letters, 6)]
+            return halves, analysis._lightest(codeq, 8)
+
+        want = walk()
+        monkeypatch.setattr(frames, "_CHUNK", 3 * 2)
+        monkeypatch.setattr(frames, "_SHORT", 0)
+        assert walk() == want
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3))

@@ -1,6 +1,7 @@
 """Oracle tests for the check rows and signature words of eaqecc.frames."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqecc import gf2
+from eaqecc import frames, gf2
 from eaqecc.analysis import in_isotropic
 from eaqecc.builder import ClassicalCode, build_code
 from eaqecc.cli import load_code_file
 from eaqecc.frames import (
     _check_rows,
     _checks,
+    _chunks,
     _find,
     _key_index,
     _letter_table,
@@ -179,6 +181,67 @@ class TestLevel:
         n, below = 33, _words(_level_order(33, 1), 66)
         words = _level(_letter_table(_pack(np.eye(2 * n, dtype=np.uint8))), 2, below)
         assert [_value(row) for row in words] == _level_order(n, 2) + _level_order(n, 1)
+
+    # chunks of 1, 10 and 100 rows of below: 10 and 100 group the short runs
+    # (3 + 6 at w = 2, 9 + 27 + 54 at w = 3) and cut the longer ones; the
+    # letters and rows take 1 word (2n = 24), 2 (66) and 4 (194)
+    @pytest.mark.parametrize("rows", [1, 10, 100])
+    @pytest.mark.parametrize("n, w", [(12, 3), (33, 2), (97, 2)])
+    def test_chunk_boundaries_on_unit_letters(self, monkeypatch, n, w, rows):
+        letters = _letter_table(_pack(np.eye(2 * n, dtype=np.uint8)))
+        monkeypatch.setattr(frames, "_CHUNK", 3 * letters.shape[2] * rows)
+        monkeypatch.setattr(frames, "_SHORT", 0)
+        below = _words(_level_order(n, w - 1), 2 * n)
+        words = _level(letters, w, below)
+        assert [_value(row) for row in words] == _level_order(n, w) + _level_order(n, w - 1)
+
+    # any letters, 1 to 6 words wide, in chunks of a few rows and at the
+    # module's own sizes (weight 1 and a short weight 2 take one broadcast)
+    @pytest.mark.parametrize("rows", [1, 10, 100, None])
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_chunks_xor_any_letters(self, monkeypatch, width, rows):
+        if rows is not None:
+            monkeypatch.setattr(frames, "_CHUNK", 3 * width * rows)
+            monkeypatch.setattr(frames, "_SHORT", 0)
+        rng = np.random.default_rng(width)
+        letters = rng.integers(0, 1 << 64, size=(8, 3, width), dtype=np.uint64)
+        below = np.zeros((1, width), dtype=np.uint64)
+        for w in range(1, 5):
+            words = _level(letters, w, below)
+            want = _xor_level(letters, w)
+            assert words.tolist() == want + below.tolist()
+            below = words[: len(want)]
+
+
+def _xor_level(letters: np.ndarray, w: int) -> list:
+    """Each weight-w Pauli's words in _level's order, XORed one letter at a time in Python."""
+    n, _, width = letters.shape
+    table = letters.tolist()
+    rows = []
+    for support in itertools.combinations(range(n), w):
+        for choice in range(3**w):  # base 3, the first qubit lowest
+            row = [0] * width
+            for t, qubit in enumerate(support):
+                row = [a ^ b for a, b in zip(row, table[qubit][choice // 3**t % 3])]
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.integers(1, 40), max_size=12), rows=st.integers(1, 50))
+def test_chunks_tile_the_runs(runs, rows):
+    # every row of every run once, in order, in chunks of at most rows rows:
+    # runs grouped whole, or one run, cut into pieces when it is longer
+    runs = sorted(runs, reverse=True)
+    covered = []
+    for first, last, lo, hi in _chunks(runs, rows):
+        if last > first + 1:
+            assert (lo, hi) == (0, sum(runs[first:last])) and hi <= rows
+            covered += [(i, r) for i in range(first, last) for r in range(runs[i])]
+        else:
+            assert last == first + 1 and 0 <= lo < hi <= runs[first] and hi - lo <= rows
+            covered += [(first, r) for r in range(lo, hi)]
+    assert covered == [(i, r) for i, run in enumerate(runs) for r in range(run)]
 
 
 # words from a small pool make rows that share their first words, and runs of

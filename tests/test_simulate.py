@@ -455,6 +455,60 @@ class TestSampleError:
             _check_letter_edges(p)
 
 
+# sha256 of keys, rows and inserted, from the tables built before the
+# direct path existed: r20@4 and r24@3 take the direct path, w64@2 (m = 64)
+# the sorted one.  w64@2's 7,141 Paulis all have distinct syndromes; r40@3
+# (m = 20), pinned before the merge sorted each weight once, has syndrome
+# collisions and already-kept syndromes at every weight: 266,760 weight-3
+# candidates give 240,883 entries
+_PINNED_TABLES = [
+    (
+        "r20",
+        4,
+        (
+            "b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3",
+            "4f1b786cda18eee58947fbb1ad6949a0ac40dd9eeadd71a2646275707bd41eca",
+            "e3830a5381ba3df524ca6148f9b48b6c55efd94f2f0b2e215d864a3d8817474f",
+        ),
+    ),
+    (
+        "r24",
+        3,
+        (
+            "474e2909015b8e523d75baa463a58d74be201e3df0b17d4ccbac9045bdf3e48c",
+            "ef5289406d089aed55e614e2e2232e4b168005299ab79050c02f81cc152d1d49",
+            "c72c2651888676ec0b829c7769b1991d870098fc67a198fa1716376a910e880b",
+        ),
+    ),
+    (
+        "w64",
+        2,
+        (
+            "2f24f5d6daec216262e9d9d035318d1181242ec1e3d9dbb2f0639864adba45b7",
+            "447801bc080d8fdf22c82b72fb9a1e6f13835ccda12a34a557629a4058ddd3a9",
+            "d171a57ad6c09d3756fea71de1d9d19682d09e1ca901b0ced9e514fcf67959cf",
+        ),
+    ),
+    (
+        "r40",
+        3,
+        (
+            "238dfba445a8fd9e544ed5a26f7b20eb2bde4a7c5505ae0e9d3229d3a46da979",
+            "636afad427a2dc8657cc94e50e2aaecf345a5d0e3e3e07756e5bbd6b81349e5d",
+            "99c24be00b19d4c3e03d607ca8eb77c9cc8bc7180bb0266014cd5df4a75e3db9",
+        ),
+    ),
+]
+
+
+def _check_pinned(name, depth, digests):
+    codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
+    table = build_syndrome_table(codeq, depth)
+    arrays = (table.keys, table.rows, table.inserted)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+    assert table.max_weight_built == depth
+
+
 class TestSyndromeTable:
     def test_golden_weight_one(self, golden):
         table = build_syndrome_table(golden, 1)
@@ -681,60 +735,19 @@ class TestSyndromeTable:
             assert len(entries) == 1
         assert table.max_weight_built == depth
 
-    # sha256 of keys, rows and inserted, from the tables built before the
-    # direct path existed: r20@4 and r24@3 take the direct path, w64@2 (m = 64)
-    # the sorted one.  w64@2's 7,141 Paulis all have distinct syndromes; r40@3
-    # (m = 20), pinned before the merge sorted each weight once, has syndrome
-    # collisions and already-kept syndromes at every weight: 266,760 weight-3
-    # candidates give 240,883 entries
     @pytest.mark.parametrize(
-        "name, depth, digests",
-        [
-            (
-                "r20",
-                4,
-                (
-                    "b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3",
-                    "4f1b786cda18eee58947fbb1ad6949a0ac40dd9eeadd71a2646275707bd41eca",
-                    "e3830a5381ba3df524ca6148f9b48b6c55efd94f2f0b2e215d864a3d8817474f",
-                ),
-            ),
-            (
-                "r24",
-                3,
-                (
-                    "474e2909015b8e523d75baa463a58d74be201e3df0b17d4ccbac9045bdf3e48c",
-                    "ef5289406d089aed55e614e2e2232e4b168005299ab79050c02f81cc152d1d49",
-                    "c72c2651888676ec0b829c7769b1991d870098fc67a198fa1716376a910e880b",
-                ),
-            ),
-            (
-                "w64",
-                2,
-                (
-                    "2f24f5d6daec216262e9d9d035318d1181242ec1e3d9dbb2f0639864adba45b7",
-                    "447801bc080d8fdf22c82b72fb9a1e6f13835ccda12a34a557629a4058ddd3a9",
-                    "d171a57ad6c09d3756fea71de1d9d19682d09e1ca901b0ced9e514fcf67959cf",
-                ),
-            ),
-            (
-                "r40",
-                3,
-                (
-                    "238dfba445a8fd9e544ed5a26f7b20eb2bde4a7c5505ae0e9d3229d3a46da979",
-                    "636afad427a2dc8657cc94e50e2aaecf345a5d0e3e3e07756e5bbd6b81349e5d",
-                    "99c24be00b19d4c3e03d607ca8eb77c9cc8bc7180bb0266014cd5df4a75e3db9",
-                ),
-            ),
-        ],
-        ids=["r20@4", "r24@3", "w64@2", "r40@3"],
+        "name, depth, digests", _PINNED_TABLES, ids=["r20@4", "r24@3", "w64@2", "r40@3"]
     )
     def test_corpus_tables_are_pinned(self, name, depth, digests):
-        codeq = build_code(load_code_file(str(BENCH_CORPUS / f"{name}.code")).code)
-        table = build_syndrome_table(codeq, depth)
-        arrays = (table.keys, table.rows, table.inserted)
-        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
-        assert table.max_weight_built == depth
+        _check_pinned(name, depth, digests)
+
+    def test_pinned_table_in_chunks_of_a_few_rows(self, monkeypatch):
+        # r40@3 with frames._level's weights 2 and 3 XORed 40 rows of below at
+        # a time (W = 3): the long runs cut into pieces, the short ones grouped
+        # (3 + 6 + 9 + 12 at weight 2, 9 + 27 at weight 3)
+        monkeypatch.setattr(frames, "_CHUNK", 3 * 3 * 40)
+        monkeypatch.setattr(frames, "_SHORT", 0)
+        _check_pinned(*_PINNED_TABLES[-1])
 
     def test_sorted_build_memory_is_bounded(self):
         # r40@3 on the sorted merge: 266,760 weight-3 candidates in eight
