@@ -36,8 +36,9 @@ import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
-from .frames import _checks, _key_index, _letter_table, _level, _signatures, _words
+from .frames import _checks, _letter_table, _level, _rank, _signatures
 from .pauli import PauliString, symplectic_product
+from .symplectic import _words
 
 Syndrome = Tuple[int, ...]
 
@@ -160,14 +161,14 @@ def _lightest(codeq: EaqeccCode, weight_cap: int) -> Tuple[Optional[int], Option
     units, syndrome, _ = _checks(codeq, basis=False)
     isotropic = None
     for weight, sig, split in _halves(_letter_table(units), weight_cap):
-        syn = _key_index(sig[:, : len(syndrome)] & syndrome)[2]
+        syn = _rank(sig[:, : len(syndrome)] & syndrome)
         # only rows whose syndrome both halves hold can pair to a zero
         # syndrome; searchsorted(rows, split) counts the kept weight-a rows,
         # and keeps split = 0 (one weight paired with itself) at 0
         rows = np.flatnonzero(_paired(syn, split)[syn])
         if not len(rows):
             continue
-        full = _key_index(np.take(sig, rows, axis=0))[2]
+        full = _rank(np.take(sig, rows, axis=0))
         # full refines syn: a kept syndrome with two normalizer values has a
         # weight-a and a weight-b row whose normalizer bits differ
         if full.max() + 1 > np.count_nonzero(np.bincount(syn[rows])):

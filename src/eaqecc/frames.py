@@ -26,10 +26,10 @@ in chunks of rows (_chunks), word by word in a transposed scratch array,
 so each numpy call runs over a chunk's rows: a broadcast over a row's W
 words runs numpy's inner loop over those 1-6 words alone.  The syndrome
 table keeps the lightest error per syndrome; the analysis walk pairs the
-words of two weights and stops at the first undetected logical.  Sets of
-key words are searched one word at a time through _key_index and _find,
-so one search serves any number of words; _order sorts rows of words, and
-_sorted_index indexes keys that are sorted already.
+words of two weights and stops at the first undetected logical.  Rows of
+K key words sort as one array (_sortable: a uint64 word for K = 1, the
+rows' big-endian bytes for K > 1), so one searchsorted finds rows of any
+K (_search); _order sorts rows of words, and _rank ranks them.
 
 Rows of 2-D word arrays are gathered with np.take(a, idx, axis=0), which
 is about 4x faster than a[idx] on these shapes.
@@ -44,17 +44,7 @@ import numpy as np
 
 from . import gf2
 from .builder import EaqeccCode
-from .symplectic import _swap_halves
-
-
-def _words(values: List[int], width: int) -> np.ndarray:
-    """Ints below 2**width as (len(values), max(1, ceil(width / 64))) uint64 words.
-
-    Bit i of a value is bit i % 64 of word i // 64.
-    """
-    size = 8 * max(1, -(-width // 64))
-    data = b"".join(v.to_bytes(size, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8).astype(np.uint64)
+from .symplectic import _swap_halves, _words
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -238,39 +228,17 @@ def _level(letters: np.ndarray, w: int, below: np.ndarray) -> np.ndarray:
     return words
 
 
-def _search(values: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(pos, found): each query's position in the sorted values, and whether it is there.
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """The (N, K) key words as one array that sorts and searches as the keys do.
 
-    The queries are searched in sorted order, which keeps the binary
-    searches' branches predictable: about 3x faster on 65536 random keys.
+    Keys compare by word 0, then word 1, ...  One word is its own key, a
+    view where the word is contiguous; the K > 1 words of a row become its
+    big-endian bytes, which numpy compares byte by byte (a void dtype), so
+    one searchsorted serves any K.
     """
-    order = np.argsort(queries)
-    ranked = np.searchsorted(values, queries[order])
-    np.minimum(ranked, len(values) - 1, out=ranked)
-    pos = np.empty(len(queries), dtype=np.int64)
-    pos[order] = ranked
-    del order, ranked  # freed before the compare's temporaries, which lowers the peak
-    return pos, values[pos] == queries
-
-
-def _key_index(keys: np.ndarray) -> Tuple[tuple, tuple, np.ndarray]:
-    """(values, codes, rank) that find distinct (N, K) key words one word at a time.
-
-    values[k] holds the sorted distinct values of key word k, and
-    codes[k - 1] the sorted distinct ranks of words 0..k among the keys,
-    for k >= 1.  rank[i] is the rank of key i among the distinct keys
-    sorted by word 0, then word 1, ...
-    """
-    values, codes = [], []
-    rank = np.zeros(len(keys), dtype=np.int64)
-    for k in range(keys.shape[1]):
-        word_values, word_rank = np.unique(keys[:, k], return_inverse=True)
-        values.append(word_values)
-        rank = rank * len(word_values) + word_rank
-        if k:
-            rank_values, rank = np.unique(rank, return_inverse=True)
-            codes.append(rank_values)
-    return tuple(values), tuple(codes), rank
+    if keys.shape[1] == 1:
+        return np.ascontiguousarray(keys[:, 0])
+    return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
 
 
 def _order(words: np.ndarray) -> np.ndarray:
@@ -294,37 +262,37 @@ def _order(words: np.ndarray) -> np.ndarray:
     return order
 
 
-def _sorted_index(keys: np.ndarray) -> Tuple[tuple, tuple]:
-    """The (values, codes) of _key_index(keys), for distinct (N, K) keys already sorted.
+def _search(values: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pos, found): each of the (b, K) rows' position in values, and whether it is there.
 
-    The keys are sorted by word 0, then word 1, ..., so word 0's values
-    and each prefix's ranks come in order: only the later words' values are
-    sorted (np.unique), and nothing is ranked by sorting.
+    values is the _sortable form of distinct keys, sorted and not empty.
+    The rows are searched in the order of their word 0, which keeps the
+    binary searches' branches predictable: about 3x faster on 65536 random
+    keys.  Rows equal on word 0 need no order among them, as no search
+    depends on another's; ordering them too (_order) made n128's two-word
+    decode about 30% slower.  A row past the last key is clipped to the
+    last position.
     """
-    first = keys[:, 0]
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = first[1:] != first[:-1]
-    values, codes = [first[distinct]], []
-    rank = np.cumsum(distinct) - 1
-    for k in range(1, keys.shape[1]):
-        word_values = np.unique(keys[:, k])
-        values.append(word_values)
-        rank = rank * len(word_values) + np.searchsorted(word_values, keys[:, k])
-        distinct[1:] = rank[1:] != rank[:-1]
-        codes.append(rank[distinct])
-        rank = np.cumsum(distinct) - 1
-    return tuple(values), tuple(codes)
+    order = np.argsort(rows[:, 0])
+    queries = _sortable(rows)
+    ranked = np.searchsorted(values, np.take(queries, order))
+    np.minimum(ranked, len(values) - 1, out=ranked)
+    pos = np.empty(len(queries), dtype=np.int64)
+    pos[order] = ranked
+    del order, ranked  # freed before the compare's temporaries, which lowers the peak
+    return pos, values[pos] == queries
 
 
-def _find(values, codes, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(rank, found) of each column of the (K, b) query words among the keys of _key_index."""
-    rank, found = _search(values[0], queries[0])
-    for k in range(1, len(values)):
-        pos, hit = _search(values[k], queries[k])
-        found &= hit
-        rank *= len(values[k])
-        rank += pos
-        # keep ranks below len(keys): rank the words so far among the keys'
-        rank, hit = _search(codes[k - 1], rank)
-        found &= hit
-    return rank, found
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """The rank of each of the (N, K) key rows among the distinct rows, by word 0, then word 1, ...
+
+    Word by word: a row's rank so far times the count of distinct values
+    of the next word, plus that word's rank, is re-ranked (np.unique).
+    """
+    rank = np.zeros(len(keys), dtype=np.int64)
+    for k in range(keys.shape[1]):
+        values, word_rank = np.unique(keys[:, k], return_inverse=True)
+        rank = rank * len(values) + word_rank
+        if k:
+            rank = np.unique(rank, return_inverse=True)[1]
+    return rank

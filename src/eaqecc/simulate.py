@@ -64,11 +64,13 @@ only the weight's winners by tie-break key (_sorted_entries); the
 table's sorted keys, extended each weight, drop the syndromes it holds
 and hand the table its key order.  The table stays in array form, its
 keys sorted, and builds its syndrome index once: a slot per syndrome for
-m <= 16, the sorted key words otherwise.  So a run converts nothing of
-the table but the corrections' signatures, and only when it builds a
-decoder.  The arrays are the table's one representation: its entries are
-a read-only view that derives its pairs from them on each use, a chunk at
-a time, and the only thing a table caches is its decoder.
+m <= 16, otherwise its sorted keys as one array (frames._sortable), which
+one searchsorted searches for any number of key words (frames._search).
+So a run converts nothing of the table but the corrections' signatures,
+and only when it builds a decoder.  The arrays are the table's one
+representation: its entries are a read-only view that derives its pairs
+from them on each use, a chunk at a time, and the only thing a table
+caches is its decoder.
 """
 
 from __future__ import annotations
@@ -87,18 +89,18 @@ import numpy as np
 from .builder import EaqeccCode
 from .frames import (
     _checks,
-    _find,
     _generator_rows,
     _letter_table,
     _level,
     _order,
     _pack,
+    _search,
     _signatures,
-    _sorted_index,
+    _sortable,
     _units,
-    _words,
 )
 from .pauli import PauliString
+from .symplectic import _words
 from .analysis import Syndrome, syndrome_of, in_isotropic
 
 _BLOCK = 1 << 16  # trials per block, and rows per piece of a weight in the table build
@@ -233,12 +235,13 @@ class SyndromeTable:
 
     The syndrome index is built with the arrays, once: a (2**m,) array of
     each syndrome's entry (-1 for none) when 2**m slots fit one block
-    (m <= 16, _fits_direct), and the sorted keys' _sorted_index otherwise,
-    whose key order the sorted merge hands over (a table built by hand
-    sorts its keys once, _order).  _locate searches the index for lookup
-    and for the block decoder alike.  entries is a read-only mapping over
-    the arrays, the same table in insertion order, derived on each use and
-    never held (_Entries).  The only thing a table
+    (m <= 16, _fits_direct), and the sorted keys' _sortable form otherwise
+    (a uint64 view of the keys for K = 1, their big-endian bytes for
+    K > 1), whose key order the sorted merge hands over (a table built by
+    hand sorts its keys once, _order).  _locate searches the index for
+    lookup and for the block decoder alike.  entries is a read-only mapping
+    over the arrays, the same table in insertion order, derived on each use
+    and never held (_Entries).  The only thing a table
     caches is the block decoder of the last code object that run_trials
     ran it on (_BlockDecoder.of), and a run on another code replaces it.
     A table built by hand from a dict is converted to the arrays and keeps
@@ -306,7 +309,7 @@ class SyndromeTable:
             rank = np.empty(len(order), dtype=np.intp)
             rank[order] = np.arange(len(order))
             keys = np.take(keys, order, axis=0)
-            index = _sorted_index(keys)
+            index = _sortable(keys)
         self._n, self._m, self._index = n, m, index
         # gathered, not scattered: a row scatter runs numpy's inner loop over a row's words
         self.keys, self.rows = keys, np.take(rows, order, axis=0)
@@ -404,17 +407,17 @@ class _Values(ValuesView):
         return self._mapping._derive(syndromes=False)
 
 
-def _locate(index, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _locate(index: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(entry, known): the entry of each column of the (K, b) syndrome keys, valid where known.
 
-    index is a table's syndrome index: its (2**m,) slot array, or its sorted
-    keys' _sorted_index.  An unknown syndrome's entry is -1 on the slot
-    index.  The table is not empty.
+    index is a table's syndrome index: its (2**m,) intp slot array, or its
+    sorted keys' _sortable form, searched as rows (_search).  An unknown
+    syndrome's entry is -1 on the slot index.  The table is not empty.
     """
-    if isinstance(index, tuple):
-        return _find(*index, keys)
-    entry = np.take(index, keys[0].view(np.intp))  # keys below 2**m
-    return entry, entry >= 0
+    if index.dtype == np.intp:
+        entry = np.take(index, keys[0].view(np.intp))  # keys below 2**m
+        return entry, entry >= 0
+    return _search(index, keys.T)
 
 
 def _fits_direct(m: int) -> bool:
@@ -425,18 +428,6 @@ def _fits_direct(m: int) -> bool:
     tie-break key is one word (see build_syndrome_table).
     """
     return 1 << m <= _BLOCK
-
-
-def _sortable(keys: np.ndarray) -> np.ndarray:
-    """The (N, K) key words as one array that sorts and searches as the keys do.
-
-    Keys compare by word 0, then word 1, ...  One word is its own key; the
-    K > 1 words of a row become its big-endian bytes, which numpy compares
-    byte by byte (a void dtype), so one searchsorted serves any K.
-    """
-    if keys.shape[1] == 1:
-        return np.ascontiguousarray(keys[:, 0])
-    return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
 
 
 def _least(words: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -861,7 +852,7 @@ class _BlockDecoder:
     letters: np.ndarray  # (n, 3, W): signature of X, Y, Z on each qubit
     syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
     normalizer_mask: np.ndarray  # (W,): the normalizer bits
-    index: object  # the table's syndrome index, which finds a syndrome's entry
+    index: np.ndarray  # the table's syndrome index, which finds a syndrome's entry
     corrections: np.ndarray  # (W, len(table)) correction signatures in key order
     mismatched: np.ndarray  # whether a correction's syndrome differs from its key
     quiet: np.ndarray = field(init=False)  # the counts of one trial that drew the identity

@@ -226,10 +226,15 @@ def _swap_halves(v: int, n: int) -> int:
 _BLOCK_WORDS = 1 << 15
 
 
-def _pack(rows: Sequence[int], words: int) -> np.ndarray:
-    """(len(rows), words) uint64 array; word w of a row holds its bits 64w .. 64w + 63."""
-    data = b"".join(r.to_bytes(8 * words, "little") for r in rows)
-    return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
+def _words(values: Sequence[int], width: int) -> np.ndarray:
+    """Ints below 2**width as (len(values), max(1, ceil(width / 64))) uint64 words.
+
+    Bit i of a value is bit i % 64 of word i // 64.  The array is a
+    read-only view of the ints' bytes.
+    """
+    size = 8 * max(1, -(-width // 64))
+    data = b"".join(v.to_bytes(size, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), size // 8)
 
 
 def _product_blocks(rows: Sequence[int], n: int) -> Iterator[Tuple[int, np.ndarray]]:
@@ -243,9 +248,9 @@ def _product_blocks(rows: Sequence[int], n: int) -> Iterator[Tuple[int, np.ndarr
     count = len(rows)
     if not count:
         return
-    words = max(1, -(-2 * n // 64))
-    packed = _pack(rows, words)
-    swapped = np.ascontiguousarray(_pack([_swap_halves(r, n) for r in rows], words).T)
+    packed = _words(rows, 2 * n)
+    words = packed.shape[1]
+    swapped = np.ascontiguousarray(_words([_swap_halves(r, n) for r in rows], 2 * n).T)
     step = max(1, _BLOCK_WORDS // count)
     gram = np.empty((min(step, count), count), dtype=np.uint64)
     tmp = np.empty_like(gram)

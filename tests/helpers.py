@@ -13,9 +13,15 @@ from eaqecc import gf2, gf4
 from eaqecc.analysis import CorrectabilityReport, DistanceResult, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode
 from eaqecc.cli import CodeFileError
-from eaqecc.frames import _checks, _signatures, _words
+from eaqecc.frames import _checks, _signatures
 from eaqecc.pauli import PauliString, iter_paulis_of_weight, multiply, symplectic_product
-from eaqecc.symplectic import Decomposition, GeneratorSet, SymplecticMatrix, _swap_halves
+from eaqecc.symplectic import (
+    Decomposition,
+    GeneratorSet,
+    SymplecticMatrix,
+    _swap_halves,
+    _words,
+)
 
 # The pinned benchmark corpus: .code files plus manifest.json with each build report's sha256.
 BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"

@@ -18,19 +18,18 @@ from eaqecc.frames import (
     _check_rows,
     _checks,
     _chunks,
-    _find,
-    _key_index,
     _letter_table,
     _level,
     _order,
     _pack,
+    _rank,
+    _search,
     _signatures,
-    _sorted_index,
+    _sortable,
     _units,
-    _words,
 )
 from eaqecc.pauli import PauliString, iter_paulis_of_weight
-from eaqecc.symplectic import _swap_halves
+from eaqecc.symplectic import _swap_halves, _words
 
 from helpers import BENCH_CORPUS, random_classical_code, random_pauli
 
@@ -263,16 +262,50 @@ class TestKeyOrder:
         assert sorted(order.tolist()) == list(range(len(words)))
         assert np.take(words, order, axis=0).tolist() == sorted(words.tolist())
 
+    @settings(max_examples=100, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_sortable_keys_sort_and_search_as_rows(self, width, data):
+        # one word stays a uint64; two or more become big-endian bytes
+        keys = _rows(data, width, max_size=30)
+        rows = keys.tolist()
+        flat = _sortable(keys)
+        assert flat.shape == (len(rows),)
+        key = (lambda i: flat[i].tobytes()) if width > 1 else (lambda i: flat[i])
+        by_flat = sorted(range(len(rows)), key=key)
+        assert [rows[i] for i in by_flat] == sorted(rows)
+        held = np.sort(_sortable(np.unique(keys, axis=0)))
+        pos = np.searchsorted(held, flat)
+        distinct = sorted(set(map(tuple, rows)))
+        assert pos.tolist() == [distinct.index(tuple(r)) for r in rows]
+
     @settings(max_examples=200, deadline=None)
     @given(width=st.integers(1, 3), data=st.data())
-    def test_sorted_index_is_the_key_index_of_sorted_keys(self, width, data):
-        keys = np.unique(_rows(data, width), axis=0)  # distinct, sorted by word 0, then ...
-        values, codes, rank = _key_index(keys)
-        assert (rank == np.arange(len(keys))).all()
-        got_values, got_codes = _sorted_index(keys)
-        assert len(got_values) == len(values) and len(got_codes) == len(codes)
-        for got, want in zip(got_values + got_codes, values + codes):
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        if len(keys):  # and _find finds every key at its own position
-            found_rank, found = _find(got_values, got_codes, keys.T)
-            assert found.all() and (found_rank == np.arange(len(keys))).all()
+    def test_search_finds_rows_among_sorted_keys(self, width, data):
+        # the keys and queries share words, so queries hit keys, miss them in
+        # a later word only, repeat, and fall below the first key or above the
+        # last (the clipped position)
+        keys = np.unique(_rows(data, width, max_size=30), axis=0)
+        if not len(keys):
+            keys = np.ones((1, width), dtype=np.uint64)
+        extra = _rows(data, width, max_size=30)
+        ends = np.array([[0] * width, [(1 << 64) - 1] * width], dtype=np.uint64)
+        queries = np.concatenate([keys, extra, extra[::-1], ends])
+        queries = np.take(queries, data.draw(st.permutations(range(len(queries)))), axis=0)
+        distinct = keys.tolist()
+        pos, found = _search(_sortable(keys), np.ascontiguousarray(queries.T).T)
+        for row, at, hit in zip(queries.tolist(), pos.tolist(), found.tolist()):
+            assert hit is (row in distinct)
+            if hit:
+                assert distinct[at] == row
+            else:  # where the row would go, or the last key past the end
+                assert at == min(sum(k < row for k in distinct), len(distinct) - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_rank_is_the_inverse_of_unique_rows(self, width, data):
+        keys = _rows(data, width)
+        if len(keys):
+            rank = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+            assert _rank(keys).tolist() == rank.tolist()
+        else:
+            assert _rank(keys).shape == (0,)

@@ -42,7 +42,7 @@ from eaqecc.simulate import (
     trial_report,
 )
 from eaqecc.simulate import _BLOCK, _BlockDecoder, _Buffers, _sample_block
-from eaqecc.symplectic import GeneratorSet, _swap_halves, gram_schmidt_decompose
+from eaqecc.symplectic import GeneratorSet, _swap_halves, _words, gram_schmidt_decompose
 
 from helpers import (
     BENCH_CORPUS,
@@ -123,8 +123,8 @@ def _build_on_path(codeq, depth, direct):
 
 
 def _slot_indexed(table):
-    """Whether the table's syndrome index has a slot per syndrome (else sorted key words)."""
-    return not isinstance(table._index, tuple)
+    """Whether the table's syndrome index has a slot per syndrome (else its sorted keys)."""
+    return table._index.dtype == np.intp
 
 
 def _assert_holds_no_entries(table):
@@ -611,23 +611,6 @@ class TestSyndromeTable:
         assert _arrays(table) == expected
         assert list(table.entries.items()) == list(reference_syndrome_table(codeq, 2).items())
 
-    @settings(max_examples=100, deadline=None)
-    @given(width=st.integers(1, 3), data=st.data())
-    def test_sortable_keys_sort_and_search_as_rows(self, width, data):
-        # one word stays a uint64; two or more become big-endian bytes
-        word = st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
-        rows = data.draw(st.lists(st.lists(word, min_size=width, max_size=width), max_size=30))
-        keys = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
-        flat = simulate._sortable(keys)
-        assert flat.shape == (len(rows),)
-        key = (lambda i: flat[i].tobytes()) if width > 1 else (lambda i: flat[i])
-        by_flat = sorted(range(len(rows)), key=key)
-        assert [rows[i] for i in by_flat] == sorted(rows)
-        held = np.sort(simulate._sortable(np.unique(keys, axis=0)))
-        pos = np.searchsorted(held, flat)
-        distinct = sorted(set(map(tuple, rows)))
-        assert pos.tolist() == [distinct.index(tuple(r)) for r in rows]
-
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("n", [32, 33])
     def test_row_word_edge_matches_reference_enumeration(self, n, depth):
@@ -718,9 +701,9 @@ class TestSyndromeTable:
     )
     def test_one_merge_per_table(self, m, n, slots, depth):
         codeq = _random_code(random.Random(100 * m + n), n, m)
-        # no build ranks keys with _key_index: the sorted merge hands the
+        # no build ranks keys with _rank: the sorted merge hands the
         # table its key order
-        unranked = mock.patch.object(frames, "_key_index", side_effect=AssertionError)
+        unranked = mock.patch.object(frames, "_rank", side_effect=AssertionError)
         with unranked, _merges("_order") as (on_direct, on_sorted, weights, ordered):
             table = build_syndrome_table(codeq, depth)
         # weight 0 is the identity, never enumerated, and fills m = 0's one syndrome
@@ -775,7 +758,7 @@ class TestSyndromeTable:
         word = st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
         row = st.lists(word, min_size=width, max_size=width).map(_row)
         rows = data.draw(st.lists(row, max_size=20))
-        words = frames._words(rows, 64 * width)
+        words = _words(rows, 64 * width)
         keys = simulate._reverse(words)
         assert (simulate._reverse(keys) == words).all()
         by_key = sorted(range(len(rows)), key=lambda i: tuple(keys[i].tolist()))
@@ -849,10 +832,10 @@ class TestSyndromeTable:
     @pytest.mark.parametrize("m", [0, 16, 17])
     def test_slot_index_ranks_without_key_index(self, m):
         # a table of m <= 16 ranks its keys by slot; only m > 16 sorts them
-        # (_order), and neither ranks them with _key_index
+        # (_order), and neither ranks them with _rank
         codeq = _random_code(random.Random(m), m // 2 + 3, m)
         entries = build_syndrome_table(codeq, 1).entries
-        unranked = mock.patch.object(frames, "_key_index", side_effect=AssertionError)
+        unranked = mock.patch.object(frames, "_rank", side_effect=AssertionError)
         with unranked, mock.patch.object(simulate, "_order", wraps=simulate._order) as ranked:
             table = SyndromeTable(dict(entries), 1)
         assert ranked.called is (m > 16) and _slot_indexed(table) is (m <= 16)
