@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -321,6 +322,25 @@ class TestSearchesMatchOracles:
         monkeypatch.setattr(frames, "_CHUNK", 3 * 2)
         monkeypatch.setattr(frames, "_SHORT", 0)
         assert walk() == want
+
+    def test_walk_memory_is_bounded(self):
+        # the walk of `analyze n64 --weight-cap 1 --t 3` to D = 6: n64's
+        # weight-3 level is 1.12M rows of 2 words, about 36 MB.  Ranking its
+        # keys word by word through np.unique peaked at 100.6 MB traced here
+        # (numpy 2.4, CPython 3.11), and ranking them on one sorted order at
+        # 73.6 MB.  The bound is the latter plus 5%, so a faster rank cannot
+        # buy its time with scratch the size of a level.
+        codeq = build_code(load_code_file(str(BENCH_CORPUS / "n64.code")).code)
+        analysis._lightest(codeq, 2)  # first-call allocations, outside the trace
+        tracemalloc.start()
+        try:
+            found = analysis._lightest(codeq, 6)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == (None, None)
+        assert peak < 1.05 * 73.6e6, peak
+        assert held < 1e6, held
 
     @settings(max_examples=80, deadline=None)
     @given(code_seed=st.integers(0, 1 << 32), t=st.integers(0, 3))

@@ -547,16 +547,6 @@ class TestSimulateCommand:
 
         assert rate("0.5") > rate("0.1")
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_paper_example(self, capsys, workers):
-        # the README and PAPER.md run, byte for byte in the lines they show
-        args = ["simulate", H4_PATH, "--p", "0.01", "--trials", "1000000", "--seed", "42"]
-        code, out, _ = run(capsys, *args, "--workers", workers)
-        lines = out.splitlines()
-        assert code == 0
-        for line in ("failures=557", "rate=0.000557", "residual_syndrome_nonzero=0"):
-            assert line in lines
-
     def test_table_over_budget_is_refused(self, capsys, monkeypatch, tmp_path):
         # a 40-qubit code at depth 6 would enumerate about 3e9 Paulis
         path = write_n40_code(tmp_path)
