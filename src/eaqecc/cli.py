@@ -307,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="threads, at most one per CPU the process may run on and per 65536 trials",
+        help="ranges of trials run at once, at most one per CPU the process may run on and per "
+        "65536 trials; the first in this process, the rest in forked worker processes on "
+        "Linux (threads elsewhere)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -10,11 +10,26 @@ Randomness is counter-based: every uniform is a splitmix64 hash of
 (seed, trial index, draw index), so results are reproducible for any
 partitioning of trials across workers.  One counter hash, _counter, keys
 the streams and draws the uniforms, for the sampler and CounterRng alike.
-A run is cut into one range of trials per thread, with at most one thread
-per CPU the process may run on (its affinity, _cpus) and per 65536 trials
-(_BLOCK).  The calling thread runs the first range and a pool of one
-thread per other range runs the rest, so a run of one range, as every run
-of at most 65536 trials is, starts no thread pool.
+A run is cut into ranges of trials, at most one per worker, per CPU the
+process may run on (its affinity, _cpus) and per 65536 trials (_BLOCK).
+The caller runs the first range and one kept pool the others (_pool):
+forked processes on Linux, threads elsewhere (_FORK).  The sampler's
+numpy calls each give the GIL back, so threads spend about a fifth of
+their time waiting on its handoff, and processes do not.  The first run
+of two or more ranges makes the pool, under a lock, and it is kept until
+the process exits, when concurrent.futures joins its workers; a run that
+needs more workers makes a larger one.  So the fork, about 11 ms, is paid
+once per process, and a run of one range, as every run of at most 65536
+trials is, starts no pool.  A pooled range is a call of _run_range with
+all it reads as arguments: the decoder's arrays, not the code; the
+sampler's constants; its range; and the block size, so a worker forked
+before _BLOCK changed still cuts its range as the caller does.  Workers
+keep nothing between tasks, and end when the process that forked them
+ends, even by a signal (_watch_parent).  A worker that dies (say, by the
+OOM killer) or a fork that fails ends the run with InfeasibleError and
+drops the pool, so the next run makes a new one.  On Python 3.12 and
+later os.fork issues a DeprecationWarning in a process with threads, as
+numpy's OpenBLAS has from its import; the workers call no BLAS.
 
 Trials run in blocks of _BLOCK, and every error is carried as its signature
 in the frame of frames._checks over all 2n check rows, packed into uint64
@@ -45,7 +60,7 @@ hit mask and the signature words, sized to min(_BLOCK, range) trials and
 their groups) and every block reuses them: the sampler overwrites them,
 and the decoder writes its keys and residuals into the words the sampler
 is done with.  So a run allocates no block-sized array per block, and a
-thread touches only its own range's buffers.  The kernels take these
+worker touches only its own range's buffers.  The kernels take these
 buffers as required arguments and allocate none of their own.
 
 The syndrome table is built with the same kind of letter table:
@@ -63,9 +78,10 @@ rows (_syndrome_groups), sorts each range by syndrome once, and sorts
 only the weight's winners by tie-break key (_sorted_entries); the
 table's sorted keys, extended each weight, drop the syndromes it holds
 and hand the table its key order.  The table stays in array form, its
-keys sorted, and builds its syndrome index once: a slot per syndrome for
-m <= 16, otherwise its sorted keys as one array (frames._sortable), which
-one searchsorted searches for any number of key words (frames._search).
+keys sorted, and has its syndrome index made once: a slot per syndrome
+for m <= 16, otherwise its sorted keys as one array (frames._sortable),
+which the sorted merge hands over as it is and one searchsorted searches
+for any number of key words (frames._search).
 So a run converts nothing of the table but the corrections' signatures,
 and only when it builds a decoder.  The arrays are the table's one
 representation: its entries are a read-only view that derives its pairs
@@ -79,8 +95,10 @@ import bisect
 import functools
 import math
 import os
+import sys
+import threading
 from collections.abc import ItemsView, Mapping, ValuesView
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
@@ -115,7 +133,11 @@ _VIEW_CHUNK = 4096  # the entries a table's entries view derives at a time
 
 
 class InfeasibleError(ValueError):
-    """Raised when a schedule cannot run with the provided resources."""
+    """Raised when a schedule or a run cannot run with the provided resources.
+
+    A run raises it when a worker process could not be forked or died
+    before its range was done.
+    """
 
 
 @dataclass(frozen=True)
@@ -237,13 +259,14 @@ class SyndromeTable:
     each syndrome's entry (-1 for none) when 2**m slots fit one block
     (m <= 16, _fits_direct), and the sorted keys' _sortable form otherwise
     (a uint64 view of the keys for K = 1, their big-endian bytes for
-    K > 1), whose key order the sorted merge hands over (a table built by
-    hand sorts its keys once, _order).  _locate searches the index for
-    lookup and for the block decoder alike.  entries is a read-only mapping
+    K > 1), which the sorted merge hands over with its key order (a table
+    built by hand sorts its keys once, _order).  _locate searches the index
+    for lookup and for the block decoder alike.  entries is a read-only mapping
     over the arrays, the same table in insertion order, derived on each use
     and never held (_Entries).  The only thing a table
     caches is the block decoder of the last code object that run_trials
-    ran it on (_BlockDecoder.of), and a run on another code replaces it.
+    ran it on, with that code (_BlockDecoder.of), and a run on another
+    code replaces it.
     A table built by hand from a dict is converted to the arrays and keeps
     no dict, so its corrections come back with phase 0.  Its keys must be
     0/1 tuples of one length and its corrections act on one qubit count.
@@ -272,15 +295,16 @@ class SyndromeTable:
         keys: np.ndarray,
         rows: np.ndarray,
         max_weight_built: int,
-        order: Optional[np.ndarray] = None,
+        merged: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "SyndromeTable":
         """The table of the entries whose keys and rows are given in insertion order.
 
-        order, when given, is the insertion index of each entry in key
-        order, which a sorted index then takes instead of sorting the keys.
+        merged, when given, is the sorted merge's held pair: the keys'
+        _sortable form, sorted, and each one's insertion index.  A sorted
+        index then takes it as it is instead of sorting the keys.
         """
         table = object.__new__(cls)
-        table._init(n, m, keys, rows, max_weight_built, order)
+        table._init(n, m, keys, rows, max_weight_built, merged)
         return table
 
     def _init(
@@ -290,7 +314,7 @@ class SyndromeTable:
         keys: np.ndarray,
         rows: np.ndarray,
         max_weight_built: int,
-        order: Optional[np.ndarray] = None,
+        merged: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         if _fits_direct(m):  # distinct one-word keys below 2**m, ranked by slot
             slot = keys[:, 0].view(np.intp)
@@ -304,12 +328,16 @@ class SyndromeTable:
             order[rank] = position
             keys = held.view(np.uint64).reshape(-1, 1)  # a key is its slot
         else:  # distinct keys, sorted by word 0, then word 1, ...
-            if order is None:
+            if merged is None:  # a table built by hand sorts its keys once
                 order = _order(keys)
+                keys = np.take(keys, order, axis=0)
+                index = _sortable(keys)
+            else:  # the sorted merge's keys come sorted and in _sortable form
+                index, order = merged
+                # one word is its own _sortable form, so the keys are a view of it
+                keys = index.reshape(-1, 1) if keys.shape[1] == 1 else np.take(keys, order, axis=0)
             rank = np.empty(len(order), dtype=np.intp)
             rank[order] = np.arange(len(order))
-            keys = np.take(keys, order, axis=0)
-            index = _sortable(keys)
         self._n, self._m, self._index = n, m, index
         # gathered, not scattered: a row scatter runs numpy's inner loop over a row's words
         self.keys, self.rows = keys, np.take(rows, order, axis=0)
@@ -317,7 +345,7 @@ class SyndromeTable:
         for array in (self.keys, self.rows, self.inserted):
             array.flags.writeable = False
         self.max_weight_built = max_weight_built
-        self._decoder: Optional[_BlockDecoder] = None
+        self._decoder: Optional[Tuple[EaqeccCode, _BlockDecoder]] = None
 
     @property
     def entries(self) -> Mapping[Syndrome, PauliString]:
@@ -581,8 +609,8 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
     (_syndrome_groups) and merged by sorting each range once by syndrome
     and the winners once by tie-break key (_sorted_entries); the table's
     syndrome keys, kept sorted with each one's insertion index, drop the
-    syndromes it holds and give the table its key order, so it sorts no
-    key again.  Both give the same entries.
+    syndromes it holds and give the table its key order and its index, so
+    it sorts and converts no key again.  Both give the same entries.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -611,7 +639,7 @@ def build_syndrome_table(codeq: EaqeccCode, max_weight: int) -> SyndromeTable:
         kept = np.concatenate([kept, new])
     del level  # freed before the table's arrays, which can then reuse its memory
     return SyndromeTable._from_arrays(
-        n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight, None if direct else held[1]
+        n, m, kept[:, :nkeys], _reverse(kept[:, nkeys:]), max_weight, None if direct else held
     )
 
 
@@ -843,12 +871,12 @@ class _BlockDecoder:
     the isotropic span when its generator and normalizer bits are zero,
     and it is the identity when all of its bits are.
 
-    A decoder is a pure function of (codeq, table).  The table keeps the
-    decoder of the last code it ran on (of), and the decoder holds the
-    table's index but not the table, so the two form no cycle.
+    A decoder is a pure function of (codeq, table) and holds arrays only, so
+    a pooled range gets it whole.  The table keeps the decoder of the last
+    code it ran on, with that code (of), and the decoder holds the table's
+    index but not the table, so the two form no cycle.
     """
 
-    codeq: EaqeccCode  # the code whose checks the signatures are in
     letters: np.ndarray  # (n, 3, W): signature of X, Y, Z on each qubit
     syndrome_mask: np.ndarray  # (K,): the generator bits of the first K words
     normalizer_mask: np.ndarray  # (W,): the normalizer bits
@@ -872,7 +900,6 @@ class _BlockDecoder:
         mismatched = (keys != table.keys).any(axis=1)
         # the table's keys are in lookup order, so entry i has rank i
         return cls(
-            codeq,
             _letter_table(units),
             syndrome_mask,
             normalizer_mask,
@@ -885,13 +912,15 @@ class _BlockDecoder:
     def of(cls, codeq: EaqeccCode, table: SyndromeTable) -> "_BlockDecoder":
         """The decoder that table keeps for the code object codeq, built and kept if it has none.
 
-        Calls on several threads may race to replace it; that decides only
-        which decoder the table keeps, as each call uses one of its own code.
+        It is built in the calling process; pooled ranges get a copy of its
+        arrays.  Calls on several threads may race to replace it; that
+        decides only which decoder the table keeps, as each call uses one
+        of its own code.
         """
-        decoder = table._decoder
-        if decoder is None or decoder.codeq is not codeq:
-            decoder = table._decoder = cls.build(codeq, table)
-        return decoder
+        kept = table._decoder
+        if kept is None or kept[0] is not codeq:
+            kept = table._decoder = codeq, cls.build(codeq, table)
+        return kept[1]
 
     def lookup(self, sig: np.ndarray, out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(entry, known): each trial's table entry, valid where known.
@@ -926,11 +955,121 @@ class _BlockDecoder:
         return np.array([b - successes, degenerate, violations], dtype=np.int64)
 
 
+def _run_range(
+    decoder: _BlockDecoder,
+    top: int,
+    edges: Tuple[np.uint64, np.uint64],
+    key: int,
+    lo: int,
+    hi: int,
+    block: int,
+) -> np.ndarray:
+    """The int64 counts of _BlockDecoder.decode over trials [lo, hi), in blocks of block trials.
+
+    The range allocates its buffers once, for all its blocks.  It is
+    module-level and gets all it reads as arguments, so a pool runs it as
+    the caller does; a worker forked before _BLOCK changed still cuts the
+    caller's blocks (its own _BLOCK only sizes its hash passes, _group,
+    which change no draw).
+    """
+    n, _, width = decoder.letters.shape
+    counts = np.zeros(3, dtype=np.int64)
+    buffers = _Buffers.of(min(block, hi - lo), width, n)
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        hit, sig = _sample_block(top, edges, decoder.letters, key, start, stop, buffers)
+        counts += decoder.decode(sig, buffers.words) + (stop - start - len(hit)) * decoder.quiet
+    return counts
+
+
 def _cpus() -> int:
     """How many CPUs this process may run on: its affinity, else the CPU count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_FORK = sys.platform.startswith("linux")  # pooled ranges run in forked processes, else in threads
+_lock = threading.RLock()  # guards _kept, and the submits to it
+_kept: Optional[Tuple[int, Executor]] = None  # the pool's size and the pool
+
+
+def _watch_parent() -> None:
+    """Run first in each forked worker: end the worker as soon as the process that forked it ends.
+
+    A worker waits for tasks on a pipe whose write end it holds too, so a
+    parent killed by a signal would leave it waiting forever.
+    """
+    import multiprocessing.connection
+
+    parent = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _new_pool(size: int) -> Executor:
+    """A pool of size workers: forked processes on Linux, threads elsewhere."""
+    if not _FORK:
+        return ThreadPoolExecutor(size)
+    # imported here, not with the module: multiprocessing adds 7-9 ms to the
+    # start of every command, and only a run of two or more ranges uses it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(size, mp_context=context, initializer=_watch_parent)
+
+
+def _pool(size: int) -> Executor:
+    """The kept pool, with at least size workers; made, or made anew if smaller.
+
+    Called under _lock.  A replaced pool runs the ranges it holds and then
+    ends its workers.
+    """
+    global _kept
+    if _kept is None or _kept[0] < size:
+        if _kept is not None:
+            _kept[1].shutdown(wait=False)
+        _kept = size, _new_pool(size)
+    return _kept[1]
+
+
+def _pooled(tasks: list) -> list:
+    """The counts of _run_range on each task: the first in the caller, the rest in the kept pool."""
+    with _lock:
+        pool = _pool(len(tasks) - 1)
+        try:
+            futures = [pool.submit(_run_range, *task) for task in tasks[1:]]
+        # a worker died since the last run, or a fork failed
+        except (BrokenExecutor, OSError) as exc:
+            raise _lost(pool, exc) from exc
+    first = _run_range(*tasks[0])
+    try:
+        return [first, *(future.result() for future in futures)]
+    except BrokenExecutor as exc:
+        raise _lost(pool, exc) from exc
+
+
+def _lost(pool: Executor, exc: BaseException) -> InfeasibleError:
+    """The error that ends a run whose pool broke, which is dropped so the next run makes one."""
+    global _kept
+    with _lock:
+        if _kept is not None and _kept[1] is pool:
+            _kept = None
+        if isinstance(exc, OSError):
+            # a failed fork leaves the workers forked before it waiting on a
+            # pool that sends them nothing: end them, or the exit waits for them
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
+                process.terminate()
+                process.join()
+        pool.shutdown(wait=False, cancel_futures=True)
+    if isinstance(exc, OSError):
+        return InfeasibleError(f"could not start a worker process: {exc}")
+    return InfeasibleError(f"a worker process ended before its range did: {exc}")
 
 
 def run_trials(
@@ -947,32 +1086,15 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     decoder = _BlockDecoder.of(codeq, table)
-    n, _, width = decoder.letters.shape
     # the sampler's constants are the same for every block of the run
     top, edges, key = _threshold(ch.p), _letter_edges(ch.p), _seed_key(seed)
-
-    def run_range(lo: int, hi: int) -> np.ndarray:
-        counts = np.zeros(3, dtype=np.int64)
-        # each range's thread allocates its buffers once, for all its blocks
-        buffers = _Buffers.of(min(_BLOCK, hi - lo), width, n)
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            hit, sig = _sample_block(top, edges, decoder.letters, key, start, stop, buffers)
-            counts += decoder.decode(sig, buffers.words) + (stop - start - len(hit)) * decoder.quiet
-        return counts
-
-    # one range per thread, and no more threads than CPUs or blocks: a
+    # one range per worker, and no more ranges than CPUs or blocks: a
     # trial's outcome depends only on (seed, its index), so the partition
     # does not change the result
     parts = max(1, min(workers, _cpus(), -(-trials // _BLOCK)))
     bounds = [i * trials // parts for i in range(parts + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-    if parts == 1:
-        results = [run_range(*chunks[0])]
-    else:  # this thread runs the first range, a pool the others
-        with ThreadPoolExecutor(max_workers=parts - 1) as pool:
-            rest = pool.map(lambda c: run_range(*c), chunks[1:])
-            results = [run_range(*chunks[0]), *rest]
+    tasks = [(decoder, top, edges, key, lo, hi, _BLOCK) for lo, hi in zip(bounds, bounds[1:])]
+    results = [_run_range(*tasks[0])] if parts == 1 else _pooled(tasks)
     failures, degenerate, violations = sum(results).tolist()
     return TrialResult(trials, failures, degenerate, seed, violations)
 

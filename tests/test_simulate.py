@@ -1,14 +1,20 @@
 """Tests for the depolarizing-channel Monte Carlo and syndrome-table decoder."""
 
 import contextlib
+import errno
 import gc
 import hashlib
 import itertools
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -16,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eaqecc import frames, gf2, gf4, simulate
+from eaqecc import cli, example_code_path, frames, gf2, gf4, simulate
 from eaqecc.analysis import in_isotropic, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode, build_code, extend_generators
 from eaqecc.cli import load_code_file
@@ -841,6 +847,19 @@ class TestSyndromeTable:
         assert ranked.called is (m > 16) and _slot_indexed(table) is (m <= 16)
         assert list(table.entries.items()) == list(entries.items())
 
+    @pytest.mark.parametrize("m", [20, 66])
+    def test_sorted_merge_hands_over_its_index(self, m):
+        # the sorted merge's keys become the table's index as they are: one
+        # key word (m = 20) or two (m = 66), and the same index that a table
+        # built by hand from the entries sorts for itself
+        codeq = _random_code(random.Random(m), m // 2 + 3, m)
+        table = build_syndrome_table(codeq, 2)
+        assert table.keys.shape[1] == -(-m // 64) and not _slot_indexed(table)
+        assert table._index.dtype == simulate._sortable(table.keys).dtype
+        assert (table._index == simulate._sortable(table.keys)).all()
+        by_hand = SyndromeTable(dict(table.entries.items()), 2)
+        assert (by_hand._index == table._index).all()
+
     # m = 0, 5 and 12 on either index kind (the sorted one forced by the
     # decision point, _fits_direct), m = 17 on its own sorted kind
     @pytest.mark.parametrize(
@@ -1080,30 +1099,42 @@ def _check_hand_built_table(golden, edit, direct):
     assert not built.called
 
 
-def inline_pool(sizes: list, ranges: list):
-    """A ThreadPoolExecutor stand-in that starts no thread.
+def _reused_buffer_cases(golden):
+    """(code, table) pairs: random codes at depths 0-2, and golden on a hand-built table."""
+    cases = []
+    for code_seed in range(3):
+        codeq = build_code(random_classical_code(random.Random(code_seed)))
+        cases.append((codeq, build_syndrome_table(codeq, code_seed % 3)))
+    entries = dict(build_syndrome_table(golden, 1).entries)
+    s1, s2 = list(entries)[1:3]
+    entries[s1] = entries[s2]  # a correction that does not have its syndrome
+    del entries[(0,) * len(golden.generators)]  # the identity's syndrome unknown
+    cases.append((golden, SyndromeTable(entries, 1)))
+    return cases
 
-    It records the pool size asked for in sizes and the number of ranges
-    mapped in ranges, and runs them inline.  run_trials runs its first
-    range itself, so both are one less than the run's ranges.
+
+def inline_pool(sizes: list, ranges: list):
+    """A stand-in for simulate._pool, the kept pool, that starts no process or thread.
+
+    It records the pool size each run asks for in sizes and the number of
+    ranges that run submits in ranges, and runs each range at its submit.
+    run_trials runs its first range itself, so both are one less than the
+    run's ranges.
     """
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlinePool(Executor):
+        def submit(self, fn, *args):
+            ranges[-1] += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __enter__(self):
-            return self
+    def pool(size):
+        sizes.append(size)
+        ranges.append(0)
+        return InlinePool()
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            ranges.append(len(items))
-            return map(fn, items)
-
-    return InlinePool
+    return pool
 
 
 class TestRunTrials:
@@ -1201,16 +1232,7 @@ class TestRunTrials:
         # and ends with a shorter block
         monkeypatch.setattr(simulate, "_BLOCK", 64)
         monkeypatch.setattr(simulate, "_cpus", lambda: 3)
-        cases = []
-        for code_seed in range(3):
-            codeq = build_code(random_classical_code(random.Random(code_seed)))
-            cases.append((codeq, build_syndrome_table(codeq, code_seed % 3)))
-        entries = dict(build_syndrome_table(golden, 1).entries)
-        s1, s2 = list(entries)[1:3]
-        entries[s1] = entries[s2]  # a correction that does not have its syndrome
-        del entries[(0,) * len(golden.generators)]  # the identity's syndrome unknown
-        cases.append((golden, SyndromeTable(entries, 1)))
-        for codeq, table in cases:
+        for codeq, table in _reused_buffer_cases(golden):
             for p in (0.05, 0.3):
                 ch = DepolarizingChannel(p)
                 expected = _decode_one_by_one(codeq, table, ch, trials, 11)
@@ -1280,7 +1302,7 @@ class TestRunTrials:
             expected = [run_trials(codeq, ch, fresh(), 400, 3) for codeq in codes]
             with mock.patch.object(_BlockDecoder, "build", wraps=_BlockDecoder.build) as built:
                 results = [run_trials(codeq, ch, table, 400, 3) for codeq in codes]
-            assert built.call_count == 3 and table._decoder.codeq is first
+            assert built.call_count == 3 and table._decoder[0] is first
             assert results == expected
             assert results == [_decode_one_by_one(c, table, ch, 400, 3) for c in codes]
             if len(table):  # the table's corrections miss the second code's syndromes
@@ -1343,17 +1365,17 @@ class TestRunTrials:
 
     def test_pool_is_bounded_by_the_cpu_count(self, golden, monkeypatch):
         # no pool is started: an inline fake records the size asked for; small
-        # blocks make each run span more blocks than threads
+        # blocks make each run span more blocks than workers
         sizes, ranges = [], []
         table = build_syndrome_table(golden, 2)
         ch = DepolarizingChannel(0.05)
         base = run_trials(golden, ch, table, 300, seed=9)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate, "_pool", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
         assert run_trials(golden, ch, table, 300, seed=9, workers=100000) == base
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
-        assert sizes == ranges == [1, 1]  # two ranges: one on this thread, one pooled
+        assert sizes == ranges == [1, 1]  # two ranges: one in the caller, one pooled
         # one CPU is one range, run inline
         monkeypatch.setattr(simulate, "_cpus", lambda: 1)
         assert run_trials(golden, ch, table, 300, seed=9, workers=3) == base
@@ -1367,7 +1389,7 @@ class TestRunTrials:
         ch = DepolarizingChannel(0.1)
         monkeypatch.setattr(simulate, "_BLOCK", 64)
         base = run_trials(golden, ch, table, 3 * 64, seed=3)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate, "_pool", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
         for cpus, pools in (({5}, []), ({0, 1, 2}, [2])):
             monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -1390,18 +1412,18 @@ class TestRunTrials:
         ch = DepolarizingChannel(0.1)
         base = run_trials(golden, ch, table, 1000, seed=3)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate, "_pool", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate, "_cpus", lambda: 7)
         for workers in (3, 7, 10**6):
             assert run_trials(golden, ch, table, 1000, seed=3, workers=workers) == base
-        assert sizes == ranges == [2, 6, 6]  # 3, 7 and 7 ranges, the first on this thread
+        assert sizes == ranges == [2, 6, 6]  # 3, 7 and 7 ranges, the first in the caller
 
     def test_one_block_starts_no_pool(self, golden, monkeypatch):
         # a run of at most one block is one range, whatever the workers
         sizes, ranges = [], []
         table = build_syndrome_table(golden, 1)
         ch = DepolarizingChannel(0.1)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", inline_pool(sizes, ranges))
+        monkeypatch.setattr(simulate, "_pool", inline_pool(sizes, ranges))
         monkeypatch.setattr(simulate, "_cpus", lambda: 7)
         for trials in (0, 1, 1000, simulate._BLOCK):
             base = run_trials(golden, ch, table, trials, seed=3)
@@ -1525,6 +1547,209 @@ class TestRunTrials:
         assert "seed=4" in report
         assert all("=" in line or ":" in line for line in report.splitlines())
 
+
+def _end_kept_pool():
+    """Drop the kept pool, if any, and wait for its workers to end."""
+    kept, simulate._kept = simulate._kept, None
+    if kept is not None:
+        kept[1].shutdown()
+
+
+@pytest.fixture
+def fresh_pool():
+    """No kept pool when the test starts, and none that it made when it ends."""
+    _end_kept_pool()
+    yield
+    _end_kept_pool()
+
+
+class Recording(Executor):
+    """A pool that records the block size of each task it is given, and runs it in pool."""
+
+    def __init__(self, pool, blocks):
+        self.pool, self.blocks = pool, blocks
+
+    def submit(self, fn, *args):
+        self.blocks.append(args[-1])
+        return self.pool.submit(fn, *args)
+
+
+def _killing(workers):
+    """A _sample_block that first kills workers, the pool's processes, then samples."""
+    sample = simulate._sample_block
+
+    def sample_block(*args):
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+        workers.clear()
+        return sample(*args)
+
+    return sample_block
+
+
+def _group_alive(pgid):
+    """The pids of the live processes in process group pgid."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if os.getpgid(int(entry)) == pgid:
+                    alive.append(int(entry))
+            except ProcessLookupError:
+                pass
+    return alive
+
+
+def _simulate_in_session(trials):
+    """An r20 simulate command at --workers 2 in a process group of its own, started."""
+    root = BENCH_CORPUS.parent.parent
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = ["simulate", "bench/corpus/r20.code", "--p", "0.1", "--max-weight", "2"]
+    argv += ["--trials", str(trials), "--workers", "2"]
+    return subprocess.Popen(
+        [sys.executable, "-m", "eaqecc.cli", *argv],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+
+
+linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked workers run on Linux")
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestWorkerPool:
+    @linux
+    def test_process_path_matches_scalar_decode(self, golden, monkeypatch):
+        # workers forked at the full block size run the 64-trial blocks that
+        # the caller hands them, and every result is the per-trial decode's
+        monkeypatch.setattr(simulate, "_FORK", True)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        table = build_syndrome_table(golden, 2)
+        ch, trials = DepolarizingChannel(0.1), 2 * simulate._BLOCK + 1
+        assert run_trials(golden, ch, table, trials, 5, 3) == run_trials(golden, ch, table, trials, 5)
+        size, pool = simulate._kept
+        assert size == 2 and isinstance(pool, ProcessPoolExecutor)
+        blocks = []
+        kept = simulate._pool
+        monkeypatch.setattr(simulate, "_pool", lambda size: Recording(kept(size), blocks))
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        trials = 10 * 64 + 17
+        for codeq, table in _reused_buffer_cases(golden):
+            for p in (0.05, 0.3):
+                ch = DepolarizingChannel(p)
+                expected = _decode_one_by_one(codeq, table, ch, trials, 11)
+                for workers in (1, 2, 3):
+                    assert run_trials(codeq, ch, table, trials, 11, workers) == expected
+        assert blocks == [64] * (4 * 2 * 3)  # 0 + 1 + 2 pooled ranges per case and p
+        assert simulate._kept[1] is pool
+
+    def test_thread_fallback_matches_scalar_decode(self, golden, monkeypatch):
+        # the only path off Linux, forced here: a kept pool of threads
+        monkeypatch.setattr(simulate, "_FORK", False)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        for codeq, table in _reused_buffer_cases(golden):
+            ch = DepolarizingChannel(0.2)
+            expected = _decode_one_by_one(codeq, table, ch, 10 * 64 + 17, 4)
+            assert run_trials(codeq, ch, table, 10 * 64 + 17, 4, 3) == expected
+            assert isinstance(simulate._kept[1], ThreadPoolExecutor)
+
+    def test_threads_share_one_pool(self, golden, monkeypatch):
+        # eight threads that each run two ranges make one pool between them,
+        # with thread switches as frequent as the interpreter allows
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        table, ch = build_syndrome_table(golden, 2), DepolarizingChannel(0.1)
+        expected = run_trials(golden, ch, table, 1000, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(simulate, "_new_pool", wraps=simulate._new_pool) as made:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    runs = [pool.submit(run_trials, golden, ch, table, 1000, 3, 2) for _ in range(8)]
+                    results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+        assert made.call_count == 1
+
+    @linux
+    def test_killed_worker_ends_the_run_cleanly(self, capsys, monkeypatch):
+        # a worker killed during a run (as by the OOM killer) ends the command
+        # with one error line and exit 1; the next run makes a new pool
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        argv = ["simulate", example_code_path("h4.code"), "--p", "0.01", "--seed", "7"]
+        argv += ["--trials", "4000000"]
+        assert cli.main([*argv, "--workers", "1"]) == 0
+        expected = capsys.readouterr().out
+        assert cli.main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == expected
+        workers = multiprocessing.active_children()
+        assert len(workers) == 1
+        # the worker was forked before the patch, so only this process kills
+        with mock.patch.object(simulate, "_sample_block", _killing(workers)):
+            assert cli.main([*argv, "--workers", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: a worker process ended before its range did: ")
+        assert err.count("\n") == 1
+        assert simulate._kept is None
+        assert cli.main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @linux
+    def test_failed_fork_ends_the_run_cleanly(self, golden, monkeypatch):
+        # the second of two forks fails: the run raises the error that the CLI
+        # prints with exit 1, the first worker is ended, and the next run forks anew
+        monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        table, ch = build_syndrome_table(golden, 2), DepolarizingChannel(0.1)
+        expected = run_trials(golden, ch, table, 1000, 3)
+        fork, forks = os.fork, []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        with mock.patch.object(os, "fork", failing_fork):
+            with pytest.raises(InfeasibleError, match="^could not start a worker process: "):
+                run_trials(golden, ch, table, 1000, 3, 3)
+        assert len(forks) == 2 and simulate._kept is None
+        assert multiprocessing.active_children() == []
+        assert run_trials(golden, ch, table, 1000, 3, 3) == expected
+
+    @linux
+    @pytest.mark.skipif(simulate._cpus() < 2, reason="one CPU runs one range and forks no worker")
+    def test_no_worker_outlives_the_command(self):
+        # the command runs in a process group of its own, which its workers
+        # join when forked; once it exits, none of the group is left
+        proc = _simulate_in_session(200000)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "") and "failures=" in out
+        assert _group_alive(proc.pid) == []
+
+    @linux
+    @pytest.mark.skipif(simulate._cpus() < 2, reason="one CPU runs one range and forks no worker")
+    def test_workers_end_with_a_killed_command(self):
+        # a command killed by a signal joins no worker: each worker ends itself
+        proc = _simulate_in_session(10**9)
+        try:
+            deadline = time.monotonic() + 60
+            while len(_group_alive(proc.pid)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(_group_alive(proc.pid)) == 2  # the command and its worker
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)  # not communicate: a worker left alive holds its pipes open
+            proc.stdout.close()
+            proc.stderr.close()
+        deadline = time.monotonic() + 10
+        while _group_alive(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _group_alive(proc.pid) == []
 
 class TestCatalytic:
     def test_golden_zero_net(self, golden):
