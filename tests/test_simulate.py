@@ -11,6 +11,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eaqecc import cli, example_code_path, frames, gf2, gf4, simulate
+from eaqecc import table as table_module
 from eaqecc.analysis import in_isotropic, syndrome_of
 from eaqecc.builder import ClassicalCode, EaqeccCode, build_code, extend_generators
 from eaqecc.cli import load_code_file
@@ -101,10 +103,10 @@ def _sample(p, letters, seed, t_lo, t_hi, buffers):
 
 @contextlib.contextmanager
 def _merges(*names):
-    """Mocks that record the calls of simulate's two merges, its weight enumerator, then names."""
+    """Mocks that record the calls of the table's two merges, its weight enumerator, then names."""
     with contextlib.ExitStack() as stack:
         yield [
-            stack.enter_context(mock.patch.object(simulate, name, wraps=getattr(simulate, name)))
+            stack.enter_context(mock.patch.object(table_module, name, wraps=getattr(table_module, name)))
             for name in ("_direct_entries", "_sorted_entries", "_level", *names)
         ]
 
@@ -121,7 +123,7 @@ def _build_on_path(codeq, depth, direct):
     The patch holds for the whole build, so the table's index follows it
     too.  The slots need a one-word tie-break key (n <= 32).
     """
-    fits = mock.patch.object(simulate, "_fits_direct", lambda m: direct)
+    fits = mock.patch.object(table_module, "_fits_direct", lambda m: direct)
     with fits, _merges() as (on_direct, on_sorted, weights):
         table = build_syndrome_table(codeq, depth)
     _assert_one_merge(on_direct, on_sorted, weights, direct)
@@ -564,13 +566,13 @@ class TestSyndromeTable:
         reference = reference_syndrome_table(golden, 3)
         assert len(reference) == 2 ** len(golden.generators)
         weights = []
-        level = simulate._level
+        level = table_module._level
 
         def recording(letters, w, below):
             weights.append(w)
             return level(letters, w, below)
 
-        monkeypatch.setattr(simulate, "_level", recording)
+        monkeypatch.setattr(table_module, "_level", recording)
         table = build_syndrome_table(golden, 3)
         assert weights == [1, 2]  # weight 0 is the identity, never enumerated
         assert table.entries == reference
@@ -603,14 +605,14 @@ class TestSyndromeTable:
         # search as big-endian bytes
         codeq = build_code(random_classical_code(random.Random(5), 36, 3))
         expected = _arrays(build_syndrome_table(codeq, 2))
-        groups, split = [], simulate._syndrome_groups
+        groups, split = [], table_module._syndrome_groups
 
         def recorded(level, m):
             groups.append(list(split(level, m)))
             return iter(groups[-1])
 
-        with mock.patch.object(simulate, "_BLOCK", block), mock.patch.object(
-            simulate, "_syndrome_groups", recorded
+        with mock.patch.object(table_module, "_PIECE", block), mock.patch.object(
+            table_module, "_syndrome_groups", recorded
         ):
             table = build_syndrome_table(codeq, 2)
         assert len(groups[1]) > 1
@@ -652,9 +654,9 @@ class TestSyndromeTable:
 
             return run
 
-        with mock.patch.object(simulate, "_BLOCK", block), mock.patch.object(
-            simulate, "_direct_entries", recorded(simulate._direct_entries)
-        ), mock.patch.object(simulate, "_sorted_entries", recorded(simulate._sorted_entries)):
+        with mock.patch.object(table_module, "_PIECE", block), mock.patch.object(
+            table_module, "_direct_entries", recorded(table_module._direct_entries)
+        ), mock.patch.object(table_module, "_sorted_entries", recorded(table_module._sorted_entries)):
             tables = [_build_on_path(codeq, depth, direct) for direct in (True, False)]
         weights = len(handed) // 2  # both paths merge the same weights, the slots' first
         for i, slices in enumerate(handed):
@@ -666,7 +668,7 @@ class TestSyndromeTable:
                 assert all(r for r in ranges)
                 assert all(a[-1] < b[0] for a, b in zip(ranges, ranges[1:]))
                 assert len(slices) == 1 or sum(map(len, slices)) > block
-            rows = [_row(words) for s in slices for words in simulate._reverse(s[:, nkeys:])]
+            rows = [_row(words) for s in slices for words in table_module._reverse(s[:, nkeys:])]
             assert sorted(rows) == sorted(p.row() for p in iter_paulis_of_weight(codeq.n, w))
         for table in tables:
             assert list(table.entries.items()) == expected
@@ -678,7 +680,7 @@ class TestSyndromeTable:
         # word 1 against the running best (sorted path: two tie-break words)
         codeq = build_code(random_classical_code(random.Random(64), 64, 58))
         expected = _arrays(build_syndrome_table(codeq, 2))
-        with mock.patch.object(simulate, "_BLOCK", block):
+        with mock.patch.object(table_module, "_PIECE", block):
             assert _arrays(_build_on_path(codeq, 2, False)) == expected
 
     # slots is 1 where the table merges in syndrome slots: m = 0 fills its one
@@ -687,7 +689,7 @@ class TestSyndromeTable:
     @pytest.mark.parametrize("m, slots", [(0, 1), (16, 1), (17, 0)])
     def test_path_by_generator_count(self, m, slots):
         codeq = _random_code(random.Random(m), m // 2 + 3, m)
-        assert simulate._fits_direct(m) is (m <= 16) is bool(slots)
+        assert table_module._fits_direct(m) is (m <= 16) is bool(slots)
         with _merges() as (on_direct, on_sorted, weights):
             table = build_syndrome_table(codeq, 3)
         assert weights.call_count == (3 if m else 0)
@@ -765,8 +767,8 @@ class TestSyndromeTable:
         row = st.lists(word, min_size=width, max_size=width).map(_row)
         rows = data.draw(st.lists(row, max_size=20))
         words = _words(rows, 64 * width)
-        keys = simulate._reverse(words)
-        assert (simulate._reverse(keys) == words).all()
+        keys = table_module._reverse(words)
+        assert (table_module._reverse(keys) == words).all()
         by_key = sorted(range(len(rows)), key=lambda i: tuple(keys[i].tolist()))
         by_bits = sorted(range(len(rows)), key=lambda i: format(rows[i], f"0{64 * width}b")[::-1])
         assert [rows[i] for i in by_key] == [rows[i] for i in by_bits]
@@ -842,7 +844,7 @@ class TestSyndromeTable:
         codeq = _random_code(random.Random(m), m // 2 + 3, m)
         entries = build_syndrome_table(codeq, 1).entries
         unranked = mock.patch.object(frames, "_rank", side_effect=AssertionError)
-        with unranked, mock.patch.object(simulate, "_order", wraps=simulate._order) as ranked:
+        with unranked, mock.patch.object(table_module, "_order", wraps=table_module._order) as ranked:
             table = SyndromeTable(dict(entries), 1)
         assert ranked.called is (m > 16) and _slot_indexed(table) is (m <= 16)
         assert list(table.entries.items()) == list(entries.items())
@@ -855,8 +857,8 @@ class TestSyndromeTable:
         codeq = _random_code(random.Random(m), m // 2 + 3, m)
         table = build_syndrome_table(codeq, 2)
         assert table.keys.shape[1] == -(-m // 64) and not _slot_indexed(table)
-        assert table._index.dtype == simulate._sortable(table.keys).dtype
-        assert (table._index == simulate._sortable(table.keys)).all()
+        assert table._index.dtype == table_module._sortable(table.keys).dtype
+        assert (table._index == table_module._sortable(table.keys)).all()
         by_hand = SyndromeTable(dict(table.entries.items()), 2)
         assert (by_hand._index == table._index).all()
 
@@ -869,7 +871,7 @@ class TestSyndromeTable:
         # lookup and the block decoder read one index, so check lookup, and
         # decode_error through it, against the pure-Python enumeration
         if not slots:
-            monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+            monkeypatch.setattr(table_module, "_fits_direct", lambda m: False)
         codeq = _random_code(random.Random(m), max(m, 2), m)
         reference = reference_syndrome_table(codeq, 1)
         table = build_syndrome_table(codeq, 1)
@@ -945,7 +947,7 @@ class TestEntriesView:
 
     def test_several_chunks_keep_insertion_order(self, monkeypatch):
         # chunks of 7 entries: every read crosses chunk edges, and a short last chunk
-        monkeypatch.setattr(simulate, "_VIEW_CHUNK", 7)
+        monkeypatch.setattr(table_module, "_VIEW_CHUNK", 7)
         codeq = build_code(random_classical_code(random.Random(3), 6, 2))
         reference = reference_syndrome_table(codeq, 2)
         assert len(reference) % 7
@@ -1183,7 +1185,7 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("edit", ["no_zero", "zero_isotropic", "corrupt", "corrupt_zero"])
     def test_hand_built_tables_on_the_sorted_path(self, golden, edit, monkeypatch):
-        monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+        monkeypatch.setattr(table_module, "_fits_direct", lambda m: False)
         _check_hand_built_table(golden, edit, direct=False)
 
     @pytest.mark.parametrize("m", [0, 1, 12, 16])
@@ -1197,7 +1199,7 @@ class TestRunTrials:
         assert _slot_indexed(table)
         ch, trials = DepolarizingChannel(0.1), 2 * simulate._BLOCK + 3
         direct = [run_trials(codeq, ch, table, trials, 8, workers) for workers in (1, 3)]
-        monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+        monkeypatch.setattr(table_module, "_fits_direct", lambda m: False)
         table = build_syndrome_table(codeq, 2)
         assert not _slot_indexed(table)
         for workers, result in zip((1, 3), direct):
@@ -1530,7 +1532,7 @@ class TestRunTrials:
         for s in np.flatnonzero(known).tolist():
             assert (decoder.corrections[:, entry[s]] == _signature(decoder.letters, keys[s])).all()
         # the sorted search of a table built without slots finds the same entries
-        monkeypatch.setattr(simulate, "_fits_direct", lambda m: False)
+        monkeypatch.setattr(table_module, "_fits_direct", lambda m: False)
         table = build_syndrome_table(codeq, 1)
         assert not _slot_indexed(table)
         sorted_entry, sorted_known = _BlockDecoder.build(codeq, table).lookup(
@@ -1600,21 +1602,50 @@ def _group_alive(pgid):
     return alive
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a subprocess."""
+    path = [str(BENCH_CORPUS.parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def _simulate_in_session(trials):
     """An r20 simulate command at --workers 2 in a process group of its own, started."""
-    root = BENCH_CORPUS.parent.parent
-    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     argv = ["simulate", "bench/corpus/r20.code", "--p", "0.1", "--max-weight", "2"]
     argv += ["--trials", str(trials), "--workers", "2"]
     return subprocess.Popen(
         [sys.executable, "-m", "eaqecc.cli", *argv],
-        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
+        cwd=BENCH_CORPUS.parent.parent, env=_src_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
 
 
 linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked workers run on Linux")
+
+# h4 at 10**10 trials on two ranges, interrupted once its worker is forked:
+# prints when the caller catches KeyboardInterrupt, and the children left then
+_INTERRUPTED_RUN = """
+import multiprocessing, signal, threading, time
+from eaqecc import build_code, example_code_path, simulate
+from eaqecc.cli import load_code_file
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # also if started with SIGINT ignored
+simulate._cpus = lambda: 2
+codeq = build_code(load_code_file(example_code_path("h4.code")).code)
+table = simulate.build_syndrome_table(codeq, 2)
+
+
+def announce():
+    while not multiprocessing.active_children():
+        time.sleep(0.01)
+    print("up", flush=True)
+
+
+threading.Thread(target=announce, daemon=True).start()
+try:
+    simulate.run_trials(codeq, simulate.DepolarizingChannel(0.01), table, 10**10, 1, 2)
+except KeyboardInterrupt:
+    print(time.monotonic(), multiprocessing.active_children(), flush=True)
+"""
 
 
 @pytest.mark.usefixtures("fresh_pool")
@@ -1720,6 +1751,32 @@ class TestWorkerPool:
         assert len(forks) == 2 and simulate._kept is None
         assert multiprocessing.active_children() == []
         assert run_trials(golden, ch, table, 1000, 3, 3) == expected
+
+    @linux
+    def test_interrupted_run_ends_its_workers(self):
+        # SIGINT to the pid alone, not its process group: the caller's
+        # KeyboardInterrupt ends the worker at once, so neither the exception
+        # nor the exit waits for the worker's range, which would take minutes
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _INTERRUPTED_RUN],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        watchdog = threading.Timer(60, proc.kill)  # a pool that never comes up fails the test
+        watchdog.start()
+        try:
+            assert proc.stdout.readline() == "up\n"
+            time.sleep(0.5)  # the caller is in its own range by now
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            proc.wait(timeout=60)
+        caught, children = out.split(" ", 1)
+        assert float(caught) - sent < 3
+        assert children == "[]\n"
+        assert proc.returncode == 0, err
 
     @linux
     @pytest.mark.skipif(simulate._cpus() < 2, reason="one CPU runs one range and forks no worker")
